@@ -183,17 +183,47 @@ func HistInto(h *Hist, values []int32, classes []int32, idx []int32) {
 	kernel.TabulateCat(h.Counts, values, classes, idx, h.C)
 }
 
+// stackValues is the cardinality up to which the per-value totals of the
+// split searches live in a stack array: every attribute a subset mask can
+// describe, and every categorical attribute of the paper's experiments.
+const stackValues = 64
+
+// valueTotals sums each value's row once: the per-value case counts (in buf
+// when they fit, on the heap above stackValues values), their sum, and the
+// number of non-empty values. The split searches read these instead of
+// re-walking rows through Total and ValueTotal.
+func (h *Hist) valueTotals(buf *[stackValues]int64) (totals []int64, total int64, present int) {
+	if h.M <= stackValues {
+		totals = buf[:h.M]
+	} else {
+		totals = make([]int64, h.M)
+	}
+	for v := range totals {
+		nv := h.ValueTotal(v)
+		totals[v] = nv
+		total += nv
+		if nv > 0 {
+			present++
+		}
+	}
+	return totals, total, present
+}
+
 // MultiwayScore returns the expected impurity after a multiway split on
 // the histogram's attribute: sum over values of (n_v/n)·impurity(value v).
 // The gain of the split is impurity(parent) − MultiwayScore.
 func MultiwayScore(h *Hist, crit Criterion) float64 {
-	total := h.Total()
+	var buf [stackValues]int64
+	totals, total, _ := h.valueTotals(&buf)
+	return multiwayScore(h, crit, totals, total)
+}
+
+func multiwayScore(h *Hist, crit Criterion, totals []int64, total int64) float64 {
 	if total == 0 {
 		return 0
 	}
 	s := 0.0
-	for v := 0; v < h.M; v++ {
-		nv := h.ValueTotal(v)
+	for v, nv := range totals {
 		if nv > 0 {
 			s += float64(nv) / float64(total) * crit.Impurity(h.Row(v), nv)
 		}
@@ -213,36 +243,37 @@ func ScoreHist(h *Hist, crit Criterion, binary bool) (mask uint64, score float64
 	if binary {
 		return BinarySubsetSplit(h, crit)
 	}
-	nonEmpty := 0
-	for v := 0; v < h.M; v++ {
-		if h.ValueTotal(v) > 0 {
-			nonEmpty++
-		}
-	}
+	var buf [stackValues]int64
+	totals, total, nonEmpty := h.valueTotals(&buf)
 	if nonEmpty < 2 {
 		return 0, 0, false
 	}
-	return 0, MultiwayScore(h, crit), true
+	return 0, multiwayScore(h, crit, totals, total), true
 }
 
 // SplitInfo returns the "split information" term of C4.5's gain ratio for
 // a multiway split: the entropy of the value-count distribution.
 func SplitInfo(h *Hist) float64 {
-	total := h.Total()
+	var buf [stackValues]int64
+	totals, total, _ := h.valueTotals(&buf)
 	if total == 0 {
 		return 0
 	}
-	counts := make([]int64, h.M)
-	for v := 0; v < h.M; v++ {
-		counts[v] = h.ValueTotal(v)
-	}
-	return entropy(counts, total)
+	return entropy(totals, total)
 }
 
-// exhaustiveSubsetLimit bounds the cardinality for which the binary subset
-// search enumerates all 2^(M-1) partitions; above it a deterministic greedy
-// hill-climb is used (the same policy as SLIQ).
+// exhaustiveSubsetLimit bounds the cardinality M for which the binary
+// subset search considers all 2^(M-1) partitions; above it a deterministic
+// greedy hill-climb is used (the same policy as SLIQ). The dispatch is on
+// the declared cardinality, not on the number of values present at the
+// node: a 20-value attribute with three values left at a deep node still
+// takes the greedy path, because switching it to the (then cheap and
+// better) exhaustive search would grow different trees.
 const exhaustiveSubsetLimit = 12
+
+// stackClasses is the class count up to which the two sides of a candidate
+// partition live in stack arrays.
+const stackClasses = 16
 
 // BinarySubsetSplit finds the best binary partition of the attribute's
 // values into {left, right} under the criterion. It returns the left-side
@@ -252,92 +283,156 @@ const exhaustiveSubsetLimit = 12
 // represent — an attribute with more values can never carry a subset
 // test, so every builder skips it rather than constructing a mask whose
 // high values would silently misroute. Value 0 is always on the left,
-// removing the mirror-image duplicates. Deterministic: exhaustive
-// enumeration in increasing mask order for M ≤ 12, greedy
-// best-improvement otherwise.
+// removing the mirror-image duplicates. Deterministic: for M ≤ 12 the
+// winner is the first mask, in increasing mask order, that reaches the
+// minimum score over all 2^(M-1) masks; above that, a greedy
+// best-improvement climb from {value 0}.
+//
+// Neither search visits a mask that sets the bit of a value absent from
+// the node. Such a mask splits the cases exactly as the smaller mask
+// without that bit does — the same integer class counts on both sides,
+// hence the same score to the last bit — so under the strict "<" of the
+// exhaustive search it can never replace the smaller mask, which comes
+// first, and under the greedy search's 1e-12 improvement rule it can never
+// be accepted. Skipping them changes no result, and a deep node with three
+// of eleven values present scores 4 masks instead of 1 024. The visited
+// masks are scored from class counts moved one value row at a time: exact
+// integers, so they equal a re-sum of every row, and the score expression
+// is evaluated in one fixed shape. Mask, score bits and ok are therefore
+// those of re-summing every one of the 2^(M-1) masks from scratch, the
+// reference that subset_oracle_test.go holds this search to. Nothing is
+// allocated up to 16 classes.
 func BinarySubsetSplit(h *Hist, crit Criterion) (mask uint64, score float64, ok bool) {
 	if h.M > 64 {
 		return 0, 0, false
 	}
-	total := h.Total()
-	if total == 0 {
+	var tbuf [stackValues]int64
+	totals, total, present := h.valueTotals(&tbuf)
+	if total == 0 || present < 2 {
 		return 0, 0, false
 	}
-	present := 0
-	for v := 0; v < h.M; v++ {
-		if h.ValueTotal(v) > 0 {
-			present++
+	var sides [2][stackClasses]int64
+	p := partition{h: h, totals: totals, ft: float64(total)}
+	if h.C <= stackClasses {
+		p.side = [2][]int64{sides[lhs][:h.C], sides[rhs][:h.C]}
+	} else {
+		p.side = [2][]int64{make([]int64, h.C), make([]int64, h.C)}
+	}
+	// Everything starts on the right; value 0 then moves left for good (a
+	// no-op when it is absent: bit 0 is set in every mask regardless).
+	for v, nv := range totals {
+		for c, n := range h.Row(v) {
+			p.side[rhs][c] += n
 		}
+		p.n[rhs] += nv
 	}
-	if present < 2 {
-		return 0, 0, false
-	}
+	p.move(0, lhs)
 	if h.M <= exhaustiveSubsetLimit {
-		return exhaustiveSubset(h, crit, total)
+		return p.bestExhaustive(crit)
 	}
-	return greedySubset(h, crit, total)
+	return p.bestGreedy(crit)
 }
 
-func subsetScore(h *Hist, crit Criterion, total int64, mask uint64) (float64, bool) {
-	left := make([]int64, h.C)
-	right := make([]int64, h.C)
-	var ln, rn int64
-	for v := 0; v < h.M; v++ {
-		row := h.Row(v)
-		if mask&(1<<uint(v)) != 0 {
-			for c, n := range row {
-				left[c] += n
-			}
-		} else {
-			for c, n := range row {
-				right[c] += n
-			}
-		}
+// The two sides of a partition.
+const (
+	lhs = 0
+	rhs = 1
+)
+
+// partition is the candidate split the subset searches carry from one mask
+// to the next: the class counts and case count of each side, beside the
+// histogram, its per-value totals and the node total as the float the
+// score divides by.
+type partition struct {
+	h      *Hist
+	totals []int64
+	side   [2][]int64
+	n      [2]int64
+	ft     float64
+}
+
+// move takes value v's row to side `to` from the other side.
+func (p *partition) move(v, to int) {
+	dst, src := p.side[to], p.side[1-to]
+	for c, k := range p.h.Row(v) {
+		dst[c] += k
+		src[c] -= k
 	}
-	for _, n := range left {
-		ln += n
-	}
-	for _, n := range right {
-		rn += n
-	}
+	p.n[to] += p.totals[v]
+	p.n[1-to] -= p.totals[v]
+}
+
+// score is the expected impurity of the current partition; false when one
+// side is empty.
+func (p *partition) score(crit Criterion) (float64, bool) {
+	ln, rn := p.n[lhs], p.n[rhs]
 	if ln == 0 || rn == 0 {
 		return 0, false
 	}
-	ft := float64(total)
-	return float64(ln)/ft*crit.Impurity(left, ln) + float64(rn)/ft*crit.Impurity(right, rn), true
+	return float64(ln)/p.ft*crit.Impurity(p.side[lhs], ln) + float64(rn)/p.ft*crit.Impurity(p.side[rhs], rn), true
 }
 
-func exhaustiveSubset(h *Hist, crit Criterion, total int64) (uint64, float64, bool) {
-	bestMask, bestScore, found := uint64(0), math.Inf(1), false
-	// Fix value 0 on the left: enumerate the other M-1 bits.
-	for rest := uint64(0); rest < 1<<uint(h.M-1); rest++ {
-		mask := rest<<1 | 1
-		s, valid := subsetScore(h, crit, total, mask)
-		if valid && s < bestScore {
-			bestMask, bestScore, found = mask, s, true
+// bestExhaustive scores every subset of the present values other than 0 in
+// increasing mask order. Counting k through 0..2^np-1 and depositing its
+// bits at the present positions (ascending) visits exactly those masks in
+// that order; the step k → k+1 clears the trailing ones of k and sets its
+// lowest zero, so the partition follows with two row moves per mask on
+// average.
+func (p *partition) bestExhaustive(crit Criterion) (uint64, float64, bool) {
+	var pos [exhaustiveSubsetLimit]int
+	np := 0
+	for v := 1; v < p.h.M; v++ {
+		if p.totals[v] > 0 {
+			pos[np] = v
+			np++
 		}
 	}
-	return bestMask, bestScore, found
+	bestMask, bestScore, found := uint64(0), math.Inf(1), false
+	mask := uint64(1)
+	for k := uint64(0); ; k++ {
+		if s, valid := p.score(crit); valid && s < bestScore {
+			bestMask, bestScore, found = mask, s, true
+		}
+		if k+1 == 1<<uint(np) {
+			return bestMask, bestScore, found
+		}
+		i := 0
+		for ; k>>uint(i)&1 == 1; i++ {
+			p.move(pos[i], rhs)
+			mask &^= 1 << uint(pos[i])
+		}
+		p.move(pos[i], lhs)
+		mask |= 1 << uint(pos[i])
+	}
 }
 
-func greedySubset(h *Hist, crit Criterion, total int64) (uint64, float64, bool) {
-	// Start from {value 0} on the left and move one value at a time while
-	// the score improves; scan values in index order so the result is
-	// deterministic.
+// bestGreedy starts from {value 0} on the left and moves one value at a
+// time while the score improves; values are scanned in index order so the
+// result is deterministic. A trial is the current partition with one row
+// moved across, moved back when it does not improve.
+func (p *partition) bestGreedy(crit Criterion) (uint64, float64, bool) {
 	mask := uint64(1)
-	bestScore, valid := subsetScore(h, crit, total, mask)
+	bestScore, valid := p.score(crit)
 	if !valid {
 		bestScore = math.Inf(1)
 	}
 	improved := true
 	for improved {
 		improved = false
-		for v := 1; v < h.M; v++ {
-			trial := mask ^ (1 << uint(v))
-			s, ok := subsetScore(h, crit, total, trial)
-			if ok && s < bestScore-1e-12 {
-				mask, bestScore = trial, s
+		for v := 1; v < p.h.M; v++ {
+			if p.totals[v] == 0 {
+				continue
+			}
+			to := lhs
+			if mask&(1<<uint(v)) != 0 {
+				to = rhs
+			}
+			p.move(v, to)
+			if s, ok := p.score(crit); ok && s < bestScore-1e-12 {
+				mask, bestScore = mask^(1<<uint(v)), s
 				improved = true
+			} else {
+				p.move(v, 1-to)
 			}
 		}
 	}
