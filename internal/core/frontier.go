@@ -9,33 +9,46 @@ import (
 	"partree/internal/tree"
 )
 
-// levelCache carries the sibling-subtraction state of a synchronous build
-// across levels: rd holds the previous level's post-reduction parent
-// blocks, wr collects this level's. The pair swaps at each level boundary
-// so the steady state allocates nothing per family. A nil *levelCache
-// disables subtraction. The cache is rank-local state computed from global
-// (post-reduction) data, so every rank holds an identical cache with no
-// exchange; it must be dropped whenever the frontier its keys refer to is
-// reshaped — hybrid repartitions and checkpoint rollbacks call drop.
-type levelCache struct {
+// levelState is what one synchronous stretch carries across its level
+// boundaries. rd/wr is the sibling-subtraction cache (nil when Reuse
+// subtraction is off): rd holds the previous level's post-reduction
+// parent blocks, wr collects this level's, and the pair swaps at each
+// boundary so the steady state allocates nothing per family. vote holds
+// the vote families describing the current frontier (nil outside
+// voting, or when unknown — see famsCovering). Both halves are
+// rank-local state computed from global (post-reduction) data, so every
+// rank holds an identical copy with no exchange; the state must be
+// dropped whenever the frontier it describes is reshaped — hybrid
+// repartitions and checkpoint rollbacks call drop.
+type levelState struct {
 	rd, wr *kernel.ReuseCache
+	vote   []voteFam
 }
 
-func newLevelCache() *levelCache {
-	return &levelCache{rd: kernel.NewReuseCache(), wr: kernel.NewReuseCache()}
+func newLevelState(o Options) *levelState {
+	ls := &levelState{}
+	if o.Tree.Reuse.Subtraction {
+		ls.rd, ls.wr = kernel.NewReuseCache(), kernel.NewReuseCache()
+	}
+	return ls
 }
 
 // advance crosses a level boundary: the blocks just written become
 // readable and the stale read side is recycled for writing.
-func (lc *levelCache) advance() {
-	lc.rd.Reset()
-	lc.rd, lc.wr = lc.wr, lc.rd
+func (ls *levelState) advance() {
+	if ls.rd != nil {
+		ls.rd.Reset()
+		ls.rd, ls.wr = ls.wr, ls.rd
+	}
 }
 
-// drop invalidates everything the cache holds.
-func (lc *levelCache) drop() {
-	lc.rd.Reset()
-	lc.wr.Reset()
+// drop invalidates everything the state holds.
+func (ls *levelState) drop() {
+	if ls.rd != nil {
+		ls.rd.Reset()
+		ls.wr.Reset()
+	}
+	ls.vote = nil
 }
 
 // chargeWordOps advances the clock by ops units of t_op — the modeled
@@ -77,50 +90,54 @@ type famPlan struct {
 // synchronously across the ranks of c — the inner loop of both the
 // synchronous formulation and the hybrid's synchronous phase. The
 // frontier's statistics are flushed in chunks of at most SyncEveryNodes
-// nodes: each flush tabulates the local statistics of the chunk, runs one
-// global sum-reduction and lets every rank take the identical split
-// decisions. Returns the next frontier (same order on every rank) and the
-// modeled communication cost of this level's reductions, the Σ(Comm Cost)
-// the hybrid's splitting criterion accumulates: per flush,
-// Comm.AllreduceCostEstimate of the dense reduction volume — under the
-// default collective configuration exactly (t_s + t_w·bytes)·⌈log₂P⌉,
-// Equation 2 of the paper, and the configured algorithm's closed-form
-// cost otherwise, so the split trigger tracks the network the build
-// actually runs on.
+// nodes, and each chunk goes through five steps: plan (which members to
+// derive instead of tabulate), tabulate the local statistics, reduce
+// them globally, derive the withheld members, and expand the chunk so
+// every rank takes the identical split decisions. Returns the next
+// frontier (same order on every rank) and the modeled communication cost
+// of this level's reductions, the Σ(Comm Cost) the hybrid's splitting
+// criterion accumulates: per flush, Comm.AllreduceCostEstimate of the
+// dense reduction volume — under the default collective configuration
+// exactly (t_s + t_w·bytes)·⌈log₂P⌉, Equation 2 of the paper, and the
+// configured algorithm's closed-form cost otherwise, so the split
+// trigger tracks the network the build actually runs on.
 //
-// With a levelCache (sibling subtraction), each flush tabulates and
+// With sibling subtraction (ls.rd non-nil), each flush tabulates and
 // reduces only the packed blocks of non-derived nodes; every family whose
-// parent block is cached derives its largest child locally after the
-// reduction as parent − Σ(tabulated siblings). The derivation plan is a
-// pure function of globally identical data (node IDs, GlobalN), so every
-// rank packs the same payload and the hybrid's commCost — modeled on the
-// dense size of the packed payload — stays identical across ranks. The
-// sparse threshold additionally lets the reduction ship near-empty blocks
-// as (index, count) pairs. Both transforms are exact: the next frontier is
+// parent block is cached derives one child locally after the reduction
+// as parent − Σ(tabulated siblings). The derivation plan is a pure
+// function of globally identical data (node IDs, GlobalN), so every rank
+// packs the same payload and the hybrid's commCost — modeled on the dense
+// size of the packed payload — stays identical across ranks. The sparse
+// threshold additionally lets the reduction ship near-empty blocks as
+// (index, count) pairs. Both transforms are exact: the next frontier is
 // bit-identical to the disabled path.
 //
-// With Vote active (0 < K < A_d) and more than one rank, the level runs
-// the two-round voted protocol instead (expandLevelVoted, vote.go) and
-// threads its vote-family state vs between levels; otherwise vs is
-// ignored, the returned state is nil, and this body — including every
-// modeled charge — is executed verbatim, which is what makes k ≥ A_d
-// (and P = 1) voted runs bit-identical to exact by construction.
-func expandLevelSync(c *mp.Comm, d *dataset.Dataset, frontier []tree.FrontierItem, o Options, ids *tree.IDGen, lc *levelCache, vs *voteState) ([]tree.FrontierItem, float64, *voteState) {
+// The reduce step is the exact PhaseReduction sum-reduction, unless Vote
+// is active (0 < K < A_d) on more than one rank: then it is the voted
+// two-round protocol (voteRound, vote.go), the derived sibling is the
+// smallest instead of the largest (see voteFam.derVote), derived blocks
+// are masked to their usable attribute set, and ls.vote threads the
+// vote families to the next level. Under the exact reduction none of
+// that runs — every modeled charge is the exact path's — which is what
+// makes k ≥ A_d (and P = 1) voted runs bit-identical to exact by
+// construction.
+func expandLevelSync(c *mp.Comm, d *dataset.Dataset, frontier []tree.FrontierItem, o Options, ids *tree.IDGen, ls *levelState) ([]tree.FrontierItem, float64) {
 	s := d.Schema
-	if o.Tree.Vote.Active(len(s.Attrs)) && c.Size() > 1 {
-		return expandLevelVoted(c, d, frontier, o, ids, lc, vs)
-	}
 	statsLen := tree.StatsLen(s, o.Tree)
 	spec := tree.NewStatsSpec(d, o.Tree)
+	var vr *voteRound // nil: exact reduction
+	derives := func(n, m int64) bool { return n > m }
+	if o.Tree.Vote.Active(len(s.Attrs)) && c.Size() > 1 {
+		vr = newVoteRound(s, o.Tree, famsCovering(ls.vote, len(frontier)))
+		derives = func(n, m int64) bool { return n < m }
+	}
 
 	var next []tree.FrontierItem
 	var kidIDs []int64
 	commCost := 0.0
 	for lo := 0; lo < len(frontier); lo += o.SyncEveryNodes {
-		hi := lo + o.SyncEveryNodes
-		if hi > len(frontier) {
-			hi = len(frontier)
-		}
+		hi := min(lo+o.SyncEveryNodes, len(frontier))
 		chunk := frontier[lo:hi]
 
 		// Plan the chunk: slot[j] ≥ 0 places chunk[j]'s block in the packed
@@ -128,10 +145,10 @@ func expandLevelSync(c *mp.Comm, d *dataset.Dataset, frontier []tree.FrontierIte
 		slot := make([]int, len(chunk))
 		var fams []famPlan
 		nTab := 0
-		if lc != nil {
+		if ls.rd != nil {
 			j := 0
 			for j < len(chunk) {
-				fam, ok := lc.rd.Lookup(chunk[j].Node.ID)
+				fam, ok := ls.rd.Lookup(chunk[j].Node.ID)
 				if !ok || !famAligned(chunk[j:], fam.Kids) {
 					slot[j] = nTab
 					nTab++
@@ -141,7 +158,7 @@ func expandLevelSync(c *mp.Comm, d *dataset.Dataset, frontier []tree.FrontierIte
 				k := len(fam.Kids)
 				der := j
 				for i := j + 1; i < j+k; i++ {
-					if chunk[i].GlobalN > chunk[der].GlobalN {
+					if derives(chunk[i].GlobalN, chunk[der].GlobalN) {
 						der = i
 					}
 				}
@@ -174,7 +191,9 @@ func expandLevelSync(c *mp.Comm, d *dataset.Dataset, frontier []tree.FrontierIte
 		}
 		c.Compute(float64(ops))
 		c.EndPhase()
-		if c.Size() > 1 && len(red) > 0 {
+		if vr != nil {
+			vr.reduce(c, frontier, lo, hi, slot, red, &commCost)
+		} else if c.Size() > 1 && len(red) > 0 {
 			c.BeginPhase(PhaseReduction)
 			mp.AllreduceSum(c, red, o.Tree.Reuse.SparseThreshold)
 			c.EndPhase()
@@ -206,24 +225,26 @@ func expandLevelSync(c *mp.Comm, d *dataset.Dataset, frontier []tree.FrontierIte
 					derOps += kernel.Subtract(dst, blockOf(i))
 				}
 			}
+			derOps += vr.mask(dst, fp.der)
 		}
 		for j, it := range chunk {
 			blk := blockOf(j)
 			kids := tree.ExpandNode(it, tree.DecodeStats(blk, s, o.Tree), d, o.Tree, ids, &routeOps)
-			if lc != nil && len(kids) > 0 {
+			if len(kids) > 0 {
 				// Cache the parent block only when the whole family will land
 				// in one flush chunk of the next level: a family straddling a
 				// flush boundary cannot be derived (its siblings reduce in
 				// different flushes), so storing it would only go stale.
 				start := len(next)
 				end := start + len(kids)
-				if start/o.SyncEveryNodes == (end-1)/o.SyncEveryNodes {
+				if ls.wr != nil && start/o.SyncEveryNodes == (end-1)/o.SyncEveryNodes {
 					kidIDs = kidIDs[:0]
 					for _, kd := range kids {
 						kidIDs = append(kidIDs, kd.Node.ID)
 					}
-					derOps += lc.wr.Store(blk, kidIDs)
+					derOps += ls.wr.Store(blk, kidIDs)
 				}
+				vr.record(start, len(kids), j)
 			}
 			next = append(next, kids...)
 		}
@@ -233,10 +254,12 @@ func expandLevelSync(c *mp.Comm, d *dataset.Dataset, frontier []tree.FrontierIte
 		kernel.PutInt64(red)
 		kernel.PutInt64(der)
 	}
-	if lc != nil {
-		lc.advance()
+	ls.advance()
+	ls.vote = nil
+	if vr != nil {
+		ls.vote = vr.next
 	}
-	return next, commCost, nil
+	return next, commCost
 }
 
 // frontierGlobalN sums the global tuple counts of the frontier (set by

@@ -114,7 +114,7 @@ type levelSnap struct {
 	// derivable member and constrain it to the parent's candidate set, so
 	// re-running a level without the families would elect (and mask)
 	// differently than the fault-free run did.
-	vote *voteState
+	vote []voteFam
 }
 
 // encodeFrontier frames each frontier item's local rows, keyed by its
@@ -137,13 +137,13 @@ func binnerRanges(o *Options) [][2]float64 {
 }
 
 func saveLevelCkpt(st fault.Store, c *mp.Comm, d *dataset.Dataset, frontier []tree.FrontierItem,
-	root *tree.Node, idsNext int64, ranges [][2]float64, level int, vs *voteState) string {
+	root *tree.Node, idsNext int64, ranges [][2]float64, level int, vote []voteFam) string {
 	id := fmt.Sprintf("level:%s:%d", c.ID(), level)
 	var rows int
 	for _, it := range frontier {
 		rows += len(it.Idx)
 	}
-	data := encodeLevelCkpt(d, root, frontier, level, idsNext, ranges, vs)
+	data := encodeLevelCkpt(d, root, frontier, level, idsNext, ranges, vote)
 	st.Save(&fault.Checkpoint{
 		ID:           id,
 		Rank:         worldRankOf(c),
@@ -171,15 +171,11 @@ func buildSyncFT(c *mp.Comm, local *dataset.Dataset, o Options) *tree.Tree {
 	level := 0
 	var history []levelSnap
 	retries := 0
-	var lc *levelCache
-	if o.Tree.Reuse.Subtraction {
-		lc = newLevelCache()
-	}
-	var vs *voteState
+	ls := newLevelState(o)
 	if ft.Resume {
 		if rs, ok := resumeSync(c, st, local, &o); ok {
 			c, root, ids, d, frontier, level = rs.c, rs.root, rs.ids, rs.d, rs.frontier, rs.level
-			vs = rs.vote
+			ls.vote = rs.vote
 		}
 	}
 	for len(frontier) > 0 {
@@ -189,11 +185,10 @@ func buildSyncFT(c *mp.Comm, local *dataset.Dataset, o Options) *tree.Tree {
 		// level of an attempt is always saved so recovery (and resume) have
 		// a cut belonging to the current attempt.
 		if level%ft.ckptEvery() == 0 || len(history) == 0 {
-			ckptID := saveLevelCkpt(st, c, d, frontier, root, ids.Snapshot(), binnerRanges(&o), level, vs)
-			history = append(history, levelSnap{frontier: frontier, ids: ids.Snapshot(), ckptID: ckptID, level: level, vote: vs})
+			ckptID := saveLevelCkpt(st, c, d, frontier, root, ids.Snapshot(), binnerRanges(&o), level, ls.vote)
+			history = append(history, levelSnap{frontier: frontier, ids: ids.Snapshot(), ckptID: ckptID, level: level, vote: ls.vote})
 		}
 		var next []tree.FrontierItem
-		var nvs *voteState
 		ferr := protect(func() {
 			if level == 0 {
 				// The binner's min/max reductions are part of the protected
@@ -201,11 +196,10 @@ func buildSyncFT(c *mp.Comm, local *dataset.Dataset, o Options) *tree.Tree {
 				// same global ranges (adoption preserves the record multiset).
 				setupBinner(c, d, &o)
 			}
-			next, _, nvs = expandLevelSync(c, d, frontier, o, ids, lc, vs)
+			next, _ = expandLevelSync(c, d, frontier, o, ids, ls)
 		})
 		if ferr == nil {
 			frontier = next
-			vs = nvs
 			level++
 			continue
 		}
@@ -225,18 +219,16 @@ func buildSyncFT(c *mp.Comm, local *dataset.Dataset, o Options) *tree.Tree {
 				snap := history[hi]
 				ids.Restore(snap.ids)
 				c, d, frontier, level, history = nc, nd, nf, snap.level, history[:hi]
-				// Vote families roll back with the frontier they describe;
-				// the retried level then elects exactly what the aborted
-				// attempt did (elections never read the reuse cache).
-				vs = snap.vote
 				// The reuse cache must not survive a restore: it describes the
 				// failed attempt's next level (and may be partially written from
 				// the aborted expansion), while the rolled-back frontier re-runs
 				// an older level whose parents were never cached. Dropping it
 				// costs one full tabulation level, which recovery already pays.
-				if lc != nil {
-					lc.drop()
-				}
+				// Vote families instead roll back with the frontier they
+				// describe; the retried level then elects exactly what the
+				// aborted attempt did (elections never read the reuse cache).
+				ls.drop()
+				ls.vote = snap.vote
 				break
 			}
 			ferr = rerr

@@ -60,24 +60,16 @@ func hybridGrow(c *mp.Comm, d *dataset.Dataset, frontier []tree.FrontierItem, o 
 	recBytes := float64(d.Schema.RecordBytes())
 	tw := c.Machine().TW
 	commAccum := 0.0
-	// The reuse cache is local to this partition's synchronous stretch: a
-	// split reshapes the frontier (each half keeps a filtered subset, in new
-	// positions), so the cache is dropped at the split and each recursive
-	// invocation starts its own.
-	var lc *levelCache
-	if o.Tree.Reuse.Subtraction {
-		lc = newLevelCache()
-	}
-	// Vote families are positional (spans of this partition's frontier), so
-	// like the reuse cache they are local to one synchronous stretch: the
-	// split filters and reorders the frontier, and each recursive
-	// invocation restarts from parentless singleton families.
-	var vs *voteState
+	// The level state (reuse cache, vote families) is local to this
+	// partition's synchronous stretch: a split reshapes the frontier (each
+	// half keeps a filtered subset, in new positions), so the state is
+	// dropped at the split and each recursive invocation starts its own —
+	// with parentless singleton vote families.
+	ls := newLevelState(o)
 	for len(frontier) > 0 {
-		next, cost, nvs := expandLevelSync(c, d, frontier, o, ids, lc, vs)
+		next, cost := expandLevelSync(c, d, frontier, o, ids, ls)
 		commAccum += cost
 		frontier = next
-		vs = nvs
 		if len(frontier) < 2 {
 			continue // nothing to partition yet
 		}
@@ -90,9 +82,7 @@ func hybridGrow(c *mp.Comm, d *dataset.Dataset, frontier []tree.FrontierItem, o 
 		if commAccum < o.SplitRatio*(moveCost+lbCost) {
 			continue
 		}
-		if lc != nil {
-			lc.drop()
-		}
+		ls.drop()
 
 		// Split: divide frontier nodes into two halves with balanced
 		// training-case totals, move records, and recurse asynchronously.

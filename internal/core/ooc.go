@@ -13,12 +13,13 @@ import (
 // Out-of-core synchronous construction: BuildSync re-expressed over the
 // chunked Table interface. Each rank holds a section view of a shared
 // column store instead of a resident block; per-row state shrinks to one
-// int32 slot. The modeled charge sequence replicates expandLevelSync
-// exactly — per flush of SyncEveryNodes nodes, a PhaseStatistics Compute
-// of the tabulation ops (from pre-reduction local row counts), the
-// PhaseReduction AllreduceSum of the flush's packed blocks, and a
-// PhaseStatistics Compute of the routing ops of the nodes that split —
-// so with the default TD = 0 the modeled clocks and breakdowns are
+// int32 slot. The modeled charge sequence replicates expandLevelSync's
+// with the exact reduce step (voting is rejected here) — per flush of
+// SyncEveryNodes nodes, a PhaseStatistics Compute of the tabulation ops
+// (from pre-reduction local row counts), the PhaseReduction AllreduceSum
+// of the flush's packed blocks, and a PhaseStatistics Compute of the
+// routing ops of the nodes that split — so with the default TD = 0 the
+// modeled clocks and breakdowns are
 // bit-identical to the in-RAM build; encoded chunk reads are additionally
 // charged to the disk cost class (ChargeDisk) and appear as DiskBytes /
 // DiskTime next to the historic columns.

@@ -65,9 +65,11 @@ func ptcExpand(c *mp.Comm, d *dataset.Dataset, it tree.FrontierItem, o Options, 
 	c.Compute(float64(tree.ComputeStatsInto(flat, d, it.Idx, o.Tree)))
 	c.EndPhase()
 	if o.Tree.Vote.Active(len(s.Attrs)) {
-		// Voted reduction: nominate from the local statistics already in
-		// flat, elect ≤2k candidates, reduce only their blocks (vote.go).
-		voteReduceNode(c, flat, s, o)
+		// Voted reduction: the level step's two rounds on a one-node root
+		// family — nominate from the local statistics already in flat,
+		// elect ≤2k candidates, reduce only their blocks (vote.go).
+		vr := newVoteRound(s, o.Tree, famsCovering(nil, 1))
+		vr.reduce(c, []tree.FrontierItem{it}, 0, 1, []int{0}, flat, new(float64))
 	} else {
 		c.BeginPhase(PhaseReduction)
 		// Sibling subtraction does not apply here — after the expansion the

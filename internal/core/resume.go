@@ -61,8 +61,8 @@ type levelCkpt struct {
 	ranges  [][2]float64 // global attribute ranges (empty before binner setup)
 	treeJS  []byte       // partial tree above the frontier, tree-JSON
 	items   []levelItem
-	rows    []byte     // this rank's frontier rows, frame-coded per item index
-	vote    *voteState // vote families entering the level (version ≥ 2; nil in v1 cuts)
+	rows    []byte    // this rank's frontier rows, frame-coded per item index
+	vote    []voteFam // vote families entering the level (version ≥ 2; nil in v1 cuts)
 }
 
 type levelItem struct {
@@ -77,7 +77,7 @@ type levelItem struct {
 // family section after the rows; version-1 cuts (pre-vote stores) are
 // still decodable and yield nil vote state.
 func encodeLevelCkpt(d *dataset.Dataset, root *tree.Node, frontier []tree.FrontierItem,
-	level int, idsNext int64, ranges [][2]float64, vs *voteState) []byte {
+	level int, idsNext int64, ranges [][2]float64, fams []voteFam) []byte {
 	var tj bytes.Buffer
 	if err := tree.WriteJSON(&tj, &tree.Tree{Schema: d.Schema, Root: root}); err != nil {
 		panic(fmt.Sprintf("core: encoding level checkpoint tree: %v", err))
@@ -111,10 +111,6 @@ func encodeLevelCkpt(d *dataset.Dataset, root *tree.Node, frontier []tree.Fronti
 	// without it a resumed voted level would elect differently than the
 	// crashed run). A sentinel attr count distinguishes a nil (unrestricted)
 	// parent set from an empty one.
-	var fams []voteFam
-	if vs != nil {
-		fams = vs.fams
-	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fams)))
 	for _, f := range fams {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(f.lo))
@@ -186,7 +182,7 @@ func decodeLevelCkpt(data []byte) (*levelCkpt, error) {
 			return nil, fmt.Errorf("%w: %d vote families", errLevelCkpt, nf)
 		}
 		if cur.err == nil && nf > 0 {
-			lk.vote = &voteState{fams: make([]voteFam, 0, nf)}
+			lk.vote = make([]voteFam, 0, nf)
 		}
 		for i := 0; i < nf && cur.err == nil; i++ {
 			f := voteFam{lo: int(cur.u32()), n: int(cur.u32())}
@@ -202,7 +198,7 @@ func decodeLevelCkpt(data []byte) (*levelCkpt, error) {
 				}
 			}
 			if cur.err == nil {
-				lk.vote.fams = append(lk.vote.fams, f)
+				lk.vote = append(lk.vote, f)
 			}
 		}
 	}
@@ -364,7 +360,7 @@ type syncResume struct {
 	d        *dataset.Dataset
 	frontier []tree.FrontierItem
 	level    int
-	vote     *voteState
+	vote     []voteFam
 }
 
 // resumeSync restores the last committed level cut from the store: the

@@ -29,13 +29,9 @@ func BuildSync(c *mp.Comm, local *dataset.Dataset, o Options) *tree.Tree {
 	root := newRoot(local.Schema)
 	ids := tree.NewIDGen(1)
 	frontier := []tree.FrontierItem{{Node: root, Idx: local.AllIndex()}}
-	var lc *levelCache
-	if o.Tree.Reuse.Subtraction {
-		lc = newLevelCache()
-	}
-	var vs *voteState
+	ls := newLevelState(o)
 	for len(frontier) > 0 {
-		frontier, _, vs = expandLevelSync(c, local, frontier, o, ids, lc, vs)
+		frontier, _ = expandLevelSync(c, local, frontier, o, ids, ls)
 	}
 	return &tree.Tree{Schema: local.Schema, Root: root}
 }

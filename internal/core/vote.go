@@ -31,24 +31,17 @@ type voteFam struct {
 	pAttrs []int32 // parent's usable attribute set; nil = unrestricted
 }
 
-// voteState threads the vote families across level boundaries.
-type voteState struct {
-	fams []voteFam
-}
-
 // famsCovering returns vote families covering a frontier of n items:
 // the threaded families when they describe exactly this frontier, else
 // parentless singletons (level 0, post-hybrid-split reshapes, or a
 // resume without vote state — every node nominates from itself).
-func famsCovering(vs *voteState, n int) []voteFam {
-	if vs != nil {
-		covered := 0
-		for _, f := range vs.fams {
-			covered += f.n
-		}
-		if covered == n {
-			return vs.fams
-		}
+func famsCovering(threaded []voteFam, n int) []voteFam {
+	covered := 0
+	for _, f := range threaded {
+		covered += f.n
+	}
+	if covered == n {
+		return threaded
 	}
 	fams := make([]voteFam, n)
 	for i := range fams {
@@ -190,331 +183,196 @@ type voteGroup struct {
 	sel    []int32 // elected candidate set; nil = unrestricted
 }
 
-// voteReduceNode runs the two-round protocol for one cooperatively
-// expanded node (the partitioned formulation's step 1). flat holds the
-// node's local statistics on entry and its globally reduced,
-// zero-masked statistics on return. No derivation happens here — the
-// children move to disjoint processor subsets afterwards — so there is
-// no parent-set bookkeeping: a node that elects nothing falls back to
-// the full exact reduction.
-func voteReduceNode(c *mp.Comm, flat []int64, s *dataset.Schema, o Options) {
-	statsLen := len(flat)
-	classes := s.NumClasses()
-	spans := tree.AttrSpans(s, o.Tree)
-	numAttrs := len(s.Attrs)
-	k := o.Tree.Vote.K
-	elect := o.Tree.Vote.Candidates()
-
-	c.BeginPhase(PhaseVoteBallot)
-	gains := kernel.GetFloat64(numAttrs)
-	tree.AttrGains(tree.DecodeStats(flat, s, o.Tree), s, o.Tree, gains)
-	chargeWordOps(c, int64(statsLen))
-	ballots := kernel.GetInt32(k)
-	scores := kernel.GetFloat64(k)
-	m := kernel.VoteTopK(gains, k, o.Tree.MinGain, ballots)
-	for i := 0; i < m; i++ {
-		scores[i] = gains[ballots[i]]
-	}
-	elected := kernel.GetInt32(elect)
-	counts := kernel.GetInt32(1)
-	mp.VoteElect(c, ballots, scores, 1, k, elect, numAttrs, elected, counts)
-	var sel []int32
-	if n := int(counts[0]); n > 0 {
-		sel = append([]int32(nil), elected[:n]...)
-	}
-	kernel.PutInt32(elected)
-	kernel.PutInt32(counts)
-	kernel.PutInt32(ballots)
-	kernel.PutFloat64(scores)
-	kernel.PutFloat64(gains)
-	c.EndPhase()
-
-	c.BeginPhase(PhaseVoteHist)
-	packLen := classes + setSpanLen(sel, spans, statsLen, classes)
-	red := kernel.GetInt64(packLen)
-	copy(red[:classes], flat[:classes])
-	packSpans(red[classes:], flat, spans, sel)
-	mp.AllreduceSum(c, red, o.Tree.Reuse.SparseThreshold)
-	clear(flat)
-	copy(flat[:classes], red[:classes])
-	scatterSpans(flat, red[classes:], spans, sel)
-	chargeWordOps(c, int64(2*packLen))
-	c.EndPhase()
-	kernel.PutInt64(red)
-}
-
-// expandLevelVoted is the voted twin of expandLevelSync's exact body.
-// Per flush chunk it runs the two-round PV-Tree protocol: (1) tabulate
-// local statistics exactly as the exact path does; (2) PhaseVoteBallot —
-// each election group scores all attributes on local rows (the
-// nomination-eligible members' max gain per attribute), nominates its
-// top-k, and mp.VoteElect picks the ≤2k globally most-nominated
-// candidates; (3) PhaseVoteHist — only the candidates' histogram
-// blocks (plus every node's class distribution, which leaf decisions
-// and GlobalN need exactly) are packed, sum-reduced with the same
-// sparse adaptive encoding, and scattered back into full-size blocks,
-// zero elsewhere; (4) sibling derivation, expansion and next-level
-// family recording. The reduction volume per node is C + |S|·M·C with
-// |S| ≤ 2k — independent of the attribute count.
+// voteRound is the voted reduce step of one synchronous level: the
+// two-round PV-Tree protocol expandLevelSync runs in place of the exact
+// sum-reduction. Per flush chunk, (1) PhaseVoteBallot — each election
+// group scores all attributes on local rows (the nomination-eligible
+// members' max gain per attribute), nominates its top-k, and
+// mp.VoteElect picks the ≤2k globally most-nominated candidates; (2)
+// PhaseVoteHist — only the candidates' histogram blocks (plus every
+// node's class distribution, which leaf decisions and GlobalN need
+// exactly) are packed, sum-reduced with the same sparse adaptive
+// encoding, and scattered back in place, zero elsewhere. The reduction
+// volume per node is C + |S|·M·C with |S| ≤ 2k — independent of the
+// attribute count.
 //
 // The withheld (derivable) member's statistics are masked to
 // S_elected ∩ pAttrs whether they were derived or directly reduced:
 // derivation is only exact where both parent and siblings are exact,
 // and masking identically in both cases makes the tree invariant to
 // Reuse on/off, cache hits, and checkpoint restores.
-func expandLevelVoted(c *mp.Comm, d *dataset.Dataset, frontier []tree.FrontierItem, o Options, ids *tree.IDGen, lc *levelCache, vs *voteState) ([]tree.FrontierItem, float64, *voteState) {
-	s := d.Schema
-	statsLen := tree.StatsLen(s, o.Tree)
+//
+// The partitioned formulation's cooperative node expansion is the same
+// step on a one-node root family: no derivation follows (the children
+// move to disjoint processor subsets), and a node that elects nothing
+// falls back to the full exact reduction.
+type voteRound struct {
+	s        *dataset.Schema
+	o        tree.Options
+	spans    [][2]int
+	statsLen int
+	fams     []voteFam // families covering this level's frontier
+	fiStart  int       // first family not wholly behind the current chunk
+	usable   [][]int32 // per chunk member: its usable attribute set
+	next     []voteFam // families of the next frontier
+}
+
+func newVoteRound(s *dataset.Schema, o tree.Options, fams []voteFam) *voteRound {
+	return &voteRound{s: s, o: o, spans: tree.AttrSpans(s, o), statsLen: tree.StatsLen(s, o), fams: fams}
+}
+
+// reduce runs both rounds for the chunk frontier[lo:hi]. red holds the
+// local statistics of the tabulated members (chunk member j at block
+// slot[j] when slot[j] ≥ 0) on entry, and their global statistics,
+// zero outside each member's usable set, on return. The modeled cost of
+// both exchanges is added to *cost.
+func (v *voteRound) reduce(c *mp.Comm, frontier []tree.FrontierItem, lo, hi int, slot []int, red []int64, cost *float64) {
+	s, o, statsLen := v.s, v.o, v.statsLen
 	classes := s.NumClasses()
-	spec := tree.NewStatsSpec(d, o.Tree)
-	spans := tree.AttrSpans(s, o.Tree)
 	numAttrs := len(s.Attrs)
-	k := o.Tree.Vote.K
-	elect := o.Tree.Vote.Candidates()
-	fams := famsCovering(vs, len(frontier))
+	k := o.Vote.K
+	elect := o.Vote.Candidates()
+	n := hi - lo
+	blk := func(j int) []int64 { return red[slot[j]*statsLen : (slot[j]+1)*statsLen] }
 
-	var next []tree.FrontierItem
-	var kidIDs []int64
-	nvs := &voteState{}
-	commCost := 0.0
-	fiStart := 0
-	for lo := 0; lo < len(frontier); lo += o.SyncEveryNodes {
-		hi := min(lo+o.SyncEveryNodes, len(frontier))
-		chunk := frontier[lo:hi]
+	// Election groups: vote families ∩ chunk, in frontier order.
+	var groups []voteGroup
+	for fi := v.fiStart; fi < len(v.fams) && v.fams[fi].lo < hi; fi++ {
+		f := v.fams[fi]
+		g := voteGroup{j0: max(f.lo, lo) - lo, j1: min(f.lo+f.n, hi) - lo, dv: -1, fam: fi}
+		if dv := f.derVote(frontier); dv >= lo && dv < hi {
+			g.dv = dv - lo
+		}
+		groups = append(groups, g)
+		if f.lo+f.n <= hi {
+			v.fiStart = fi + 1
+		}
+	}
 
-		// Plan the chunk as the exact path does, except that the derived
-		// member is the *smallest* child: slot[j] ≥ 0 places chunk[j]'s
-		// block in the packed payload; slot[j] = -(fi+1) derives it from
-		// plans[fi]. The der pick (smallest GlobalN, ties earliest)
-		// matches voteFam.derVote by construction — see derVote for why
-		// voting inverts the exact path's largest-child rule.
-		slot := make([]int, len(chunk))
-		var plans []famPlan
-		nTab := 0
-		if lc != nil {
-			j := 0
-			for j < len(chunk) {
-				fam, ok := lc.rd.Lookup(chunk[j].Node.ID)
-				if !ok || !famAligned(chunk[j:], fam.Kids) {
-					slot[j] = nTab
-					nTab++
-					j++
-					continue
-				}
-				kk := len(fam.Kids)
-				der := j
-				for i := j + 1; i < j+kk; i++ {
-					if chunk[i].GlobalN < chunk[der].GlobalN {
-						der = i
-					}
-				}
-				fi := len(plans)
-				for i := j; i < j+kk; i++ {
-					if i == der {
-						slot[i] = -(fi + 1)
-					} else {
-						slot[i] = nTab
-						nTab++
-					}
-				}
-				plans = append(plans, famPlan{j: j, k: kk, der: der, parent: fam.Parent})
-				j += kk
-			}
-		} else {
-			for j := range chunk {
-				slot[j] = j
-			}
-			nTab = len(chunk)
+	// Round 1: nomination and election.
+	c.BeginPhase(PhaseVoteBallot)
+	nG := len(groups)
+	ballots := kernel.GetInt32(nG * k)
+	scores := kernel.GetFloat64(nG * k)
+	gains := kernel.GetFloat64(numAttrs)
+	mg := kernel.GetFloat64(numAttrs)
+	var scoreOps int64
+	for gi := range groups {
+		g := &groups[gi]
+		for i := range gains {
+			gains[i] = math.Inf(-1)
 		}
-
-		// Election groups: vote families ∩ chunk, in frontier order.
-		var groups []voteGroup
-		for fi := fiStart; fi < len(fams) && fams[fi].lo < hi; fi++ {
-			f := fams[fi]
-			g := voteGroup{j0: max(f.lo, lo) - lo, j1: min(f.lo+f.n, hi) - lo, dv: -1, fam: fi}
-			if dv := f.derVote(frontier); dv >= lo && dv < hi {
-				g.dv = dv - lo
+		for j := g.j0; j < g.j1; j++ {
+			if j == g.dv || slot[j] < 0 {
+				continue // only the withheld member is ever derived
 			}
-			groups = append(groups, g)
-			if f.lo+f.n <= hi {
-				fiStart = fi + 1
-			}
-		}
-
-		// (1) Local tabulation — identical work and phase to the exact path.
-		loc := kernel.GetInt64(nTab * statsLen)
-		c.BeginPhase(PhaseStatistics)
-		var ops int64
-		for j, it := range chunk {
-			if sl := slot[j]; sl >= 0 {
-				ops += kernel.TabulateInto(loc[sl*statsLen:(sl+1)*statsLen], it.Idx, spec)
-			}
-		}
-		c.Compute(float64(ops))
-		c.EndPhase()
-
-		// (2) Round 1: nomination and election.
-		c.BeginPhase(PhaseVoteBallot)
-		nG := len(groups)
-		ballots := kernel.GetInt32(nG * k)
-		scores := kernel.GetFloat64(nG * k)
-		gains := kernel.GetFloat64(numAttrs)
-		mg := kernel.GetFloat64(numAttrs)
-		var scoreOps int64
-		for gi := range groups {
-			g := &groups[gi]
-			for i := range gains {
-				gains[i] = math.Inf(-1)
-			}
-			for j := g.j0; j < g.j1; j++ {
-				if j == g.dv {
-					continue
-				}
-				sl := slot[j]
-				if sl < 0 {
-					continue // only the withheld member is ever derived
-				}
-				st := tree.DecodeStats(loc[sl*statsLen:(sl+1)*statsLen], s, o.Tree)
-				tree.AttrGains(st, s, o.Tree, mg)
-				for a, gv := range mg {
-					if gv > gains[a] {
-						gains[a] = gv
-					}
-				}
-				scoreOps += int64(statsLen)
-			}
-			bal := ballots[gi*k : (gi+1)*k]
-			m := kernel.VoteTopK(gains, k, o.Tree.MinGain, bal)
-			for i := 0; i < k; i++ {
-				if i < m {
-					scores[gi*k+i] = gains[bal[i]]
-				} else {
-					scores[gi*k+i] = 0
+			tree.AttrGains(tree.DecodeStats(blk(j), s, o), s, o, mg)
+			for a, gv := range mg {
+				if gv > gains[a] {
+					gains[a] = gv
 				}
 			}
+			scoreOps += int64(statsLen)
 		}
-		chargeWordOps(c, scoreOps)
-		elected := kernel.GetInt32(nG * elect)
-		counts := kernel.GetInt32(nG)
-		mp.VoteElect(c, ballots, scores, nG, k, elect, numAttrs, elected, counts)
-		if c.Size() > 1 {
-			// Ballot-exchange stand-in for the hybrid trigger: 12 modeled
-			// bytes per (attr, score) slot through the collective estimate.
-			commCost += c.AllreduceCostEstimate(12 * nG * k)
-		}
-		for gi := range groups {
-			g := &groups[gi]
-			if n := int(counts[gi]); n > 0 {
-				g.sel = append([]int32(nil), elected[gi*elect:gi*elect+n]...)
+		bal := ballots[gi*k : (gi+1)*k]
+		m := kernel.VoteTopK(gains, k, o.MinGain, bal)
+		for i := 0; i < k; i++ {
+			if i < m {
+				scores[gi*k+i] = gains[bal[i]]
 			} else {
-				// Nothing elected (no eligible nominators, or no local gain
-				// anywhere): inherit the parent's candidate set.
-				g.sel = fams[g.fam].pAttrs
+				scores[gi*k+i] = 0
 			}
 		}
-		kernel.PutInt32(elected)
-		kernel.PutInt32(counts)
-		kernel.PutInt32(ballots)
-		kernel.PutFloat64(scores)
-		kernel.PutFloat64(gains)
-		kernel.PutFloat64(mg)
-		c.EndPhase()
-
-		// Usable attribute set per chunk member: the group's elected set,
-		// intersected with the parent's for the withheld member.
-		usable := make([][]int32, len(chunk))
-		for _, g := range groups {
-			for j := g.j0; j < g.j1; j++ {
-				if j == g.dv && !fams[g.fam].root {
-					usable[j] = intersectAttrs(g.sel, fams[g.fam].pAttrs)
-				} else {
-					usable[j] = g.sel
-				}
-			}
-		}
-
-		// (3) Round 2: pack [dist + elected blocks] per tabulated slot,
-		// reduce, scatter into full-size zero-masked blocks.
-		packLen := 0
-		for j := range chunk {
-			if slot[j] >= 0 {
-				packLen += classes + setSpanLen(usable[j], spans, statsLen, classes)
-			}
-		}
-		red := kernel.GetInt64(packLen)
-		full := kernel.GetInt64(len(chunk) * statsLen)
-		c.BeginPhase(PhaseVoteHist)
-		var packOps int64
-		off := 0
-		for j := range chunk {
-			sl := slot[j]
-			if sl < 0 {
-				continue
-			}
-			blk := loc[sl*statsLen : (sl+1)*statsLen]
-			off += copy(red[off:off+classes], blk[:classes])
-			off += packSpans(red[off:], blk, spans, usable[j])
-		}
-		packOps += int64(off)
-		if c.Size() > 1 && len(red) > 0 {
-			mp.AllreduceSum(c, red, o.Tree.Reuse.SparseThreshold)
-			commCost += c.AllreduceCostEstimate(8 * len(red))
-		}
-		off = 0
-		for j := range chunk {
-			sl := slot[j]
-			if sl < 0 {
-				continue
-			}
-			blk := full[j*statsLen : (j+1)*statsLen]
-			off += copy(blk[:classes], red[off:off+classes])
-			off += scatterSpans(blk, red[off:], spans, usable[j])
-		}
-		packOps += int64(off)
-		chargeWordOps(c, packOps)
-		c.EndPhase()
-		kernel.PutInt64(red)
-
-		// (4) Derive withheld members, expand, record next-level families.
-		c.BeginPhase(PhaseStatistics)
-		var derOps, routeOps int64
-		for _, fp := range plans {
-			dst := full[fp.der*statsLen : (fp.der+1)*statsLen]
-			derOps += kernel.DeriveFrom(dst, fp.parent)
-			for i := fp.j; i < fp.j+fp.k; i++ {
-				if i != fp.der {
-					derOps += kernel.Subtract(dst, full[i*statsLen:(i+1)*statsLen])
-				}
-			}
-			derOps += maskBlock(dst, spans, usable[fp.der])
-		}
-		for j, it := range chunk {
-			blk := full[j*statsLen : (j+1)*statsLen]
-			kids := tree.ExpandNode(it, tree.DecodeStats(blk, s, o.Tree), d, o.Tree, ids, &routeOps)
-			if len(kids) > 0 {
-				start := len(next)
-				if lc != nil {
-					end := start + len(kids)
-					if start/o.SyncEveryNodes == (end-1)/o.SyncEveryNodes {
-						kidIDs = kidIDs[:0]
-						for _, kd := range kids {
-							kidIDs = append(kidIDs, kd.Node.ID)
-						}
-						derOps += lc.wr.Store(blk, kidIDs)
-					}
-				}
-				nvs.fams = append(nvs.fams, voteFam{lo: start, n: len(kids), pAttrs: usable[j]})
-			}
-			next = append(next, kids...)
-		}
-		c.Compute(float64(routeOps))
-		chargeWordOps(c, derOps)
-		c.EndPhase()
-		kernel.PutInt64(loc)
-		kernel.PutInt64(full)
 	}
-	if lc != nil {
-		lc.advance()
+	chargeWordOps(c, scoreOps)
+	elected := kernel.GetInt32(nG * elect)
+	counts := kernel.GetInt32(nG)
+	mp.VoteElect(c, ballots, scores, nG, k, elect, numAttrs, elected, counts)
+	if c.Size() > 1 {
+		// Ballot-exchange stand-in for the hybrid trigger: 12 modeled
+		// bytes per (attr, score) slot through the collective estimate.
+		*cost += c.AllreduceCostEstimate(12 * nG * k)
 	}
-	return next, commCost, nvs
+	for gi := range groups {
+		g := &groups[gi]
+		if m := int(counts[gi]); m > 0 {
+			g.sel = append([]int32(nil), elected[gi*elect:gi*elect+m]...)
+		} else {
+			// Nothing elected (no eligible nominators, or no local gain
+			// anywhere): inherit the parent's candidate set.
+			g.sel = v.fams[g.fam].pAttrs
+		}
+	}
+	kernel.PutInt32(elected)
+	kernel.PutInt32(counts)
+	kernel.PutInt32(ballots)
+	kernel.PutFloat64(scores)
+	kernel.PutFloat64(gains)
+	kernel.PutFloat64(mg)
+	c.EndPhase()
+
+	// Usable attribute set per chunk member: the group's elected set,
+	// intersected with the parent's for the withheld member.
+	v.usable = make([][]int32, n)
+	for _, g := range groups {
+		for j := g.j0; j < g.j1; j++ {
+			if j == g.dv && !v.fams[g.fam].root {
+				v.usable[j] = intersectAttrs(g.sel, v.fams[g.fam].pAttrs)
+			} else {
+				v.usable[j] = g.sel
+			}
+		}
+	}
+
+	// Round 2: pack [dist + elected blocks] per tabulated member, reduce,
+	// scatter back into the member's zero-masked block.
+	packLen := 0
+	for j := 0; j < n; j++ {
+		if slot[j] >= 0 {
+			packLen += classes + setSpanLen(v.usable[j], v.spans, statsLen, classes)
+		}
+	}
+	buf := kernel.GetInt64(packLen)
+	c.BeginPhase(PhaseVoteHist)
+	off := 0
+	for j := 0; j < n; j++ {
+		if slot[j] >= 0 {
+			b := blk(j)
+			off += copy(buf[off:off+classes], b[:classes])
+			off += packSpans(buf[off:], b, v.spans, v.usable[j])
+		}
+	}
+	if c.Size() > 1 && len(buf) > 0 {
+		mp.AllreduceSum(c, buf, o.Reuse.SparseThreshold)
+		*cost += c.AllreduceCostEstimate(8 * len(buf))
+	}
+	off = 0
+	for j := 0; j < n; j++ {
+		if slot[j] >= 0 {
+			b := blk(j)
+			clear(b)
+			off += copy(b[:classes], buf[off:off+classes])
+			off += scatterSpans(b, buf[off:], v.spans, v.usable[j])
+		}
+	}
+	chargeWordOps(c, int64(2*off))
+	c.EndPhase()
+	kernel.PutInt64(buf)
+}
+
+// mask zeroes the derived block dst of chunk member j outside j's usable
+// set, returning the words cleared — 0 under the exact reduction (nil v).
+func (v *voteRound) mask(dst []int64, j int) int64 {
+	if v == nil {
+		return 0
+	}
+	return maskBlock(dst, v.spans, v.usable[j])
+}
+
+// record notes that chunk member j split into the n next-frontier items
+// starting at lo; a no-op under the exact reduction (nil v).
+func (v *voteRound) record(lo, n, j int) {
+	if v != nil {
+		v.next = append(v.next, voteFam{lo: lo, n: n, pAttrs: v.usable[j]})
+	}
 }

@@ -190,11 +190,11 @@ func TestLevelCkptVoteRoundTrip(t *testing.T) {
 	o := Options{Tree: tree.Options{Binary: true}}
 	built := tree.BuildBFS(d, o.SerialOptions(d))
 	ranges := [][2]float64{{0, 1}, {-2.5, 7.25}}
-	vs := &voteState{fams: []voteFam{
+	vs := []voteFam{
 		{lo: 0, n: 2, root: true},
 		{lo: 2, n: 3, pAttrs: []int32{1, 4, 7}},
 		{lo: 5, n: 1, pAttrs: []int32{}},
-	}}
+	}
 
 	buf := encodeLevelCkpt(d, built.Root, nil, 3, 41, ranges, vs)
 	lk, err := decodeLevelCkpt(buf)
@@ -204,11 +204,11 @@ func TestLevelCkptVoteRoundTrip(t *testing.T) {
 	if lk.level != 3 || lk.idsNext != 41 || len(lk.ranges) != 2 {
 		t.Fatalf("header fields lost: %+v", lk)
 	}
-	if lk.vote == nil || len(lk.vote.fams) != len(vs.fams) {
+	if lk.vote == nil || len(lk.vote) != len(vs) {
 		t.Fatalf("vote section lost: %+v", lk.vote)
 	}
-	for i, f := range lk.vote.fams {
-		w := vs.fams[i]
+	for i, f := range lk.vote {
+		w := vs[i]
 		if f.lo != w.lo || f.n != w.n || f.root != w.root {
 			t.Fatalf("fam %d: got %+v want %+v", i, f, w)
 		}

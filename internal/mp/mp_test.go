@@ -2,7 +2,6 @@ package mp
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"reflect"
 	"testing"
 )
@@ -263,8 +262,6 @@ func TestBarrierAlignsClocks(t *testing.T) {
 func TestClockMonotonicAndDeterministic(t *testing.T) {
 	run := func() []float64 {
 		w := NewWorld(5, SP2())
-		rng := rand.New(rand.NewPCG(1, 2))
-		_ = rng
 		w.Run(func(c *Comm) {
 			prev := c.Clock()
 			for i := 0; i < 20; i++ {
