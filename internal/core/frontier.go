@@ -78,6 +78,45 @@ func famAligned(rest []tree.FrontierItem, kids []int64) bool {
 	return true
 }
 
+// rowSource is where expandLevelSync takes a level's local rows from:
+// ramRows (below) for a resident block, tableRows (ooc.go) for a section
+// of a chunked table. begin and end bracket the level; in between, the
+// loop asks for the local statistics of the frontier nodes it tabulates
+// and expands every node, in frontier order, from its global statistics.
+type rowSource interface {
+	schema() *dataset.Schema
+	begin(c *mp.Comm, frontier []tree.FrontierItem)
+	// tabulate adds frontier[j]'s local statistics into the zeroed blk and
+	// returns the modeled ops, TabulateInto's charge.
+	tabulate(j int, it tree.FrontierItem, blk []int64) int64
+	// expand finalizes frontier[j], adds its routing ops to *ops and
+	// returns its kept children.
+	expand(j int, it tree.FrontierItem, stats *tree.NodeStats, ids *tree.IDGen, ops *int64) []tree.FrontierItem
+	end(c *mp.Comm, frontier []tree.FrontierItem)
+}
+
+// ramRows is the rowSource of a resident block: every frontier item
+// carries its local row indices in Idx.
+type ramRows struct {
+	d    *dataset.Dataset
+	o    tree.Options
+	spec *kernel.Spec
+}
+
+func newRAMRows(d *dataset.Dataset, o Options) ramRows {
+	return ramRows{d: d, o: o.Tree, spec: tree.NewStatsSpec(d, o.Tree)}
+}
+
+func (r ramRows) schema() *dataset.Schema             { return r.d.Schema }
+func (r ramRows) begin(*mp.Comm, []tree.FrontierItem) {}
+func (r ramRows) end(*mp.Comm, []tree.FrontierItem)   {}
+func (r ramRows) tabulate(_ int, it tree.FrontierItem, blk []int64) int64 {
+	return kernel.TabulateInto(blk, it.Idx, r.spec)
+}
+func (r ramRows) expand(_ int, it tree.FrontierItem, stats *tree.NodeStats, ids *tree.IDGen, ops *int64) []tree.FrontierItem {
+	return tree.ExpandNode(it, stats, r.d, r.o, ids, ops)
+}
+
 // famPlan is one planned sibling derivation within a flush chunk: the
 // family occupies chunk[j:j+k], member der (chunk index) is derived from
 // parent instead of being tabulated and reduced.
@@ -87,8 +126,9 @@ type famPlan struct {
 }
 
 // expandLevelSync expands one breadth-first level of the frontier
-// synchronously across the ranks of c — the inner loop of both the
-// synchronous formulation and the hybrid's synchronous phase. The
+// synchronously across the ranks of c — the inner loop of the
+// synchronous formulation, in RAM and over a chunked table, and of the
+// hybrid's synchronous phase; rows says where the local rows live. The
 // frontier's statistics are flushed in chunks of at most SyncEveryNodes
 // nodes, and each chunk goes through five steps: plan (which members to
 // derive instead of tabulate), tabulate the local statistics, reduce
@@ -122,10 +162,10 @@ type famPlan struct {
 // that runs — every modeled charge is the exact path's — which is what
 // makes k ≥ A_d (and P = 1) voted runs bit-identical to exact by
 // construction.
-func expandLevelSync(c *mp.Comm, d *dataset.Dataset, frontier []tree.FrontierItem, o Options, ids *tree.IDGen, ls *levelState) ([]tree.FrontierItem, float64) {
-	s := d.Schema
+func expandLevelSync(c *mp.Comm, rows rowSource, frontier []tree.FrontierItem, o Options, ids *tree.IDGen, ls *levelState) ([]tree.FrontierItem, float64) {
+	s := rows.schema()
 	statsLen := tree.StatsLen(s, o.Tree)
-	spec := tree.NewStatsSpec(d, o.Tree)
+	rows.begin(c, frontier)
 	var vr *voteRound // nil: exact reduction
 	derives := func(n, m int64) bool { return n > m }
 	if o.Tree.Vote.Active(len(s.Attrs)) && c.Size() > 1 {
@@ -186,7 +226,7 @@ func expandLevelSync(c *mp.Comm, d *dataset.Dataset, frontier []tree.FrontierIte
 		var ops int64
 		for j, it := range chunk {
 			if sl := slot[j]; sl >= 0 {
-				ops += kernel.TabulateInto(red[sl*statsLen:(sl+1)*statsLen], it.Idx, spec)
+				ops += rows.tabulate(lo+j, it, red[sl*statsLen:(sl+1)*statsLen])
 			}
 		}
 		c.Compute(float64(ops))
@@ -229,7 +269,7 @@ func expandLevelSync(c *mp.Comm, d *dataset.Dataset, frontier []tree.FrontierIte
 		}
 		for j, it := range chunk {
 			blk := blockOf(j)
-			kids := tree.ExpandNode(it, tree.DecodeStats(blk, s, o.Tree), d, o.Tree, ids, &routeOps)
+			kids := rows.expand(lo+j, it, tree.DecodeStats(blk, s, o.Tree), ids, &routeOps)
 			if len(kids) > 0 {
 				// Cache the parent block only when the whole family will land
 				// in one flush chunk of the next level: a family straddling a
@@ -254,6 +294,7 @@ func expandLevelSync(c *mp.Comm, d *dataset.Dataset, frontier []tree.FrontierIte
 		kernel.PutInt64(red)
 		kernel.PutInt64(der)
 	}
+	rows.end(c, frontier)
 	ls.advance()
 	ls.vote = nil
 	if vr != nil {

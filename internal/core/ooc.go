@@ -4,22 +4,15 @@ import (
 	"fmt"
 
 	"partree/internal/dataset"
-	"partree/internal/discretize"
-	"partree/internal/kernel"
 	"partree/internal/mp"
 	"partree/internal/tree"
 )
 
-// Out-of-core synchronous construction: BuildSync re-expressed over the
-// chunked Table interface. Each rank holds a section view of a shared
-// column store instead of a resident block; per-row state shrinks to one
-// int32 slot. The modeled charge sequence replicates expandLevelSync's
-// with the exact reduce step (voting is rejected here) — per flush of
-// SyncEveryNodes nodes, a PhaseStatistics Compute of the tabulation ops
-// (from pre-reduction local row counts), the PhaseReduction AllreduceSum
-// of the flush's packed blocks, and a PhaseStatistics Compute of the
-// routing ops of the nodes that split — so with the default TD = 0 the
-// modeled clocks and breakdowns are
+// Out-of-core synchronous construction: BuildSync over the chunked
+// Table interface. Each rank holds a section view of a shared column
+// store instead of a resident block, and per-row state shrinks to one
+// int32 slot. The level loop is expandLevelSync's, fed by tableRows, so
+// with the default TD = 0 the modeled clocks and breakdowns are
 // bit-identical to the in-RAM build; encoded chunk reads are additionally
 // charged to the disk cost class (ChargeDisk) and appear as DiskBytes /
 // DiskTime next to the historic columns.
@@ -27,8 +20,7 @@ import (
 // rangesOfTable streams the per-attribute [min, max] of a table's
 // continuous columns, returning the encoded bytes read.
 func rangesOfTable(t dataset.Table) ([][2]float64, int64, error) {
-	s := t.Schema()
-	r := emptyRanges(s)
+	r := emptyRanges(t.Schema())
 	var ch dataset.Chunk
 	var bytes int64
 	for k := 0; k < t.NumChunks(); k++ {
@@ -37,20 +29,7 @@ func rangesOfTable(t dataset.Table) ([][2]float64, int64, error) {
 			return nil, bytes, err
 		}
 		bytes += nb
-		for a := range s.Attrs {
-			col := ch.Cont[a]
-			if col == nil {
-				continue
-			}
-			for _, v := range col {
-				if v < r[a][0] {
-					r[a][0] = v
-				}
-				if v > r[a][1] {
-					r[a][1] = v
-				}
-			}
-		}
+		widenRanges(r, ch.Cont)
 	}
 	return r, bytes, nil
 }
@@ -67,12 +46,7 @@ func (o Options) SerialOptionsTable(t dataset.Table) (tree.Options, error) {
 		if err != nil {
 			return to, err
 		}
-		to.Binner = &discretize.NodeBinner{
-			MicroBins: o.MicroBins,
-			K:         o.NodeBins,
-			Ranges:    ranges,
-			Method:    o.Binning,
-		}
+		to.Binner = o.binner(ranges)
 	}
 	return to, nil
 }
@@ -91,18 +65,7 @@ func setupBinnerTable(c *mp.Comm, t dataset.Table, o *Options) error {
 		return err
 	}
 	c.ChargeDisk(int(nb))
-	mins := make([]float64, len(local))
-	maxs := make([]float64, len(local))
-	for a, r := range local {
-		mins[a], maxs[a] = r[0], r[1]
-	}
-	mp.Allreduce(c, mins, mp.Min)
-	mp.Allreduce(c, maxs, mp.Max)
-	ranges := make([][2]float64, len(local))
-	for a := range ranges {
-		ranges[a] = [2]float64{mins[a], maxs[a]}
-	}
-	o.Tree.Binner = &discretize.NodeBinner{MicroBins: o.MicroBins, K: o.NodeBins, Ranges: ranges, Method: o.Binning}
+	installBinner(c, local, o)
 	return nil
 }
 
@@ -122,139 +85,85 @@ func MaterializeCharged(c *mp.Comm, t dataset.Table) (*dataset.Dataset, error) {
 	return d, nil
 }
 
+// tableRows is expandLevelSync's rowSource over a section of a chunked
+// table; its only per-row state is the slot vector of tree.Slots. begin
+// tabulates every frontier node's local block in one chunk pass; the
+// flush loop takes each block with the ops TabulateInto would have billed
+// for the node's local rows; expand bills PartitionRows' ops and routes
+// nothing; end advances every row's slot in one routing pass. Chunk reads
+// are charged to the disk class under PhaseStatistics.
+type tableRows struct {
+	*tree.Slots
+	s *dataset.Schema
+}
+
+func (r tableRows) schema() *dataset.Schema { return r.s }
+
+func (r tableRows) begin(c *mp.Comm, frontier []tree.FrontierItem) {
+	c.BeginPhase(PhaseStatistics)
+	r.Tabulate(len(frontier))
+	c.EndPhase()
+}
+
+// localRows is frontier[j]'s local row count, its block's class total.
+func (r tableRows) localRows(j int) int64 {
+	var n int64
+	for _, v := range r.Block(j)[:r.s.NumClasses()] {
+		n += v
+	}
+	return n
+}
+
+func (r tableRows) tabulate(j int, _ tree.FrontierItem, blk []int64) int64 {
+	return r.localRows(j)*int64(1+len(r.s.Attrs)) + int64(copy(blk, r.Block(j)))
+}
+
+func (r tableRows) expand(j int, it tree.FrontierItem, stats *tree.NodeStats, ids *tree.IDGen, ops *int64) []tree.FrontierItem {
+	kids, split := r.Expand(j, it, stats, ids)
+	if split {
+		*ops += r.localRows(j)
+	}
+	return kids
+}
+
+func (r tableRows) end(c *mp.Comm, frontier []tree.FrontierItem) {
+	c.BeginPhase(PhaseStatistics)
+	r.Reroute(frontier)
+	c.EndPhase()
+}
+
 // BuildSyncOOC runs the synchronous formulation over a chunked table
 // with bounded resident memory (the slot vector, 4 bytes per local row).
 // local is this rank's section of the training set — typically
 // dataset.SectionOf(store, dataset.BlockBounds(n, p, rank)), which sees
-// exactly the rows BuildSync's rank gets from BlockPartition. The
-// returned tree, and (at TD = 0) the modeled clock and breakdown, are
-// bit-identical to BuildSync on the materialized block; chunk reads are
-// charged to the disk cost class under the phase that consumed them.
+// exactly the rows BuildSync's rank gets from BlockPartition. Levels run
+// through expandLevelSync, as in BuildSync, so sibling subtraction and
+// voting compose unchanged, and the returned tree, and (at TD = 0) the
+// modeled clock and breakdown, are bit-identical to BuildSync on the
+// materialized block; chunk reads are charged to the disk cost class.
 //
-// Fault tolerance and sibling subtraction are not supported out-of-core
-// (their caches and checkpoint cuts assume resident row-index vectors);
-// requesting either is an error — materialize the block and use
-// BuildSync instead.
+// Fault tolerance is not supported out-of-core (its checkpoint cuts
+// serialize resident row-index vectors); requesting it is an error —
+// materialize the block and use BuildSync instead.
 func BuildSyncOOC(c *mp.Comm, local dataset.Table, o Options) (*tree.Tree, error) {
 	o = o.WithDefaults()
 	if o.FT != nil && o.FT.Store != nil {
 		return nil, fmt.Errorf("core: BuildSyncOOC does not support fault tolerance; materialize the block and use BuildSync")
 	}
-	if o.Tree.Reuse.Subtraction {
-		return nil, fmt.Errorf("core: BuildSyncOOC does not support sibling subtraction; materialize the block and use BuildSync")
-	}
-	if o.Tree.Vote.K > 0 {
-		return nil, fmt.Errorf("core: BuildSyncOOC does not support voted split selection; materialize the block and use BuildSync")
-	}
 	if err := setupBinnerTable(c, local, &o); err != nil {
 		return nil, err
 	}
 	s := local.Schema()
+	rows := tableRows{tree.NewSlots(local, o.Tree, func(nb int64) { c.ChargeDisk(int(nb)) }), s}
 	root := newRoot(s)
 	ids := tree.NewIDGen(1)
 	frontier := []tree.FrontierItem{{Node: root}}
-	slot := make([]int32, local.Len())
-	statsLen := tree.StatsLen(s, o.Tree)
-	spec := tree.NewChunkSpec(s, o.Tree)
-	attrs := int64(len(s.Attrs))
-	var ch dataset.Chunk
-	var blocks []int64
-	for len(frontier) > 0 {
-		nf := len(frontier)
-		need := nf * statsLen
-		if cap(blocks) < need {
-			blocks = make([]int64, need)
-		}
-		blocks = blocks[:need]
-		clear(blocks)
-
-		// Statistics pass: one stream over the chunks tabulates every
-		// frontier node's local block. The Compute charges are issued
-		// per flush below, from the per-node row counts, so the clock
-		// sequence matches the in-RAM build's flush-by-flush tabulation.
-		c.BeginPhase(PhaseStatistics)
-		for k := 0; k < local.NumChunks(); k++ {
-			nb, err := local.ReadChunk(k, &ch)
-			if err != nil {
-				c.EndPhase()
-				return nil, err
-			}
-			c.ChargeDisk(int(nb))
-			tree.BindChunk(spec, &ch)
-			kernel.TabulateAssigned(blocks, statsLen, slot[ch.Lo:ch.Hi], spec)
-		}
-		c.EndPhase()
-
-		// Local (pre-reduction) rows per node — the len(Idx) of the
-		// in-RAM path, which its tabulation and routing ops are billed by.
-		localRows := make([]int64, nf)
-		for j := 0; j < nf; j++ {
-			var n int64
-			for _, v := range blocks[j*statsLen : j*statsLen+s.NumClasses()] {
-				n += v
-			}
-			localRows[j] = n
-		}
-
-		var next []tree.FrontierItem
-		childSlots := make([][]int32, nf)
-		for lo := 0; lo < nf; lo += o.SyncEveryNodes {
-			hi := lo + o.SyncEveryNodes
-			if hi > nf {
-				hi = nf
-			}
-			c.BeginPhase(PhaseStatistics)
-			var ops int64
-			for j := lo; j < hi; j++ {
-				ops += localRows[j]*(1+attrs) + int64(statsLen)
-			}
-			c.Compute(float64(ops))
-			c.EndPhase()
-			red := blocks[lo*statsLen : hi*statsLen]
-			if c.Size() > 1 && len(red) > 0 {
-				c.BeginPhase(PhaseReduction)
-				mp.AllreduceSum(c, red, o.Tree.Reuse.SparseThreshold)
-				c.EndPhase()
-			}
-			c.BeginPhase(PhaseStatistics)
-			var routeOps int64
-			for j := lo; j < hi; j++ {
-				blk := blocks[j*statsLen : (j+1)*statsLen]
-				kids, cs, split := tree.ExpandNodeOOC(frontier[j], tree.DecodeStats(blk, s, o.Tree), s, o.Tree, ids)
-				if !split {
-					continue
-				}
-				routeOps += localRows[j]
-				base := int32(len(next))
-				for ci := range cs {
-					if cs[ci] >= 0 {
-						cs[ci] += base
-					}
-				}
-				childSlots[j] = cs
-				next = append(next, kids...)
-			}
-			c.Compute(float64(routeOps))
-			c.EndPhase()
-		}
-
-		// Routing pass: advance every live row's slot through its node's
-		// split. The routing ops were already charged above (they are the
-		// in-RAM PartitionRows charges); this pass only adds disk reads.
-		if len(next) > 0 {
-			c.BeginPhase(PhaseStatistics)
-			for k := 0; k < local.NumChunks(); k++ {
-				nb, err := local.ReadChunk(k, &ch)
-				if err != nil {
-					c.EndPhase()
-					return nil, err
-				}
-				c.ChargeDisk(int(nb))
-				tree.RerouteChunk(frontier, childSlots, &ch, slot[ch.Lo:ch.Hi])
-			}
-			c.EndPhase()
-		}
-		frontier = next
+	ls := newLevelState(o)
+	for len(frontier) > 0 && rows.Err() == nil {
+		frontier, _ = expandLevelSync(c, rows, frontier, o, ids, ls)
+	}
+	if err := rows.Err(); err != nil {
+		return nil, err
 	}
 	return &tree.Tree{Schema: s, Root: root}, nil
 }

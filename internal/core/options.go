@@ -181,34 +181,21 @@ func (o Options) SerialOptions(d *dataset.Dataset) tree.Options {
 	o = o.WithDefaults()
 	to := o.Tree
 	if d.Schema.NumContinuous() > 0 {
-		to.Binner = &discretize.NodeBinner{
-			MicroBins: o.MicroBins,
-			K:         o.NodeBins,
-			Ranges:    rangesOf(d),
-			Method:    o.Binning,
-		}
+		to.Binner = o.binner(rangesOf(d))
 	}
 	return to
+}
+
+// binner is the per-node binner over the global attribute ranges.
+func (o Options) binner(ranges [][2]float64) *discretize.NodeBinner {
+	return &discretize.NodeBinner{MicroBins: o.MicroBins, K: o.NodeBins, Ranges: ranges, Method: o.Binning}
 }
 
 // rangesOf computes per-attribute [min, max] over a dataset (continuous
 // attributes only; others get sentinel values).
 func rangesOf(d *dataset.Dataset) [][2]float64 {
 	r := emptyRanges(d.Schema)
-	for a := range d.Schema.Attrs {
-		col := d.Cont[a]
-		if col == nil {
-			continue
-		}
-		for _, v := range col {
-			if v < r[a][0] {
-				r[a][0] = v
-			}
-			if v > r[a][1] {
-				r[a][1] = v
-			}
-		}
-	}
+	widenRanges(r, d.Cont)
 	return r
 }
 
@@ -220,6 +207,21 @@ func emptyRanges(s *dataset.Schema) [][2]float64 {
 	return r
 }
 
+// widenRanges widens r to cover every value of the continuous columns
+// (nil for categorical attributes).
+func widenRanges(r [][2]float64, cont [][]float64) {
+	for a, col := range cont {
+		for _, v := range col {
+			if v < r[a][0] {
+				r[a][0] = v
+			}
+			if v > r[a][1] {
+				r[a][1] = v
+			}
+		}
+	}
+}
+
 // setupBinner establishes the global attribute ranges with a pair of
 // min/max allreduces and installs the per-node binner, so every processor
 // derives identical per-node bin edges. No-op for all-categorical schemas.
@@ -229,7 +231,12 @@ func setupBinner(c *mp.Comm, d *dataset.Dataset, o *Options) {
 	}
 	c.BeginPhase(PhaseReduction)
 	defer c.EndPhase()
-	local := rangesOf(d)
+	installBinner(c, rangesOf(d), o)
+}
+
+// installBinner reduces the rank-local ranges to global ones (a min and a
+// max allreduce) and installs the per-node binner over them.
+func installBinner(c *mp.Comm, local [][2]float64, o *Options) {
 	mins := make([]float64, len(local))
 	maxs := make([]float64, len(local))
 	for a, r := range local {
@@ -241,5 +248,5 @@ func setupBinner(c *mp.Comm, d *dataset.Dataset, o *Options) {
 	for a := range ranges {
 		ranges[a] = [2]float64{mins[a], maxs[a]}
 	}
-	o.Tree.Binner = &discretize.NodeBinner{MicroBins: o.MicroBins, K: o.NodeBins, Ranges: ranges, Method: o.Binning}
+	o.Tree.Binner = o.binner(ranges)
 }

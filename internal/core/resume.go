@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"partree/internal/dataset"
-	"partree/internal/discretize"
 	"partree/internal/fault"
 	"partree/internal/mp"
 	"partree/internal/tree"
@@ -432,8 +431,7 @@ func resumeSync(c *mp.Comm, st fault.Store, local *dataset.Dataset, o *Options) 
 	}
 
 	if len(lk.ranges) > 0 {
-		o.Tree.Binner = &discretize.NodeBinner{
-			MicroBins: o.MicroBins, K: o.NodeBins, Ranges: lk.ranges, Method: o.Binning}
+		o.Tree.Binner = o.binner(lk.ranges)
 	}
 	return &syncResume{
 		c: nc, root: root, ids: tree.NewIDGen(lk.idsNext),

@@ -31,7 +31,7 @@ func BuildSync(c *mp.Comm, local *dataset.Dataset, o Options) *tree.Tree {
 	frontier := []tree.FrontierItem{{Node: root, Idx: local.AllIndex()}}
 	ls := newLevelState(o)
 	for len(frontier) > 0 {
-		frontier, _ = expandLevelSync(c, local, frontier, o, ids, ls)
+		frontier, _ = expandLevelSync(c, newRAMRows(local, o), frontier, o, ids, ls)
 	}
 	return &tree.Tree{Schema: local.Schema, Root: root}
 }

@@ -16,12 +16,14 @@ import (
 // through its node's freshly chosen split. Statistics, split decisions
 // and routing are the exact functions of the in-RAM path, so the tree is
 // bit-identical to BuildBFS on the same rows; only the access pattern
-// (and the resident footprint, 4 bytes per row) changes.
+// (and the resident footprint, 4 bytes per row) changes. Slots holds that
+// per-row state and both passes, for this package's serial builder and
+// the synchronous-parallel one in core.
 
-// NewChunkSpec builds a kernel tabulation spec template for chunk-fed
-// tabulation: bin counts and micro edges are resolved from the schema
-// and binner once, column slices are bound per chunk with BindChunk.
-func NewChunkSpec(s *dataset.Schema, o Options) *kernel.Spec {
+// newSpec builds a kernel tabulation spec with no columns bound: bin
+// counts and micro edges are resolved from the schema and binner once;
+// columns are bound with bind.
+func newSpec(s *dataset.Schema, o Options) *kernel.Spec {
 	sp := &kernel.Spec{
 		Classes: s.NumClasses(),
 		Attrs:   make([]kernel.AttrColumn, len(s.Attrs)),
@@ -39,13 +41,12 @@ func NewChunkSpec(s *dataset.Schema, o Options) *kernel.Spec {
 	return sp
 }
 
-// BindChunk points the spec's columns at one decoded chunk, so spec row
-// ids are chunk-local (0..Rows-1).
-func BindChunk(sp *kernel.Spec, ch *dataset.Chunk) {
-	sp.Class = ch.Class
+// bind points the spec's columns at one column set — a dataset's, or a
+// decoded chunk's, whose spec row ids are then chunk-local (0..Rows-1).
+func bind(sp *kernel.Spec, class []int32, cat [][]int32, cont [][]float64) {
+	sp.Class = class
 	for a := range sp.Attrs {
-		sp.Attrs[a].Cat = ch.Cat[a]
-		sp.Attrs[a].Cont = ch.Cont[a]
+		sp.Attrs[a].Cat, sp.Attrs[a].Cont = cat[a], cont[a]
 	}
 }
 
@@ -87,6 +88,107 @@ func ExpandNodeOOC(it FrontierItem, stats *NodeStats, s *dataset.Schema, o Optio
 	return kids, childSlot, true
 }
 
+// Slots is the per-row state of a levelwise build over a chunked table:
+// the slot vector, plus the local statistics blocks and the routing
+// table of the level being expanded. A level is Tabulate, one Expand per
+// frontier node in frontier order (the caller appends the returned
+// children to the next frontier in that order), then Reroute. A chunk
+// read error stops every later pass and is reported by Err.
+type Slots struct {
+	t      dataset.Table
+	o      Options
+	slot   []int32
+	spec   *kernel.Spec
+	ch     dataset.Chunk
+	stride int
+	blocks []int64
+	routes [][]int32 // per frontier node: child index → next-level slot; nil for a leaf
+	kids   int32     // next-frontier items handed out by Expand this level
+	read   func(bytes int64)
+	err    error
+}
+
+// NewSlots starts every row of t at the root (slot 0). read, if not nil,
+// is called with the encoded size of every chunk either pass reads.
+func NewSlots(t dataset.Table, o Options, read func(bytes int64)) *Slots {
+	s := t.Schema()
+	return &Slots{t: t, o: o, slot: make([]int32, t.Len()), spec: newSpec(s, o), stride: StatsLen(s, o), read: read}
+}
+
+// Err returns the first chunk read error, if any.
+func (sl *Slots) Err() error { return sl.err }
+
+// Tabulate is a level's statistics pass over a frontier of n nodes: every
+// live row is tabulated into its slot's Block.
+func (sl *Slots) Tabulate(n int) {
+	sl.blocks = append(sl.blocks[:0], make([]int64, n*sl.stride)...)
+	sl.routes = append(sl.routes[:0], make([][]int32, n)...)
+	sl.kids = 0
+	sl.pass(func(rows []int32) {
+		bind(sl.spec, sl.ch.Class, sl.ch.Cat, sl.ch.Cont)
+		kernel.TabulateAssigned(sl.blocks, sl.stride, rows, sl.spec)
+	})
+}
+
+// Block is frontier node j's local statistics from the last Tabulate.
+func (sl *Slots) Block(j int) []int64 { return sl.blocks[j*sl.stride : (j+1)*sl.stride] }
+
+// Expand finalizes frontier node j from its global statistics with
+// ExpandNodeOOC, returning its kept children, and records its routing
+// table for Reroute. split is false when the node became a leaf.
+func (sl *Slots) Expand(j int, it FrontierItem, stats *NodeStats, ids *IDGen) (kids []FrontierItem, split bool) {
+	kids, cs, split := ExpandNodeOOC(it, stats, sl.t.Schema(), sl.o, ids)
+	if !split {
+		return nil, false
+	}
+	for ci := range cs {
+		if cs[ci] >= 0 {
+			cs[ci] += sl.kids
+		}
+	}
+	sl.routes[j] = cs
+	sl.kids += int32(len(kids))
+	return kids, true
+}
+
+// Reroute is a level's routing pass: rows at leaf nodes settle (-1), rows
+// at split nodes move to their child's next-level slot. It reads nothing
+// when the next frontier is empty.
+func (sl *Slots) Reroute(frontier []FrontierItem) {
+	if sl.kids == 0 {
+		return
+	}
+	sl.pass(func(rows []int32) {
+		for i, sv := range rows {
+			if sv < 0 {
+				continue
+			}
+			cs := sl.routes[sv]
+			if cs == nil {
+				rows[i] = -1
+				continue
+			}
+			rows[i] = cs[frontier[sv].Node.RouteChunkRow(&sl.ch, i)]
+		}
+	})
+}
+
+// pass reads every chunk in order and hands f the chunk's window of the
+// slot vector.
+func (sl *Slots) pass(f func(rows []int32)) {
+	for k := 0; k < sl.t.NumChunks() && sl.err == nil; k++ {
+		nb, err := sl.t.ReadChunk(k, &sl.ch)
+		if err != nil {
+			sl.err = err
+			return
+		}
+		if sl.read != nil {
+			sl.read(nb)
+		}
+		f(sl.slot[sl.ch.Lo:sl.ch.Hi])
+	}
+}
+
 // BuildBFSOOC grows a tree breadth-first over a chunked table with
 // bounded resident memory: the only per-row state is the slot vector.
 // The result is bit-identical to BuildBFS over the same rows (gated by
@@ -95,83 +197,24 @@ func ExpandNodeOOC(it FrontierItem, stats *NodeStats, s *dataset.Schema, o Optio
 func BuildBFSOOC(t dataset.Table, o Options) (*Tree, error) {
 	o = o.WithDefaults()
 	s := t.Schema()
-	statsLen := StatsLen(s, o)
 	root := &Node{ID: 0, Kind: Leaf, Dist: make([]int64, s.NumClasses())}
 	ids := NewIDGen(1)
 	frontier := []FrontierItem{{Node: root}}
-	slot := make([]int32, t.Len())
-	spec := NewChunkSpec(s, o)
-	var ch dataset.Chunk
-	var blocks []int64
-	for len(frontier) > 0 {
-		need := len(frontier) * statsLen
-		if cap(blocks) < need {
-			blocks = make([]int64, need)
+	sl := NewSlots(t, o, nil)
+	for len(frontier) > 0 && sl.Err() == nil {
+		sl.Tabulate(len(frontier))
+		var next []FrontierItem
+		for j, it := range frontier {
+			kids, _ := sl.Expand(j, it, DecodeStats(sl.Block(j), s, o), ids)
+			next = append(next, kids...)
 		}
-		blocks = blocks[:need]
-		clear(blocks)
-		for k := 0; k < t.NumChunks(); k++ {
-			if _, err := t.ReadChunk(k, &ch); err != nil {
-				return nil, err
-			}
-			BindChunk(spec, &ch)
-			kernel.TabulateAssigned(blocks, statsLen, slot[ch.Lo:ch.Hi], spec)
-		}
-		next, childSlots := expandFrontierOOC(frontier, blocks, statsLen, s, o, ids)
-		if len(next) > 0 {
-			for k := 0; k < t.NumChunks(); k++ {
-				if _, err := t.ReadChunk(k, &ch); err != nil {
-					return nil, err
-				}
-				RerouteChunk(frontier, childSlots, &ch, slot[ch.Lo:ch.Hi])
-			}
-		}
+		sl.Reroute(frontier)
 		frontier = next
 	}
+	if err := sl.Err(); err != nil {
+		return nil, err
+	}
 	return &Tree{Schema: s, Root: root}, nil
-}
-
-// expandFrontierOOC expands every frontier node from its tabulated block
-// and returns the next frontier plus, per current slot, the child→slot
-// routing table (nil for nodes that became leaves). Shared by the serial
-// and the synchronous-parallel out-of-core builders.
-func expandFrontierOOC(frontier []FrontierItem, blocks []int64, statsLen int, s *dataset.Schema, o Options, ids *IDGen) ([]FrontierItem, [][]int32) {
-	var next []FrontierItem
-	childSlots := make([][]int32, len(frontier))
-	for j, it := range frontier {
-		blk := blocks[j*statsLen : (j+1)*statsLen]
-		kids, cs, split := ExpandNodeOOC(it, DecodeStats(blk, s, o), s, o, ids)
-		if !split {
-			continue
-		}
-		base := int32(len(next))
-		for ci := range cs {
-			if cs[ci] >= 0 {
-				cs[ci] += base
-			}
-		}
-		childSlots[j] = cs
-		next = append(next, kids...)
-	}
-	return next, childSlots
-}
-
-// RerouteChunk advances the slot of every live row of one chunk through
-// its node's split: rows at leaf nodes settle (-1), rows at split nodes
-// move to the child's next-level slot. sl is the chunk's window of the
-// slot vector.
-func RerouteChunk(frontier []FrontierItem, childSlots [][]int32, ch *dataset.Chunk, sl []int32) {
-	for i, sv := range sl {
-		if sv < 0 {
-			continue
-		}
-		cs := childSlots[sv]
-		if cs == nil {
-			sl[i] = -1
-			continue
-		}
-		sl[i] = cs[frontier[sv].Node.RouteChunkRow(ch, i)]
-	}
 }
 
 // RouteChunkRow returns the child index that row i of a decoded chunk

@@ -84,26 +84,8 @@ func StatsLen(s *dataset.Schema, o Options) int {
 // every node, so the per-node hot path does no schema walking and no edge
 // recomputation.
 func NewStatsSpec(d *dataset.Dataset, o Options) *kernel.Spec {
-	s := d.Schema
-	sp := &kernel.Spec{
-		Classes: s.NumClasses(),
-		Class:   d.Class,
-		Attrs:   make([]kernel.AttrColumn, len(s.Attrs)),
-	}
-	for a, attr := range s.Attrs {
-		if attr.Kind == dataset.Categorical {
-			sp.Attrs[a] = kernel.AttrColumn{Cat: d.Cat[a], Bins: attr.Cardinality()}
-		} else {
-			if o.Binner == nil {
-				panic(fmt.Sprintf("tree: schema has continuous attribute %q but Options.Binner is nil", attr.Name))
-			}
-			sp.Attrs[a] = kernel.AttrColumn{
-				Cont:  d.Cont[a],
-				Bins:  o.Binner.MicroBins,
-				Edges: o.Binner.MicroEdges(a),
-			}
-		}
-	}
+	sp := newSpec(d.Schema, o)
+	bind(sp, d.Class, d.Cat, d.Cont)
 	return sp
 }
 
