@@ -114,7 +114,7 @@ func main() {
 	topts.Vote = kernel.VoteOptions{K: *voteK}
 
 	if *ooc || (*data != "" && dataset.IsStoreDir(*data)) {
-		runOOC(oocRun{data: *data, algo: *algo, procs: *procs, topts: topts, holdout: *holdout, stats: *stats})
+		runOOC(oocRun{data: *data, algo: *algo, procs: *procs, topts: topts, holdout: *holdout, stats: *stats, save: *saveModel})
 		return
 	}
 
@@ -200,25 +200,30 @@ func main() {
 		}
 	}
 	if *saveModel != "" {
-		f, err := os.Create(*saveModel)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtree:", err)
-			os.Exit(1)
-		}
-		if err := tree.WriteJSON(f, t); err != nil {
-			fmt.Fprintln(os.Stderr, "dtree:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "dtree:", err)
-			os.Exit(1)
-		}
-		if err := serve.WriteChecksumFile(*saveModel); err != nil {
-			fmt.Fprintln(os.Stderr, "dtree:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("model saved to %s (checksum sidecar %s%s)\n", *saveModel, *saveModel, serve.ChecksumSuffix)
+		saveTree(*saveModel, t)
 	}
+}
+
+// saveTree writes t as JSON to path, with its checksum sidecar.
+func saveTree(path string, t *tree.Tree) {
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dtree:", err)
+		os.Exit(1)
+	}
+	if err := tree.WriteJSON(f, t); err != nil {
+		fmt.Fprintln(os.Stderr, "dtree:", err)
+		os.Exit(1)
+	}
+	if err := f.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "dtree:", err)
+		os.Exit(1)
+	}
+	if err := serve.WriteChecksumFile(path); err != nil {
+		fmt.Fprintln(os.Stderr, "dtree:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("model saved to %s (checksum sidecar %s%s)\n", path, path, serve.ChecksumSuffix)
 }
 
 // forestRun bundles the ensemble-mode parameters.
@@ -430,6 +435,7 @@ type oocRun struct {
 	topts   tree.Options
 	holdout float64
 	stats   bool
+	save    string
 }
 
 // runOOC trains from an on-disk column store with bounded resident
@@ -504,6 +510,9 @@ func runOOC(r oocRun) {
 		fmt.Printf("test accuracy  %.4f (holdout %d)\n", testAcc, test.Len())
 	}
 	fmt.Printf("store reads    %.2f MB encoded\n", float64(store.ReadBytes())/1e6)
+	if r.save != "" {
+		saveTree(r.save, t)
+	}
 }
 
 // runParallelOOC runs the synchronous formulation's modeled world over

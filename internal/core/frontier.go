@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 
-	"partree/internal/dataset"
 	"partree/internal/kernel"
 	"partree/internal/mp"
 	"partree/internal/tree"
@@ -61,79 +60,18 @@ func chargeWordOps(c *mp.Comm, ops int64) {
 	}
 }
 
-// famAligned reports whether the cached family's children are exactly the
-// frontier items starting at rest[0], in order — in particular, whether
-// the whole family fits inside the current flush chunk. The Store rule
-// below only caches families that will land in one chunk, so a Lookup hit
-// always aligns; the check keeps a stale cache loudly unusable.
-func famAligned(rest []tree.FrontierItem, kids []int64) bool {
-	if len(kids) > len(rest) {
-		return false
-	}
-	for i, id := range kids {
-		if rest[i].Node.ID != id {
-			return false
-		}
-	}
-	return true
-}
-
-// rowSource is where expandLevelSync takes a level's local rows from:
-// ramRows (below) for a resident block, tableRows (ooc.go) for a section
-// of a chunked table. begin and end bracket the level; in between, the
-// loop asks for the local statistics of the frontier nodes it tabulates
-// and expands every node, in frontier order, from its global statistics.
-type rowSource interface {
-	schema() *dataset.Schema
-	begin(c *mp.Comm, frontier []tree.FrontierItem)
-	// tabulate adds frontier[j]'s local statistics into the zeroed blk and
-	// returns the modeled ops, TabulateInto's charge.
-	tabulate(j int, it tree.FrontierItem, blk []int64) int64
-	// expand finalizes frontier[j], adds its routing ops to *ops and
-	// returns its kept children.
-	expand(j int, it tree.FrontierItem, stats *tree.NodeStats, ids *tree.IDGen, ops *int64) []tree.FrontierItem
-	end(c *mp.Comm, frontier []tree.FrontierItem)
-}
-
-// ramRows is the rowSource of a resident block: every frontier item
-// carries its local row indices in Idx.
-type ramRows struct {
-	d    *dataset.Dataset
-	o    tree.Options
-	spec *kernel.Spec
-}
-
-func newRAMRows(d *dataset.Dataset, o Options) ramRows {
-	return ramRows{d: d, o: o.Tree, spec: tree.NewStatsSpec(d, o.Tree)}
-}
-
-func (r ramRows) schema() *dataset.Schema             { return r.d.Schema }
-func (r ramRows) begin(*mp.Comm, []tree.FrontierItem) {}
-func (r ramRows) end(*mp.Comm, []tree.FrontierItem)   {}
-func (r ramRows) tabulate(_ int, it tree.FrontierItem, blk []int64) int64 {
-	return kernel.TabulateInto(blk, it.Idx, r.spec)
-}
-func (r ramRows) expand(_ int, it tree.FrontierItem, stats *tree.NodeStats, ids *tree.IDGen, ops *int64) []tree.FrontierItem {
-	return tree.ExpandNode(it, stats, r.d, r.o, ids, ops)
-}
-
-// famPlan is one planned sibling derivation within a flush chunk: the
-// family occupies chunk[j:j+k], member der (chunk index) is derived from
-// parent instead of being tabulated and reduced.
-type famPlan struct {
-	j, k, der int
-	parent    []int64
-}
-
 // expandLevelSync expands one breadth-first level of the frontier
 // synchronously across the ranks of c — the inner loop of the
 // synchronous formulation, in RAM and over a chunked table, and of the
 // hybrid's synchronous phase; rows says where the local rows live. The
 // frontier's statistics are flushed in chunks of at most SyncEveryNodes
-// nodes, and each chunk goes through five steps: plan (which members to
-// derive instead of tabulate), tabulate the local statistics, reduce
-// them globally, derive the withheld members, and expand the chunk so
-// every rank takes the identical split decisions. Returns the next
+// nodes, and each chunk goes through five steps: plan (tree.PlanUnit:
+// which members to derive instead of tabulate), tabulate the local
+// statistics, reduce them globally, derive the withheld members
+// (tree.Unit.Derive), and expand the chunk so every rank takes the
+// identical split decisions — the serial level step of tree.GrowFrontierBFS
+// with the reduction added; the row source's level passes (Begin, End)
+// are charged under PhaseStatistics. Returns the next
 // frontier (same order on every rank) and the modeled communication cost
 // of this level's reductions, the Σ(Comm Cost) the hybrid's splitting
 // criterion accumulates: per flush, Comm.AllreduceCostEstimate of the
@@ -162,18 +100,19 @@ type famPlan struct {
 // that runs — every modeled charge is the exact path's — which is what
 // makes k ≥ A_d (and P = 1) voted runs bit-identical to exact by
 // construction.
-func expandLevelSync(c *mp.Comm, rows rowSource, frontier []tree.FrontierItem, o Options, ids *tree.IDGen, ls *levelState) ([]tree.FrontierItem, float64) {
-	s := rows.schema()
+func expandLevelSync(c *mp.Comm, rows tree.RowSource, frontier []tree.FrontierItem, o Options, ids *tree.IDGen, ls *levelState) ([]tree.FrontierItem, float64) {
+	s := rows.Schema()
 	statsLen := tree.StatsLen(s, o.Tree)
-	rows.begin(c, frontier)
+	c.BeginPhase(PhaseStatistics)
+	rows.Begin(frontier)
+	c.EndPhase()
 	var vr *voteRound // nil: exact reduction
-	derives := func(n, m int64) bool { return n > m }
 	if o.Tree.Vote.Active(len(s.Attrs)) && c.Size() > 1 {
 		vr = newVoteRound(s, o.Tree, famsCovering(ls.vote, len(frontier)))
-		derives = func(n, m int64) bool { return n < m }
 	}
 
 	var next []tree.FrontierItem
+	var units []tree.Unit
 	var kidIDs []int64
 	commCost := 0.0
 	for lo := 0; lo < len(frontier); lo += o.SyncEveryNodes {
@@ -181,44 +120,23 @@ func expandLevelSync(c *mp.Comm, rows rowSource, frontier []tree.FrontierItem, o
 		chunk := frontier[lo:hi]
 
 		// Plan the chunk: slot[j] ≥ 0 places chunk[j]'s block in the packed
-		// reduce payload; slot[j] = -(fi+1) derives it from fams[fi].
+		// reduce payload; slot[j] = -(d+1) derives it into derived block d.
 		slot := make([]int, len(chunk))
-		var fams []famPlan
-		nTab := 0
-		if ls.rd != nil {
-			j := 0
-			for j < len(chunk) {
-				fam, ok := ls.rd.Lookup(chunk[j].Node.ID)
-				if !ok || !famAligned(chunk[j:], fam.Kids) {
-					slot[j] = nTab
+		units = units[:0]
+		nTab, nDer := 0, 0
+		for j := 0; j < len(chunk); {
+			u := tree.PlanUnit(ls.rd, chunk[j:], vr != nil)
+			for i := 0; i < u.N; i++ {
+				if i == u.Der {
+					nDer++
+					slot[j+i] = -nDer
+				} else {
+					slot[j+i] = nTab
 					nTab++
-					j++
-					continue
 				}
-				k := len(fam.Kids)
-				der := j
-				for i := j + 1; i < j+k; i++ {
-					if derives(chunk[i].GlobalN, chunk[der].GlobalN) {
-						der = i
-					}
-				}
-				fi := len(fams)
-				for i := j; i < j+k; i++ {
-					if i == der {
-						slot[i] = -(fi + 1)
-					} else {
-						slot[i] = nTab
-						nTab++
-					}
-				}
-				fams = append(fams, famPlan{j: j, k: k, der: der, parent: fam.Parent})
-				j += k
 			}
-		} else {
-			for j := range chunk {
-				slot[j] = j
-			}
-			nTab = len(chunk)
+			units = append(units, u)
+			j += u.N
 		}
 
 		red := kernel.GetInt64(nTab * statsLen)
@@ -226,7 +144,7 @@ func expandLevelSync(c *mp.Comm, rows rowSource, frontier []tree.FrontierItem, o
 		var ops int64
 		for j, it := range chunk {
 			if sl := slot[j]; sl >= 0 {
-				ops += rows.tabulate(lo+j, it, red[sl*statsLen:(sl+1)*statsLen])
+				ops += rows.TabulateInto(lo+j, it, red[sl*statsLen:(sl+1)*statsLen])
 			}
 		}
 		c.Compute(float64(ops))
@@ -242,13 +160,13 @@ func expandLevelSync(c *mp.Comm, rows rowSource, frontier []tree.FrontierItem, o
 
 		// Derive the withheld family members from their cached parents, then
 		// expand the chunk in frontier order.
-		der := kernel.GetInt64(len(fams) * statsLen)
+		der := kernel.GetInt64(nDer * statsLen)
 		blockOf := func(j int) []int64 {
 			if sl := slot[j]; sl >= 0 {
 				return red[sl*statsLen : (sl+1)*statsLen]
 			}
-			fi := -slot[j] - 1
-			return der[fi*statsLen : (fi+1)*statsLen]
+			d := -slot[j] - 1
+			return der[d*statsLen : (d+1)*statsLen]
 		}
 		c.BeginPhase(PhaseStatistics)
 		// Derivation and cache stores are pure in-memory arithmetic on
@@ -257,19 +175,17 @@ func expandLevelSync(c *mp.Comm, rows rowSource, frontier []tree.FrontierItem, o
 		// (which amortizes the level's disk scan that derivation avoids).
 		var derOps int64
 		var routeOps int64
-		for fi, fp := range fams {
-			dst := der[fi*statsLen : (fi+1)*statsLen]
-			derOps += kernel.DeriveFrom(dst, fp.parent)
-			for i := fp.j; i < fp.j+fp.k; i++ {
-				if i != fp.der {
-					derOps += kernel.Subtract(dst, blockOf(i))
-				}
+		j := 0
+		for _, u := range units {
+			if u.Der >= 0 {
+				derOps += u.Derive(func(i int) []int64 { return blockOf(j + i) })
+				derOps += vr.mask(blockOf(j+u.Der), j+u.Der)
 			}
-			derOps += vr.mask(dst, fp.der)
+			j += u.N
 		}
 		for j, it := range chunk {
 			blk := blockOf(j)
-			kids := rows.expand(lo+j, it, tree.DecodeStats(blk, s, o.Tree), ids, &routeOps)
+			kids := rows.Expand(lo+j, it, tree.DecodeStats(blk, s, o.Tree), ids, &routeOps)
 			if len(kids) > 0 {
 				// Cache the parent block only when the whole family will land
 				// in one flush chunk of the next level: a family straddling a
@@ -294,7 +210,9 @@ func expandLevelSync(c *mp.Comm, rows rowSource, frontier []tree.FrontierItem, o
 		kernel.PutInt64(red)
 		kernel.PutInt64(der)
 	}
-	rows.end(c, frontier)
+	c.BeginPhase(PhaseStatistics)
+	rows.End(frontier)
+	c.EndPhase()
 	ls.advance()
 	ls.vote = nil
 	if vr != nil {

@@ -196,7 +196,7 @@ func buildSyncFT(c *mp.Comm, local *dataset.Dataset, o Options) *tree.Tree {
 				// same global ranges (adoption preserves the record multiset).
 				setupBinner(c, d, &o)
 			}
-			next, _ = expandLevelSync(c, newRAMRows(d, o), frontier, o, ids, ls)
+			next, _ = expandLevelSync(c, tree.NewIndexRows(d, o.Tree), frontier, o, ids, ls)
 		})
 		if ferr == nil {
 			frontier = next

@@ -67,7 +67,7 @@ func hybridGrow(c *mp.Comm, d *dataset.Dataset, frontier []tree.FrontierItem, o 
 	// with parentless singleton vote families.
 	ls := newLevelState(o)
 	for len(frontier) > 0 {
-		next, cost := expandLevelSync(c, newRAMRows(d, o), frontier, o, ids, ls)
+		next, cost := expandLevelSync(c, tree.NewIndexRows(d, o.Tree), frontier, o, ids, ls)
 		commAccum += cost
 		frontier = next
 		if len(frontier) < 2 {

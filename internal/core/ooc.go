@@ -11,7 +11,7 @@ import (
 // Out-of-core synchronous construction: BuildSync over the chunked
 // Table interface. Each rank holds a section view of a shared column
 // store instead of a resident block, and per-row state shrinks to one
-// int32 slot. The level loop is expandLevelSync's, fed by tableRows, so
+// int32 slot. The level loop is expandLevelSync's, fed by tree.Slots, so
 // with the default TD = 0 the modeled clocks and breakdowns are
 // bit-identical to the in-RAM build; encoded chunk reads are additionally
 // charged to the disk cost class (ChargeDisk) and appear as DiskBytes /
@@ -85,53 +85,6 @@ func MaterializeCharged(c *mp.Comm, t dataset.Table) (*dataset.Dataset, error) {
 	return d, nil
 }
 
-// tableRows is expandLevelSync's rowSource over a section of a chunked
-// table; its only per-row state is the slot vector of tree.Slots. begin
-// tabulates every frontier node's local block in one chunk pass; the
-// flush loop takes each block with the ops TabulateInto would have billed
-// for the node's local rows; expand bills PartitionRows' ops and routes
-// nothing; end advances every row's slot in one routing pass. Chunk reads
-// are charged to the disk class under PhaseStatistics.
-type tableRows struct {
-	*tree.Slots
-	s *dataset.Schema
-}
-
-func (r tableRows) schema() *dataset.Schema { return r.s }
-
-func (r tableRows) begin(c *mp.Comm, frontier []tree.FrontierItem) {
-	c.BeginPhase(PhaseStatistics)
-	r.Tabulate(len(frontier))
-	c.EndPhase()
-}
-
-// localRows is frontier[j]'s local row count, its block's class total.
-func (r tableRows) localRows(j int) int64 {
-	var n int64
-	for _, v := range r.Block(j)[:r.s.NumClasses()] {
-		n += v
-	}
-	return n
-}
-
-func (r tableRows) tabulate(j int, _ tree.FrontierItem, blk []int64) int64 {
-	return r.localRows(j)*int64(1+len(r.s.Attrs)) + int64(copy(blk, r.Block(j)))
-}
-
-func (r tableRows) expand(j int, it tree.FrontierItem, stats *tree.NodeStats, ids *tree.IDGen, ops *int64) []tree.FrontierItem {
-	kids, split := r.Expand(j, it, stats, ids)
-	if split {
-		*ops += r.localRows(j)
-	}
-	return kids
-}
-
-func (r tableRows) end(c *mp.Comm, frontier []tree.FrontierItem) {
-	c.BeginPhase(PhaseStatistics)
-	r.Reroute(frontier)
-	c.EndPhase()
-}
-
 // BuildSyncOOC runs the synchronous formulation over a chunked table
 // with bounded resident memory (the slot vector, 4 bytes per local row).
 // local is this rank's section of the training set — typically
@@ -154,7 +107,7 @@ func BuildSyncOOC(c *mp.Comm, local dataset.Table, o Options) (*tree.Tree, error
 		return nil, err
 	}
 	s := local.Schema()
-	rows := tableRows{tree.NewSlots(local, o.Tree, func(nb int64) { c.ChargeDisk(int(nb)) }), s}
+	rows := tree.NewSlots(local, o.Tree, func(nb int64) { c.ChargeDisk(int(nb)) })
 	root := newRoot(s)
 	ids := tree.NewIDGen(1)
 	frontier := []tree.FrontierItem{{Node: root}}

@@ -1,110 +1,28 @@
 package kernel_test
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"testing"
 
 	"partree/internal/kernel"
 )
 
-// benchRows is the issue's target node size: the intra-rank parallel
-// tabulate path must pay off on a ≥1M-row node.
+// benchRows is a root-sized node: the tabulate kernel's largest inputs.
 const benchRows = 1 << 20
 
-// kernelBenchResult is one measured configuration of the tabulate kernel;
-// the collected set is serialized to BENCH_kernel.json (see
-// EXPERIMENTS.md, "Kernel microbenchmark") so the repo's perf trajectory
-// has a recorded baseline.
-type kernelBenchResult struct {
-	RowsPerSec  float64 `json:"rows_per_sec"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-}
-
-type kernelBenchArtifact struct {
-	Benchmark         string                      `json:"benchmark"`
-	Rows              int                         `json:"rows"`
-	Classes           int                         `json:"classes"`
-	CategoricalAttrs  int                         `json:"categorical_attrs"`
-	ContinuousAttrs   int                         `json:"continuous_attrs"`
-	StatsLen          int                         `json:"stats_len"`
-	GoMaxProcs        int                         `json:"gomaxprocs"`
-	ParallelThreshold int                         `json:"parallel_threshold"`
-	Paths             map[string]kernelBenchResult `json:"paths"`
-	SpeedupParallel   float64                     `json:"speedup_parallel_vs_serial"`
-}
-
 // BenchmarkKernelTabulate measures the statistics kernel on a 1M-row node
-// in both execution modes. Run with -benchmem to see the allocation story:
-// the steady-state path (pooled buffers, prebuilt spec) is zero-alloc in
-// serial mode and only pays the bounded fork/merge bookkeeping in
-// parallel mode. After the sub-benchmarks run, the measurements are
-// written to BENCH_kernel.json (override the path with BENCH_KERNEL_JSON).
-//
-// The acceptance target — parallel ≥2× serial — needs GOMAXPROCS≥4; on
-// fewer cores the artifact still records both paths so the trajectory is
-// comparable across machines.
+// with pooled buffers and a prebuilt spec; run with -benchmem to see that
+// the steady-state loop is allocation-free.
 func BenchmarkKernelTabulate(b *testing.B) {
 	sp, idx := buildSpec(benchRows, 2024)
-	statsLen := sp.StatsLen()
-	results := map[string]kernelBenchResult{}
-
-	run := func(name string, threshold int) {
-		b.Run(name, func(b *testing.B) {
-			oldT := kernel.ParallelThreshold
-			kernel.ParallelThreshold = threshold
-			defer func() { kernel.ParallelThreshold = oldT }()
-			flat := kernel.GetInt64(statsLen)
-			defer kernel.PutInt64(flat)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				clear(flat)
-				kernel.TabulateInto(flat, idx, sp)
-			}
-			b.StopTimer()
-			nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			allocs := testing.AllocsPerRun(3, func() {
-				clear(flat)
-				kernel.TabulateInto(flat, idx, sp)
-			})
-			rate := float64(benchRows) / (nsPerOp / 1e9)
-			b.ReportMetric(rate, "rows/sec")
-			results[name] = kernelBenchResult{RowsPerSec: rate, NsPerOp: nsPerOp, AllocsPerOp: allocs}
-		})
+	flat := kernel.GetInt64(sp.StatsLen())
+	defer kernel.PutInt64(flat)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(flat)
+		kernel.TabulateInto(flat, idx, sp)
 	}
-	run("serial", benchRows+1) // gate above the node size: always serial
-	run("parallel", 1)         // gate below: always the worker path
-
-	art := kernelBenchArtifact{
-		Benchmark:         "BenchmarkKernelTabulate",
-		Rows:              benchRows,
-		Classes:           sp.Classes,
-		CategoricalAttrs:  2,
-		ContinuousAttrs:   2,
-		StatsLen:          statsLen,
-		GoMaxProcs:        runtime.GOMAXPROCS(0),
-		ParallelThreshold: kernel.ParallelThreshold,
-		Paths:             results,
-	}
-	if s, ok := results["serial"]; ok {
-		if p, ok := results["parallel"]; ok && p.NsPerOp > 0 {
-			art.SpeedupParallel = s.NsPerOp / p.NsPerOp
-		}
-	}
-	path := os.Getenv("BENCH_KERNEL_JSON")
-	if path == "" {
-		path = "BENCH_kernel.json"
-	}
-	buf, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		b.Fatalf("marshal artifact: %v", err)
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		b.Logf("could not write %s: %v", path, err)
-	}
+	b.ReportMetric(float64(benchRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/sec")
 }
 
 // BenchmarkKernelTabulateCat isolates the single-histogram kernel

@@ -1,8 +1,7 @@
 // Package kernel owns the two hot inner loops every formulation in the
 // repo bottoms out in — categorical class-histogram tabulation and the
 // sorted continuous-split scan — behind a mergeable flat-[]int64
-// statistics API with pooled, zero-allocation buffers and an intra-rank
-// data-parallel tabulate path.
+// statistics API with pooled, zero-allocation buffers.
 //
 // Layering: kernel sits below everything and imports nothing from the
 // repo. criteria delegates its histogram construction and sorted-scan
@@ -14,62 +13,21 @@
 // Merge semantics: every kernel output is a vector of int64 counts, and a
 // partition of the input rows maps to a plain element-wise sum of the
 // per-partition outputs. Integer addition is associative and commutative
-// and cannot lose precision, so per-worker partials within a rank, and
+// and cannot lose precision, so per-chunk partials within a rank, and
 // per-rank partials across the machine (mp.Allreduce with mp.Sum), reduce
 // to bit-identical totals regardless of partition shape or merge order.
-// That single property is what makes the intra-rank parallel path, the
-// paper's global reductions, and the serial reference all interchangeable.
+// That single property is what makes the paper's global reductions, the
+// chunk-by-chunk out-of-core passes and the serial reference all
+// interchangeable.
 //
 // Modeled-cost invariant: TabulateInto returns the modeled operation count
 // of the *algorithm* — one op per record-attribute touch plus one per
 // histogram cell (the C·A_d·M "initialization and update of the class
-// histogram tables" term of the paper's Equation 1) — computed from the
-// input sizes, never from the host execution strategy. The serial and
-// parallel paths therefore charge identical ops and the per-phase
-// Breakdown numbers cannot drift when the threshold or worker count
-// changes.
+// histogram tables" term of the paper's Equation 1) — a function of input
+// sizes.
 package kernel
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
-
-// ParallelThreshold is the minimum number of rows for which TabulateInto
-// (and TabulateCat) uses the data-parallel path; smaller nodes stay serial
-// — the fork/merge overhead of the frontier's many small nodes would
-// otherwise dominate. Tests force the parallel path by lowering it.
-// Set it only at startup / test setup: it is read concurrently by builds.
-var ParallelThreshold = 1 << 16
-
-// MaxWorkers bounds the intra-rank worker set; 0 means GOMAXPROCS, capped
-// at 16. Like ParallelThreshold, set it only at startup.
-var MaxWorkers = 0
-
-// minParallelChunk is the smallest per-worker row range worth forking for.
-const minParallelChunk = 8192
-
-// workersFor resolves the worker count for n rows.
-func workersFor(n int) int {
-	if n < ParallelThreshold {
-		return 1
-	}
-	w := MaxWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-		if w > 16 {
-			w = 16
-		}
-	}
-	if max := n / minParallelChunk; w > max {
-		w = max
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
+import "fmt"
 
 // AttrColumn describes one attribute's column for tabulation: exactly one
 // of Cat or Cont is set. Bins is the histogram row count (the categorical
@@ -104,26 +62,11 @@ func (sp *Spec) StatsLen() int {
 
 // TabulateInto tabulates the class distribution and per-attribute class
 // histograms of the rows idx into flat (length ≥ StatsLen), accumulating
-// on top of existing counts. Large row sets are chunked across a bounded
-// worker set with pooled per-worker partials merged at the end; the counts
-// are bit-identical to the serial path (see the package comment on merge
-// semantics). Returns the modeled operation count, which is identical on
-// both paths by construction.
+// on top of existing counts. Returns the modeled operation count: the
+// class scan, the histogram-table upkeep (one op per cell, paid whether
+// or not rows land there — Equation 1's C·A_d·M term), and one op per
+// record-attribute touch.
 func TabulateInto(flat []int64, idx []int32, sp *Spec) int64 {
-	if nw := workersFor(len(idx)); nw > 1 {
-		tabulateParallel(flat, idx, sp, nw)
-	} else {
-		tabulateRange(flat, idx, sp)
-	}
-	// Modeled cost: the class scan, the histogram-table upkeep (one op per
-	// cell, paid whether or not rows land there — Equation 1's C·A_d·M
-	// term), and one op per record-attribute touch. A function of the
-	// input sizes only, never of the worker count.
-	return int64(len(idx)) + int64(len(flat)) + int64(len(sp.Attrs))*int64(len(idx))
-}
-
-// tabulateRange is the serial kernel over one row range.
-func tabulateRange(flat []int64, idx []int32, sp *Spec) {
 	c := sp.Classes
 	class := sp.Class
 	for _, i := range idx {
@@ -146,75 +89,13 @@ func tabulateRange(flat []int64, idx []int32, sp *Spec) {
 		}
 		off += a.Bins * c
 	}
-}
-
-// tabulateParallel chunks idx contiguously across nw workers, each
-// tabulating into a pooled zeroed partial, then sums the partials into
-// flat. Accumulation semantics match tabulateRange exactly because the
-// output is a pure element-wise sum over rows.
-func tabulateParallel(flat []int64, idx []int32, sp *Spec, nw int) {
-	n := sp.StatsLen()
-	chunk := (len(idx) + nw - 1) / nw
-	partials := make([][]int64, 0, nw)
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(idx); lo += chunk {
-		hi := lo + chunk
-		if hi > len(idx) {
-			hi = len(idx)
-		}
-		p := GetInt64(n)
-		partials = append(partials, p)
-		wg.Add(1)
-		go func(dst []int64, rows []int32) {
-			defer wg.Done()
-			tabulateRange(dst, rows, sp)
-		}(p, idx[lo:hi])
-	}
-	wg.Wait()
-	for _, p := range partials {
-		for i, v := range p {
-			flat[i] += v
-		}
-		PutInt64(p)
-	}
+	return int64(len(idx)) + int64(len(flat)) + int64(len(sp.Attrs))*int64(len(idx))
 }
 
 // TabulateCat tabulates one categorical class histogram: counts[v*c + cl]
 // accumulates the rows i of idx with values[i]==v, classes[i]==cl. This is
-// the kernel behind criteria.HistFor/HistInto. Large row sets take the
-// same bounded-worker parallel path as TabulateInto.
+// the kernel behind criteria.HistFor/HistInto.
 func TabulateCat(counts []int64, values []int32, classes []int32, idx []int32, c int) {
-	nw := workersFor(len(idx))
-	if nw <= 1 {
-		tabulateCatRange(counts, values, classes, idx, c)
-		return
-	}
-	chunk := (len(idx) + nw - 1) / nw
-	partials := make([][]int64, 0, nw)
-	var wg sync.WaitGroup
-	for lo := 0; lo < len(idx); lo += chunk {
-		hi := lo + chunk
-		if hi > len(idx) {
-			hi = len(idx)
-		}
-		p := GetInt64(len(counts))
-		partials = append(partials, p)
-		wg.Add(1)
-		go func(dst []int64, rows []int32) {
-			defer wg.Done()
-			tabulateCatRange(dst, values, classes, rows, c)
-		}(p, idx[lo:hi])
-	}
-	wg.Wait()
-	for _, p := range partials {
-		for i, v := range p {
-			counts[i] += v
-		}
-		PutInt64(p)
-	}
-}
-
-func tabulateCatRange(counts []int64, values []int32, classes []int32, idx []int32, c int) {
 	for _, i := range idx {
 		counts[int(values[i])*c+int(classes[i])]++
 	}

@@ -17,10 +17,10 @@ func (r *lcg) next() uint64 {
 	return uint64(*r)
 }
 
-func (r *lcg) intn(n int) int       { return int(r.next() % uint64(n)) }
-func (r *lcg) float() float64       { return float64(r.next()>>11) / float64(1<<53) }
-func (r *lcg) class(c int) int32    { return int32(r.intn(c)) }
-func (r *lcg) value(m int) int32    { return int32(r.intn(m)) }
+func (r *lcg) intn(n int) int              { return int(r.next() % uint64(n)) }
+func (r *lcg) float() float64              { return float64(r.next()>>11) / float64(1<<53) }
+func (r *lcg) class(c int) int32           { return int32(r.intn(c)) }
+func (r *lcg) value(m int) int32           { return int32(r.intn(m)) }
 func (r *lcg) cont(lo, hi float64) float64 { return lo + (hi-lo)*r.float() }
 
 // buildSpec synthesizes n rows under a schema of two categorical and two
@@ -65,19 +65,6 @@ func buildSpec(n int, seed uint64) (*kernel.Spec, []int32) {
 	return sp, idx
 }
 
-// forceParallel lowers the gate so even tiny inputs take the worker path,
-// restoring the previous settings on cleanup.
-func forceParallel(t *testing.T, workers int) {
-	t.Helper()
-	oldT, oldW := kernel.ParallelThreshold, kernel.MaxWorkers
-	kernel.ParallelThreshold = 1
-	kernel.MaxWorkers = workers
-	t.Cleanup(func() {
-		kernel.ParallelThreshold = oldT
-		kernel.MaxWorkers = oldW
-	})
-}
-
 func TestSpecValidateAndStatsLen(t *testing.T) {
 	sp, _ := buildSpec(10, 1)
 	if err := sp.Validate(); err != nil {
@@ -90,67 +77,6 @@ func TestSpecValidateAndStatsLen(t *testing.T) {
 	bad := &kernel.Spec{Classes: 3, Attrs: []kernel.AttrColumn{{Bins: 2}}}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("spec with neither Cat nor Cont accepted")
-	}
-}
-
-// TestTabulateParallelMatchesSerial is the kernel's differential identity:
-// the worker path must produce bit-identical counts and charge identical
-// modeled ops, for several row counts (including ones that do not divide
-// evenly among workers) and on top of pre-existing counts.
-func TestTabulateParallelMatchesSerial(t *testing.T) {
-	for _, n := range []int{1, 2, 37, 1000, 4097, 30000} {
-		sp, idx := buildSpec(n, uint64(n))
-		statsLen := sp.StatsLen()
-
-		serial := make([]int64, statsLen)
-		opsSerial := kernel.TabulateInto(serial, idx, sp)
-
-		forceParallel(t, 4)
-		parallel := make([]int64, statsLen)
-		opsParallel := kernel.TabulateInto(parallel, idx, sp)
-
-		if opsSerial != opsParallel {
-			t.Fatalf("n=%d: modeled ops drifted: serial %d, parallel %d", n, opsSerial, opsParallel)
-		}
-		for i := range serial {
-			if serial[i] != parallel[i] {
-				t.Fatalf("n=%d: counts differ at %d: serial %d, parallel %d", n, i, serial[i], parallel[i])
-			}
-		}
-
-		// Accumulation on top of prior counts must also match.
-		kernel.TabulateInto(parallel, idx, sp)
-		kernel.TabulateInto(serial, idx, sp)
-		for i := range serial {
-			if serial[i] != parallel[i] {
-				t.Fatalf("n=%d: accumulated counts differ at %d: serial %d, parallel %d",
-					n, i, serial[i], parallel[i])
-			}
-		}
-	}
-}
-
-func TestTabulateCatParallelMatchesSerial(t *testing.T) {
-	const n, m, c = 12345, 11, 4
-	r := lcg(99)
-	values := make([]int32, n)
-	classes := make([]int32, n)
-	idx := make([]int32, n)
-	for i := 0; i < n; i++ {
-		values[i] = r.value(m)
-		classes[i] = r.class(c)
-		idx[i] = int32(i)
-	}
-	serial := make([]int64, m*c)
-	kernel.TabulateCat(serial, values, classes, idx, c)
-
-	forceParallel(t, 3)
-	parallel := make([]int64, m*c)
-	kernel.TabulateCat(parallel, values, classes, idx, c)
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("counts differ at %d: serial %d, parallel %d", i, serial[i], parallel[i])
-		}
 	}
 }
 

@@ -18,7 +18,6 @@
 package sliq
 
 import (
-	"math"
 	"sort"
 
 	"partree/internal/criteria"
@@ -72,10 +71,6 @@ type leafState struct {
 	fam      *sliqFam         // family this leaf was born into
 	derive   bool             // derive this level's categorical hists
 
-	// Voted split selection (tree.Options.Vote): per-attribute gains of
-	// this level's scans, recorded so the leaf can nominate its top-k and
-	// filter the chosen split through the election. Nil when voting is off.
-	attrGains []float64
 }
 
 // sliqFam links a split leaf (whose categorical histograms are retained)
@@ -178,7 +173,6 @@ func grow(s *dataset.Schema, classList []classEntry, lists [][]listEntry, o tree
 			break
 		}
 		scanLevel(leaves, lists, classList, s, o)
-		voteFilter(leaves, s, o)
 		releaseRetained(prev) // grandparent histograms are dead now
 		prev = leaves
 		leaves = applySplits(leaves, lists, classList, s, o, ids)
@@ -287,19 +281,6 @@ func scanLevel(leaves []*leafState, lists [][]listEntry, classList []classEntry,
 			}
 		}
 	}
-	if o.Vote.Active(len(s.Attrs)) {
-		for _, ls := range leaves {
-			if ls.frozen {
-				continue
-			}
-			if ls.attrGains == nil {
-				ls.attrGains = make([]float64, len(s.Attrs))
-			}
-			for a := range ls.attrGains {
-				ls.attrGains[a] = math.Inf(-1)
-			}
-		}
-	}
 	for a, attr := range s.Attrs {
 		if attr.Kind == dataset.Continuous {
 			scanContinuousAttr(leaves, lists[a], classList, a, o)
@@ -339,9 +320,6 @@ func scanContinuousAttr(leaves []*leafState, list []listEntry, classList []class
 			continue
 		}
 		gain := ls.parentImp - score
-		if ls.attrGains != nil {
-			ls.attrGains[a] = gain
-		}
 		if gain > ls.bestGain {
 			ls.bestGain = gain
 			ls.bestAttr = a
@@ -406,9 +384,6 @@ func scanCategoricalAttr(leaves []*leafState, list []listEntry, classList []clas
 			continue
 		}
 		gain := ls.parentImp - score
-		if ls.attrGains != nil {
-			ls.attrGains[a] = gain
-		}
 		if gain > ls.bestGain {
 			ls.bestGain = gain
 			ls.bestAttr = a
@@ -417,46 +392,6 @@ func scanCategoricalAttr(leaves []*leafState, list []listEntry, classList []clas
 			ls.bestMask = mask
 		}
 	}
-}
-
-// voteFilter applies voted split selection to the level's running bests.
-// SLIQ is serial, so there is exactly one voter: its top-k nominations
-// are elected verbatim, and because the running best attribute always
-// carries the maximum recorded gain it is always among its own top-k —
-// the filter provably never changes the tree. The degenerate path exists
-// so the nomination/election machinery is exercised and asserted by the
-// same cross-builder identity checks as the parallel formulations, and
-// it marks the exactness boundary: voting only approximates when P > 1
-// voters disagree about the local ordering of attributes.
-func voteFilter(leaves []*leafState, s *dataset.Schema, o tree.Options) {
-	nA := s.NumAttrs()
-	if !o.Vote.Active(nA) {
-		return
-	}
-	elect := o.Vote.Candidates()
-	ballot := kernel.GetInt32(o.Vote.K)
-	cands := kernel.GetInt32(elect)
-	for _, ls := range leaves {
-		if ls.frozen || ls.bestAttr < 0 || ls.attrGains == nil {
-			continue
-		}
-		kernel.VoteTopK(ls.attrGains, o.Vote.K, o.MinGain, ballot)
-		n := kernel.ElectCandidates(ballot, nA, elect, cands)
-		elected := false
-		for i := 0; i < n; i++ {
-			if int(cands[i]) == ls.bestAttr {
-				elected = true
-				break
-			}
-		}
-		if !elected {
-			// Unreachable with a single voter (the argmax is always
-			// nominated); kept as the honest restriction semantics.
-			ls.bestAttr = -1
-		}
-	}
-	kernel.PutInt32(cands)
-	kernel.PutInt32(ballot)
 }
 
 // applySplits attaches the chosen tests, updates the class list's leaf

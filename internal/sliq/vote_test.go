@@ -11,12 +11,11 @@ import (
 
 // TestVotedSliqIdentity pins the single-voter degeneracy: serial SLIQ is
 // a one-rank electorate, and a voter's own argmax always sits in its
-// top-k ballot, so the election filter can never change the chosen
-// split — voted SLIQ must equal exact SLIQ bit-for-bit at every K,
-// active ones included. The voted machinery (per-leaf gain capture,
-// nomination, election, filter) still runs; the boundary where voting
-// begins to approximate is P > 1 voters disagreeing, which SLIQ's
-// serial algorithm structurally cannot reach.
+// top-k ballot, so an election could never change the chosen split —
+// SLIQ runs none (as core skips voting at P = 1), and voted SLIQ must
+// equal exact SLIQ bit-for-bit at every K, active ones included. The
+// boundary where voting begins to approximate is P > 1 voters
+// disagreeing, which SLIQ's serial algorithm structurally cannot reach.
 func TestVotedSliqIdentity(t *testing.T) {
 	for _, attrs := range []int{0, 24} {
 		d, err := quest.Generate(quest.Config{Function: 2, Seed: 51, Attrs: attrs}, 1500)

@@ -65,121 +65,163 @@ func BuildBFS(d *dataset.Dataset, o Options) *Tree {
 // documentation); only the modeled op counts change.
 func GrowFrontierBFS(d *dataset.Dataset, frontier []FrontierItem, o Options, ids *IDGen) (scanOps, wordOps int64) {
 	o = o.WithDefaults()
-	s := d.Schema
+	return growLevels(NewIndexRows(d, o), frontier, o, ids)
+}
+
+// RowSource is where a breadth-first level step takes the local rows of
+// its frontier from: NewIndexRows for a resident dataset, *Slots for a
+// chunked table. Begin and End bracket a level; in between, the step asks
+// for the local statistics of the frontier nodes it tabulates and expands
+// every node, in frontier order, from its (global) statistics.
+type RowSource interface {
+	Schema() *dataset.Schema
+	Begin(frontier []FrontierItem)
+	// TabulateInto adds frontier[j]'s local statistics into the zeroed blk
+	// and returns the modeled ops, kernel.TabulateInto's charge.
+	TabulateInto(j int, it FrontierItem, blk []int64) int64
+	// Expand finalizes frontier[j], adds its routing ops to *ops and
+	// returns its kept children.
+	Expand(j int, it FrontierItem, stats *NodeStats, ids *IDGen, ops *int64) []FrontierItem
+	End(frontier []FrontierItem)
+	// Err reports a failed row read; the level loops stop at the first.
+	Err() error
+}
+
+// indexRows is the RowSource of a resident dataset: every frontier item
+// carries its local row indices in Idx.
+type indexRows struct {
+	d    *dataset.Dataset
+	o    Options
+	spec *kernel.Spec
+}
+
+// NewIndexRows returns the RowSource of d's rows under o.
+func NewIndexRows(d *dataset.Dataset, o Options) RowSource {
+	return &indexRows{d: d, o: o, spec: NewStatsSpec(d, o)}
+}
+
+func (r *indexRows) Schema() *dataset.Schema { return r.d.Schema }
+func (r *indexRows) Begin([]FrontierItem)    {}
+func (r *indexRows) End([]FrontierItem)      {}
+func (r *indexRows) Err() error              { return nil }
+func (r *indexRows) TabulateInto(_ int, it FrontierItem, blk []int64) int64 {
+	return kernel.TabulateInto(blk, it.Idx, r.spec)
+}
+func (r *indexRows) Expand(_ int, it FrontierItem, stats *NodeStats, ids *IDGen, ops *int64) []FrontierItem {
+	return ExpandNode(it, stats, r.d, r.o, ids, ops)
+}
+
+// Unit is one step of a breadth-first level: the N frontier items at the
+// head of the remaining frontier. Der < 0 is a lone node, tabulated;
+// otherwise the items are one cached family whose member Der is derived
+// from the parent's block Parent instead of being tabulated.
+type Unit struct {
+	N, Der int
+	Parent []int64
+}
+
+// PlanUnit plans the unit at the head of rest from the one-level reuse
+// cache rc (nil with sibling subtraction off). A cache hit makes a family
+// only if its kept children are exactly rest's first items, in order — so
+// the whole family must lie in rest, which for the synchronous loop is
+// one flush chunk. ExpandNode appends a family's children consecutively,
+// no level loop reorders a frontier it caches, and the synchronous loop
+// caches only families that land in one chunk, so a hit always aligns —
+// the check keeps a stale cache loudly unusable rather than silently wrong. The derived
+// member is the largest by GlobalN, or with smallest set (voting's choice,
+// see core's voteFam.derVote) the smallest; ties go to the first.
+func PlanUnit(rc *kernel.ReuseCache, rest []FrontierItem, smallest bool) Unit {
+	lone := Unit{N: 1, Der: -1}
+	fam, ok := rc.Lookup(rest[0].Node.ID)
+	if !ok || len(fam.Kids) > len(rest) {
+		return lone
+	}
+	for i, id := range fam.Kids {
+		if rest[i].Node.ID != id {
+			return lone
+		}
+	}
+	der := 0
+	for i := 1; i < len(fam.Kids); i++ {
+		n, m := rest[i].GlobalN, rest[der].GlobalN
+		if (!smallest && n > m) || (smallest && n < m) {
+			der = i
+		}
+	}
+	return Unit{N: len(fam.Kids), Der: der, Parent: fam.Parent}
+}
+
+// Derive fills the family's withheld block, block(u.Der), as the parent
+// block minus every other member's block(i), and returns the modeled
+// word ops. Exact on int64 counts: children partition their parent's rows.
+func (u Unit) Derive(block func(i int) []int64) int64 {
+	dst := block(u.Der)
+	ops := kernel.DeriveFrom(dst, u.Parent)
+	for i := 0; i < u.N; i++ {
+		if i != u.Der {
+			ops += kernel.Subtract(dst, block(i))
+		}
+	}
+	return ops
+}
+
+// growLevels is the serial breadth-first loop: it expands every frontier
+// node to completion, level by level, taking the local rows from rows.
+// The synchronous formulation's level step (core's expandLevelSync) is
+// the same walk with a global reduction between tabulate and expand.
+// Each level is walked one PlanUnit at a time, so the working set is one
+// statistics block per lone node or per family, never one per level.
+// With o.Reuse.Subtraction a pair of one-level caches (read and write,
+// swapped at each level boundary) feeds the planner. Returns the modeled
+// ops as GrowFrontierBFS documents them.
+func growLevels(rows RowSource, frontier []FrontierItem, o Options, ids *IDGen) (scanOps, wordOps int64) {
+	s := rows.Schema()
 	statsLen := StatsLen(s, o)
-	spec := NewStatsSpec(d, o)
+	var rd, wr *kernel.ReuseCache
 	if o.Reuse.Subtraction {
-		return growFrontierReuse(d, frontier, o, ids, statsLen, spec)
+		rd, wr = kernel.NewReuseCache(), kernel.NewReuseCache()
 	}
-	flat := kernel.GetInt64(statsLen)
-	defer kernel.PutInt64(flat)
-	var totalOps int64
-	for len(frontier) > 0 {
+	var blocks, kidIDs []int64 // blocks: the current unit's, grown on demand
+	block := func(i int) []int64 { return blocks[i*statsLen : (i+1)*statsLen] }
+	for len(frontier) > 0 && rows.Err() == nil {
+		rows.Begin(frontier)
 		var next []FrontierItem
-		for _, it := range frontier {
-			clear(flat)
-			totalOps += kernel.TabulateInto(flat, it.Idx, spec)
-			stats := DecodeStats(flat, s, o)
-			next = append(next, ExpandNode(it, stats, d, o, ids, &totalOps)...)
-		}
-		frontier = next
-	}
-	return totalOps, 0
-}
-
-// familyAligned reports whether the cached family's children are exactly
-// the frontier items starting at items[0], in order. By construction
-// (ExpandNode appends a family's kept children consecutively, and the
-// serial walk never reorders) this always holds for a Lookup hit; the
-// check keeps a stale cache loudly unusable rather than silently wrong.
-func familyAligned(items []FrontierItem, kids []int64) bool {
-	if len(kids) > len(items) {
-		return false
-	}
-	for i, id := range kids {
-		if items[i].Node.ID != id {
-			return false
-		}
-	}
-	return true
-}
-
-// growFrontierReuse is the sibling-subtraction variant of the serial
-// level loop: one read cache holds the previous level's parent blocks,
-// one write cache collects this level's, and the pair swaps at each level
-// boundary so the steady state allocates nothing per family.
-func growFrontierReuse(d *dataset.Dataset, frontier []FrontierItem, o Options, ids *IDGen, statsLen int, spec *kernel.Spec) (scanOps, wordOps int64) {
-	s := d.Schema
-	rc, nrc := kernel.NewReuseCache(), kernel.NewReuseCache()
-	var scratch []int64 // per-family statistics blocks, grown on demand
-	var kidIDs []int64
-	var totalOps, derOps int64
-	store := func(cache *kernel.ReuseCache, block []int64, kids []FrontierItem) {
-		kidIDs = kidIDs[:0]
-		for _, kd := range kids {
-			kidIDs = append(kidIDs, kd.Node.ID)
-		}
-		derOps += cache.Store(block, kidIDs)
-	}
-	for len(frontier) > 0 {
-		var next []FrontierItem
-		j := 0
-		for j < len(frontier) {
-			fam, ok := rc.Lookup(frontier[j].Node.ID)
-			if !ok || !familyAligned(frontier[j:], fam.Kids) {
-				// No cached parent: tabulate the node in full.
-				if cap(scratch) < statsLen {
-					scratch = make([]int64, statsLen)
-				}
-				blk := scratch[:statsLen]
-				clear(blk)
-				totalOps += kernel.TabulateInto(blk, frontier[j].Idx, spec)
-				kids := ExpandNode(frontier[j], DecodeStats(blk, s, o), d, o, ids, &totalOps)
-				if len(kids) > 0 {
-					store(nrc, blk, kids)
-				}
-				next = append(next, kids...)
-				j++
-				continue
+		for j := 0; j < len(frontier); {
+			u := PlanUnit(rd, frontier[j:], false)
+			if cap(blocks) < u.N*statsLen {
+				blocks = make([]int64, u.N*statsLen)
 			}
-			k := len(fam.Kids)
-			if cap(scratch) < k*statsLen {
-				scratch = make([]int64, k*statsLen)
-			}
-			blocks := scratch[:k*statsLen]
+			blocks = blocks[:u.N*statsLen]
 			clear(blocks)
-			// Derive the largest child (ties: first), tabulate the rest.
-			der := 0
-			for i := 1; i < k; i++ {
-				if frontier[j+i].GlobalN > frontier[j+der].GlobalN {
-					der = i
+			for i := 0; i < u.N; i++ {
+				if i != u.Der {
+					scanOps += rows.TabulateInto(j+i, frontier[j+i], block(i))
 				}
 			}
-			dst := blocks[der*statsLen : (der+1)*statsLen]
-			derOps += kernel.DeriveFrom(dst, fam.Parent)
-			for i := 0; i < k; i++ {
-				if i == der {
-					continue
-				}
-				blk := blocks[i*statsLen : (i+1)*statsLen]
-				totalOps += kernel.TabulateInto(blk, frontier[j+i].Idx, spec)
-				derOps += kernel.Subtract(dst, blk)
+			if u.Der >= 0 {
+				wordOps += u.Derive(block)
 			}
-			for i := 0; i < k; i++ {
-				blk := blocks[i*statsLen : (i+1)*statsLen]
-				kids := ExpandNode(frontier[j+i], DecodeStats(blk, s, o), d, o, ids, &totalOps)
-				if len(kids) > 0 {
-					store(nrc, blk, kids)
+			for i := 0; i < u.N; i++ {
+				kids := rows.Expand(j+i, frontier[j+i], DecodeStats(block(i), s, o), ids, &scanOps)
+				if len(kids) > 0 && wr != nil {
+					kidIDs = kidIDs[:0]
+					for _, kd := range kids {
+						kidIDs = append(kidIDs, kd.Node.ID)
+					}
+					wordOps += wr.Store(block(i), kidIDs)
 				}
 				next = append(next, kids...)
 			}
-			j += k
+			j += u.N
 		}
+		rows.End(frontier)
 		frontier = next
-		rc.Reset()
-		rc, nrc = nrc, rc
+		if rd != nil {
+			rd.Reset()
+			rd, wr = wr, rd
+		}
 	}
-	return totalOps, derOps
+	return scanOps, wordOps
 }
 
 // ExpandNode finalizes one frontier node from its (global) statistics:

@@ -17,8 +17,8 @@ import (
 // and routing are the exact functions of the in-RAM path, so the tree is
 // bit-identical to BuildBFS on the same rows; only the access pattern
 // (and the resident footprint, 4 bytes per row) changes. Slots holds that
-// per-row state and both passes, for this package's serial builder and
-// the synchronous-parallel one in core.
+// per-row state and both passes as a RowSource, for this package's serial
+// level loop and the synchronous-parallel one in core.
 
 // newSpec builds a kernel tabulation spec with no columns bound: bin
 // counts and micro edges are resolved from the schema and binner once;
@@ -88,12 +88,14 @@ func ExpandNodeOOC(it FrontierItem, stats *NodeStats, s *dataset.Schema, o Optio
 	return kids, childSlot, true
 }
 
-// Slots is the per-row state of a levelwise build over a chunked table:
-// the slot vector, plus the local statistics blocks and the routing
-// table of the level being expanded. A level is Tabulate, one Expand per
-// frontier node in frontier order (the caller appends the returned
-// children to the next frontier in that order), then Reroute. A chunk
-// read error stops every later pass and is reported by Err.
+// Slots is the RowSource of a chunked table: the per-row slot vector,
+// plus the local statistics blocks and the routing table of the level
+// being expanded. Begin tabulates every frontier node's block in one
+// chunk pass, TabulateInto hands a block out with the ops
+// kernel.TabulateInto would bill for the node's local rows, Expand bills
+// PartitionRows' ops and routes nothing, and End advances every row's
+// slot in one routing pass. A chunk read error stops every later pass and
+// is reported by Err.
 type Slots struct {
 	t      dataset.Table
 	o      Options
@@ -115,12 +117,15 @@ func NewSlots(t dataset.Table, o Options, read func(bytes int64)) *Slots {
 	return &Slots{t: t, o: o, slot: make([]int32, t.Len()), spec: newSpec(s, o), stride: StatsLen(s, o), read: read}
 }
 
+func (sl *Slots) Schema() *dataset.Schema { return sl.t.Schema() }
+
 // Err returns the first chunk read error, if any.
 func (sl *Slots) Err() error { return sl.err }
 
-// Tabulate is a level's statistics pass over a frontier of n nodes: every
-// live row is tabulated into its slot's Block.
-func (sl *Slots) Tabulate(n int) {
+// Begin is a level's statistics pass: every live row is tabulated into
+// its frontier node's block.
+func (sl *Slots) Begin(frontier []FrontierItem) {
+	n := len(frontier)
 	sl.blocks = append(sl.blocks[:0], make([]int64, n*sl.stride)...)
 	sl.routes = append(sl.routes[:0], make([][]int32, n)...)
 	sl.kids = 0
@@ -130,17 +135,27 @@ func (sl *Slots) Tabulate(n int) {
 	})
 }
 
-// Block is frontier node j's local statistics from the last Tabulate.
-func (sl *Slots) Block(j int) []int64 { return sl.blocks[j*sl.stride : (j+1)*sl.stride] }
+// localRows is frontier node j's local row count, its block's class total.
+func (sl *Slots) localRows(j int) int64 {
+	var n int64
+	for _, v := range sl.blocks[j*sl.stride : j*sl.stride+sl.spec.Classes] {
+		n += v
+	}
+	return n
+}
 
-// Expand finalizes frontier node j from its global statistics with
-// ExpandNodeOOC, returning its kept children, and records its routing
-// table for Reroute. split is false when the node became a leaf.
-func (sl *Slots) Expand(j int, it FrontierItem, stats *NodeStats, ids *IDGen) (kids []FrontierItem, split bool) {
+func (sl *Slots) TabulateInto(j int, _ FrontierItem, blk []int64) int64 {
+	return sl.localRows(j)*int64(1+len(sl.spec.Attrs)) + int64(copy(blk, sl.blocks[j*sl.stride:(j+1)*sl.stride]))
+}
+
+// Expand finalizes frontier node j with ExpandNodeOOC and records its
+// routing table for End.
+func (sl *Slots) Expand(j int, it FrontierItem, stats *NodeStats, ids *IDGen, ops *int64) []FrontierItem {
 	kids, cs, split := ExpandNodeOOC(it, stats, sl.t.Schema(), sl.o, ids)
 	if !split {
-		return nil, false
+		return nil
 	}
+	*ops += sl.localRows(j)
 	for ci := range cs {
 		if cs[ci] >= 0 {
 			cs[ci] += sl.kids
@@ -148,13 +163,13 @@ func (sl *Slots) Expand(j int, it FrontierItem, stats *NodeStats, ids *IDGen) (k
 	}
 	sl.routes[j] = cs
 	sl.kids += int32(len(kids))
-	return kids, true
+	return kids
 }
 
-// Reroute is a level's routing pass: rows at leaf nodes settle (-1), rows
-// at split nodes move to their child's next-level slot. It reads nothing
+// End is a level's routing pass: rows at leaf nodes settle (-1), rows at
+// split nodes move to their child's next-level slot. It reads nothing
 // when the next frontier is empty.
-func (sl *Slots) Reroute(frontier []FrontierItem) {
+func (sl *Slots) End(frontier []FrontierItem) {
 	if sl.kids == 0 {
 		return
 	}
@@ -190,27 +205,15 @@ func (sl *Slots) pass(f func(rows []int32)) {
 }
 
 // BuildBFSOOC grows a tree breadth-first over a chunked table with
-// bounded resident memory: the only per-row state is the slot vector.
-// The result is bit-identical to BuildBFS over the same rows (gated by
-// the differential tests). o.Reuse is ignored — sibling subtraction is a
-// cost-model transform of the in-RAM path and never changes the tree.
+// bounded resident memory: the only per-row state is the slot vector. It
+// is growLevels over the table's Slots, so the result is bit-identical to
+// BuildBFS over the same rows (gated by the differential tests).
 func BuildBFSOOC(t dataset.Table, o Options) (*Tree, error) {
 	o = o.WithDefaults()
 	s := t.Schema()
 	root := &Node{ID: 0, Kind: Leaf, Dist: make([]int64, s.NumClasses())}
-	ids := NewIDGen(1)
-	frontier := []FrontierItem{{Node: root}}
 	sl := NewSlots(t, o, nil)
-	for len(frontier) > 0 && sl.Err() == nil {
-		sl.Tabulate(len(frontier))
-		var next []FrontierItem
-		for j, it := range frontier {
-			kids, _ := sl.Expand(j, it, DecodeStats(sl.Block(j), s, o), ids)
-			next = append(next, kids...)
-		}
-		sl.Reroute(frontier)
-		frontier = next
-	}
+	growLevels(sl, []FrontierItem{{Node: root}}, o, NewIDGen(1))
 	if err := sl.Err(); err != nil {
 		return nil, err
 	}

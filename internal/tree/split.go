@@ -92,8 +92,7 @@ func NewStatsSpec(d *dataset.Dataset, o Options) *kernel.Spec {
 // ComputeStatsInto tabulates the class distribution and per-attribute
 // histograms of the rows idx into the flattened vector flat (length
 // StatsLen), accumulating on top of existing counts, through the shared
-// statistics kernel (which parallelizes large nodes across a bounded
-// intra-rank worker set). Returns the modeled operation count: one op per
+// statistics kernel. Returns the modeled operation count: one op per
 // record-attribute touch (the per-level data scan) plus one op per
 // histogram-table cell (the "initialization and update of all the class
 // histogram tables" term of the paper's Equation 1, C·A_d·M per node —

@@ -260,7 +260,9 @@ func TestOOCIdentity(t *testing.T) {
 
 // TestOOCChunkBoundaries: tabulation and routing are bit-identical for
 // any chunk geometry — sizes that split every row, prime-misalign the
-// frontier, match the default, and cover the whole set in one chunk.
+// frontier, match the default, and cover the whole set in one chunk — and
+// with statistics reuse on, since BuildBFSOOC runs the same serial level
+// loop as BuildBFS.
 func TestOOCChunkBoundaries(t *testing.T) {
 	for _, discrete := range []bool{true, false} {
 		d := genKernelData(t, discrete)
@@ -277,12 +279,15 @@ func TestOOCChunkBoundaries(t *testing.T) {
 				if err != nil {
 					t.Fatalf("options: %v", err)
 				}
-				got, err := tree.BuildBFSOOC(tbl, to)
-				if err != nil {
-					t.Fatalf("build: %v", err)
-				}
-				if diff := tree.Diff(want, got); diff != "" {
-					t.Fatalf("chunk size %d changed the tree: %s", chunkRows, diff)
+				for _, ro := range []kernel.Options{{}, {Subtraction: true}, kernel.ReuseAll()} {
+					to.Reuse = ro
+					got, err := tree.BuildBFSOOC(tbl, to)
+					if err != nil {
+						t.Fatalf("build: %v", err)
+					}
+					if diff := tree.Diff(want, got); diff != "" {
+						t.Fatalf("chunk size %d, reuse %+v changed the tree: %s", chunkRows, ro, diff)
+					}
 				}
 			})
 		}
