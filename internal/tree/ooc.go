@@ -117,6 +117,7 @@ func NewSlots(t dataset.Table, o Options, read func(bytes int64)) *Slots {
 	return &Slots{t: t, o: o, slot: make([]int32, t.Len()), spec: newSpec(s, o), stride: StatsLen(s, o), read: read}
 }
 
+// Schema returns the table's schema.
 func (sl *Slots) Schema() *dataset.Schema { return sl.t.Schema() }
 
 // Err returns the first chunk read error, if any.
@@ -144,6 +145,8 @@ func (sl *Slots) localRows(j int) int64 {
 	return n
 }
 
+// TabulateInto copies frontier node j's block from Begin's pass into blk
+// and bills what kernel.TabulateInto would for j's local rows.
 func (sl *Slots) TabulateInto(j int, _ FrontierItem, blk []int64) int64 {
 	return sl.localRows(j)*int64(1+len(sl.spec.Attrs)) + int64(copy(blk, sl.blocks[j*sl.stride:(j+1)*sl.stride]))
 }
