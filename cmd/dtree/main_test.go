@@ -1,0 +1,120 @@
+package main
+
+import (
+	"errors"
+	"testing"
+
+	"partree/internal/build"
+	"partree/internal/fault"
+	"partree/internal/kernel"
+)
+
+// TestParseFlags pins the flag → build.Spec translation, including the
+// combinations it must reject before any data is loaded.
+func TestParseFlags(t *testing.T) {
+	for _, name := range build.Names() {
+		o, err := parseFlags([]string{"-algo", name, "-procs", "3"})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if o.spec.Builder != name || o.spec.Procs != 3 {
+			t.Fatalf("%s: spec %+v", name, o.spec)
+		}
+	}
+
+	cases := []struct {
+		name  string
+		args  []string
+		check func(t *testing.T, o options)
+	}{
+		{"defaults", nil, func(t *testing.T, o options) {
+			if o.spec.Builder != "hybrid" || o.spec.Procs != 8 || !o.spec.Options.Tree.Binary {
+				t.Fatalf("spec %+v", o.spec)
+			}
+			if o.spec.Options.Tree.Reuse != (kernel.Options{}) || o.spec.Options.FT != nil || o.spec.Fault != nil {
+				t.Fatalf("defaults enable reuse, fault tolerance or faults: %+v", o.spec)
+			}
+		}},
+		{"reuse", []string{"-reuse"}, func(t *testing.T, o options) {
+			want := kernel.Options{Subtraction: true, SparseThreshold: kernel.DefaultSparseThreshold}
+			if got := o.spec.Options.Tree.Reuse; got != want {
+				t.Fatalf("reuse %+v, want %+v", got, want)
+			}
+		}},
+		{"reuse-sparse", []string{"-reuse", "-sparse", "0.3"}, func(t *testing.T, o options) {
+			if got := o.spec.Options.Tree.Reuse; got != (kernel.Options{Subtraction: true, SparseThreshold: 0.3}) {
+				t.Fatalf("reuse %+v", got)
+			}
+		}},
+		{"sparse-without-reuse", []string{"-sparse", "0.3"}, func(t *testing.T, o options) {
+			if got := o.spec.Options.Tree.Reuse; got != (kernel.Options{}) {
+				t.Fatalf("reuse %+v without -reuse", got)
+			}
+		}},
+		{"vote", []string{"-vote-k", "3"}, func(t *testing.T, o options) {
+			if o.spec.Options.Tree.Vote.K != 3 {
+				t.Fatalf("vote %+v", o.spec.Options.Tree.Vote)
+			}
+		}},
+		{"network", []string{"-topology", "torus", "-coll-algo", "ring", "-hop-latency", "5e-6", "-disk-rate", "2e-9"}, func(t *testing.T, o options) {
+			s := o.spec
+			if s.Topology != "torus" || s.Coll != "ring" || s.Machine.TH != 5e-6 || s.Machine.TD != 2e-9 {
+				t.Fatalf("network spec %+v", s)
+			}
+		}},
+		{"recover", []string{"-algo", "sync", "-recover", "-fault", "crash:1:3"}, func(t *testing.T, o options) {
+			if ft := o.spec.Options.FT; ft == nil || ft.Store == nil || ft.Resume {
+				t.Fatalf("FT %+v", ft)
+			}
+			if f := o.spec.Fault.Faults; len(f) != 1 || f[0] != fault.CrashAt(1, fault.CollStart, 3) {
+				t.Fatalf("fault plan %+v", f)
+			}
+		}},
+		{"resume", []string{"-algo", "hybrid", "-ckpt-dir", "ck", "-resume", "-fault", "halt:4", "-procs", "3"}, func(t *testing.T, o options) {
+			if ft := o.spec.Options.FT; ft == nil || ft.Store != nil || !ft.Resume || o.ckptDir != "ck" {
+				t.Fatalf("FT %+v, ckpt dir %q", ft, o.ckptDir)
+			}
+			if n := len(o.spec.Fault.Faults); n != 3 {
+				t.Fatalf("halt plan has %d faults, want one per rank", n)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o, err := parseFlags(tc.args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.check(t, o)
+		})
+	}
+
+	for _, args := range [][]string{
+		{"-vote-k", "-1"},
+		{"-resume"},
+		{"-topology", "mesh"},
+		{"-coll-algo", "allreduce=bogus"},
+		{"-criterion", "chi2"},
+		{"-vote", "plurality"},
+		{"-fault", "crash:1"},
+		{"-fault", "crash:x:3"},
+		{"-fault", "meteor:1"},
+		{"-procs", "0"},
+		{"-algo", "hunt", "-procs", "0", "-fault", "random:1"},
+	} {
+		if _, err := parseFlags(args); err == nil {
+			t.Errorf("%v: accepted", args)
+		}
+	}
+
+	for _, args := range [][]string{
+		{"-algo", "cart"},
+		{"-algo", "hunt", "-recover"},
+		{"-algo", "vertical", "-ckpt-dir", "ck"},
+	} {
+		var ue *build.UnsupportedError
+		if _, err := parseFlags(args); !errors.As(err, &ue) {
+			t.Errorf("%v: got %v, want an *build.UnsupportedError", args, err)
+		}
+	}
+}

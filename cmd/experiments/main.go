@@ -23,6 +23,7 @@ import (
 	"sort"
 	"strings"
 
+	"partree/internal/build"
 	"partree/internal/core"
 	"partree/internal/criteria"
 	"partree/internal/dataset"
@@ -30,9 +31,7 @@ import (
 	"partree/internal/kernel"
 	"partree/internal/mp"
 	"partree/internal/quest"
-	"partree/internal/scalparc"
 	"partree/internal/tree"
-	"partree/internal/vertical"
 )
 
 var (
@@ -111,7 +110,7 @@ func n(base int) int { return int(float64(base) * *scale) }
 
 func baseSpec() experiments.Spec {
 	s := experiments.Spec{Function: *function, Seed: *seed,
-		Topology: *topology, Coll: *collAlgo, HopLatency: *hopLat}
+		Topology: *topology, Coll: *collAlgo, Machine: mp.SP2().WithHopLatency(*hopLat)}
 	if *reuse {
 		s.Options.Tree.Reuse = kernel.ReuseAll()
 	}
@@ -308,32 +307,26 @@ func compare() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	topts := tree.Options{Binary: true, MaxDepth: 10}
+	o := core.Options{Tree: tree.Options{Binary: true, MaxDepth: 10}}
 	for _, p := range []int{8, 16} {
 		// The paper's hybrid (uniform discretization, like Figure 6).
 		res := experiments.Run(experiments.Spec{Formulation: experiments.Hybrid, Records: records, Procs: p,
 			Options: core.Options{Tree: tree.Options{MaxDepth: 10}}})
 		fmt.Printf("%-16s %6d %14.3f %14.2f %14s\n", "hybrid", p, res.ModeledSeconds, float64(res.Traffic.Bytes)/1e6, "-")
 
-		for _, mode := range []scalparc.Mode{scalparc.FullHash, scalparc.DistributedHash} {
-			w := mp.NewWorld(p, mp.SP2())
-			blocks := raw.BlockPartition(p)
-			results := make([]scalparc.Result, p)
-			w.Run(func(c *mp.Comm) {
-				results[c.Rank()] = scalparc.Build(c, blocks[c.Rank()], scalparc.Options{Tree: topts, Mode: mode})
-			})
-			peak := 0
-			for _, r := range results {
-				if r.MaxHashEntries > peak {
-					peak = r.MaxHashEntries
-				}
+		for _, name := range []string{"parallel-sprint", "scalparc", "vertical"} {
+			br, err := build.Run(build.Spec{Builder: name, Procs: p, Options: o}, raw)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
 			}
-			fmt.Printf("%-16s %6d %14.3f %14.2f %14d\n", mode.String(), p, w.MaxClock(), float64(w.Traffic().Bytes)/1e6, peak)
+			w := br.World
+			peak, label := fmt.Sprint(br.HashPeak), name
+			if name == "vertical" {
+				peak, label = "-", "dp-att"
+			}
+			fmt.Printf("%-16s %6d %14.3f %14.2f %14s\n", label, p, w.MaxClock(), float64(w.Traffic().Bytes)/1e6, peak)
 		}
-
-		w := mp.NewWorld(p, mp.SP2())
-		w.Run(func(c *mp.Comm) { vertical.Build(c, raw, topts) })
-		fmt.Printf("%-16s %6d %14.3f %14.2f %14s\n", "dp-att", p, w.MaxClock(), float64(w.Traffic().Bytes)/1e6, "-")
 	}
 }
 

@@ -12,6 +12,7 @@ package partree_test
 import (
 	"testing"
 
+	"partree/internal/build"
 	"partree/internal/flat"
 	"partree/internal/forest"
 	"partree/internal/quest"
@@ -30,8 +31,7 @@ func TestForestSingleTreeIdentityAllBuilders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, builder := range forest.Builders {
-		builder := builder
+	for _, builder := range build.Names() {
 		t.Run(builder, func(t *testing.T) {
 			f, err := forest.Train(train, forest.Config{
 				Trees:     1,

@@ -15,8 +15,7 @@
 package experiments
 
 import (
-	"fmt"
-
+	"partree/internal/build"
 	"partree/internal/core"
 	"partree/internal/dataset"
 	"partree/internal/discretize"
@@ -35,20 +34,6 @@ const (
 	Hybrid      Formulation = "hybrid"
 )
 
-// Builder returns the core entry point of the formulation.
-func (f Formulation) Builder() func(*mp.Comm, *dataset.Dataset, core.Options) *tree.Tree {
-	switch f {
-	case Sync:
-		return core.BuildSync
-	case Partitioned:
-		return core.BuildPartitioned
-	case Hybrid:
-		return core.BuildHybrid
-	default:
-		panic(fmt.Sprintf("experiments: unknown formulation %q", f))
-	}
-}
-
 // Spec describes one parallel training run.
 type Spec struct {
 	Formulation Formulation
@@ -64,14 +49,11 @@ type Spec struct {
 	// Attrs widens the generated schema to this many attributes (the nine
 	// paper attributes plus synthetic noise extras — quest.SchemaN). 0
 	// keeps the original schema. The substrate of the voted-split sweep.
-	Attrs int
-	Machine    mp.Machine
+	Attrs   int
+	Machine mp.Machine
 	// Topology names the modeled interconnect (mp.NewTopology; "" =
-	// hypercube). Only distinguishable when HopLatency > 0.
+	// hypercube). Only distinguishable when Machine.TH > 0.
 	Topology string
-	// HopLatency is the per-hop routing latency t_h installed into the
-	// machine (Machine.TH). Zero keeps the Equation 2 cut-through model.
-	HopLatency float64
 	// Coll selects the collective algorithms (mp.ParseCollSpec syntax,
 	// e.g. "auto" or "allreduce=ring"). "" keeps the historic defaults.
 	Coll    string
@@ -119,11 +101,11 @@ type Result struct {
 	Events []mp.TraceEvent
 }
 
-// Run executes one parallel training run: each rank generates its own
-// block of the Quest stream (exactly what the serial generator would
-// produce), optionally applies the paper's uniform discretization, builds
-// the tree with the requested formulation, and reports the modeled
-// parallel runtime (max rank clock).
+// Run executes one parallel training run: the Quest rows, optionally
+// under the paper's uniform discretization, are block-partitioned over
+// the ranks (rank r holds exactly the rows the serial generator puts in
+// its block), the formulation builds the tree, and the modeled parallel
+// runtime (max rank clock) is reported.
 func Run(spec Spec) Result {
 	res, _ := runTree(spec)
 	return res
@@ -134,53 +116,52 @@ func Run(spec Spec) Result {
 // comparison.
 func runTree(spec Spec) (Result, *tree.Tree) {
 	spec = spec.withDefaults()
-	if spec.HopLatency != 0 {
-		spec.Machine = spec.Machine.WithHopLatency(spec.HopLatency)
-	}
-	w := mp.NewWorld(spec.Procs, spec.Machine)
-	if spec.Topology != "" {
-		topo, err := mp.NewTopology(spec.Topology, spec.Procs)
-		if err != nil {
-			panic(err)
-		}
-		w.SetTopology(topo)
-	}
-	if spec.Coll != "" {
-		cfg, err := mp.ParseCollSpec(spec.Coll)
-		if err != nil {
-			panic(err)
-		}
-		w.SetCollConfig(cfg)
-	}
-	if spec.Trace {
-		w.EnableTrace()
-	}
-	build := spec.Formulation.Builder()
-	trees := make([]*tree.Tree, spec.Procs)
-	w.Run(func(c *mp.Comm) {
-		lo := c.Rank() * spec.Records / spec.Procs
-		hi := (c.Rank() + 1) * spec.Records / spec.Procs
-		local, err := quest.GenerateBlock(quest.Config{Function: spec.Function, Seed: spec.Seed, Attrs: spec.Attrs}, lo, hi)
-		if err != nil {
-			panic(err)
-		}
-		if !spec.Continuous {
-			local = discretize.UniformPaper(local, quest.PaperBins(), quest.Ranges())
-		}
-		trees[c.Rank()] = build(c, local, spec.Options)
-	})
+	d := workload(quest.Config{Function: spec.Function, Seed: spec.Seed, Attrs: spec.Attrs}, 0, spec.Records, spec.Continuous)
+	br := mustRun(build.Spec{
+		Builder:  string(spec.Formulation),
+		Procs:    spec.Procs,
+		Machine:  spec.Machine,
+		Topology: spec.Topology,
+		Coll:     spec.Coll,
+		Options:  spec.Options,
+		Trace:    spec.Trace,
+	}, d)
+	w := br.World
 	res := Result{
 		Spec:           spec,
 		ModeledSeconds: w.MaxClock(),
 		Traffic:        w.Traffic(),
-		Tree:           trees[0].Stats(),
+		Tree:           br.Tree.Stats(),
 		Breakdown:      w.Breakdown(),
 		Encoding:       w.EncodingByPhase(),
 	}
 	if spec.Trace {
 		res.Events = w.Events()
 	}
-	return res, trees[0]
+	return res, br.Tree
+}
+
+// workload generates rows [lo, hi) of the Quest stream, discretized with
+// the paper's uniform preprocessing unless continuous.
+func workload(cfg quest.Config, lo, hi int, continuous bool) *dataset.Dataset {
+	d, err := quest.GenerateBlock(cfg, lo, hi)
+	if err != nil {
+		panic(err)
+	}
+	if !continuous {
+		d = discretize.UniformPaper(d, quest.PaperBins(), quest.Ranges())
+	}
+	return d
+}
+
+// mustRun builds s on d; the experiments' specs are fixed, so an error is
+// a bug.
+func mustRun(s build.Spec, d *dataset.Dataset) build.Result {
+	res, err := build.Run(s, d)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }
 
 // SpeedupPoint is one point of a speedup curve.

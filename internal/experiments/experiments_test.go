@@ -81,15 +81,6 @@ func TestEfficiencyAtBounds(t *testing.T) {
 	}
 }
 
-func TestBuilderPanicsOnUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown formulation accepted")
-		}
-	}()
-	Formulation("bogus").Builder()
-}
-
 // TestSamplingMotivation: the introduction's claim — small samples lose
 // test accuracy relative to the full training set.
 func TestSamplingMotivation(t *testing.T) {

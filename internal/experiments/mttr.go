@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"os"
 
+	"partree/internal/build"
 	"partree/internal/core"
-	"partree/internal/discretize"
 	"partree/internal/fault"
 	"partree/internal/mp"
 	"partree/internal/quest"
@@ -123,12 +123,23 @@ func (a RecoveryBench) MarshalIndent() ([]byte, error) {
 // resumed tree is diffed against the fault-free baseline.
 func RunMTTR(spec MTTRSpec) ([]MTTRRow, error) {
 	spec = spec.withDefaults()
+	d := workload(quest.Config{Function: spec.Function, Seed: spec.Seed}, 0, spec.Records, false)
+	// run is one training process of the sweep: procs ranks, an optional
+	// durable store (nil disables fault tolerance) and an optional plan.
+	run := func(procs int, st fault.Store, ckptEvery int, resume bool, plan *fault.Plan) build.Result {
+		o := spec.Options
+		if st != nil {
+			o.FT = &core.FTOptions{Store: st, CheckpointEvery: ckptEvery, Resume: resume}
+		}
+		return mustRun(build.Spec{Builder: string(spec.Formulation), Procs: procs,
+			Machine: spec.Machine, Options: o, Fault: plan}, d)
+	}
 
-	baseTree, baseW, _ := mttrRun(spec, spec.Procs, nil, 0, false, nil)
-	if baseTree == nil {
+	base := run(spec.Procs, nil, 0, false, nil)
+	if base.Tree == nil {
 		return nil, fmt.Errorf("experiments: baseline run of %s produced no tree", spec.Formulation)
 	}
-	baseSec := baseW.MaxClock()
+	baseTree, baseSec := base.Tree, base.World.MaxClock()
 
 	var rows []MTTRRow
 	for _, k := range spec.Intervals {
@@ -142,13 +153,13 @@ func RunMTTR(spec MTTRSpec) ([]MTTRRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		cleanTree, cleanW, _ := mttrRun(spec, spec.Procs, cleanStore, k, false, nil)
+		clean := run(spec.Procs, cleanStore, k, false, nil)
 		cleanStore.Close()
 		os.RemoveAll(cleanDir)
-		if cleanTree == nil {
+		if clean.Tree == nil {
 			return nil, fmt.Errorf("experiments: clean FT run of %s produced no tree", spec.Formulation)
 		}
-		cleanSec := cleanW.MaxClock()
+		cleanSec := clean.World.MaxClock()
 		base := MTTRRow{
 			Formulation: string(spec.Formulation),
 			Interval:    k,
@@ -170,7 +181,7 @@ func RunMTTR(spec MTTRSpec) ([]MTTRRow, error) {
 				return nil, err
 			}
 			plan := fault.NewPlan(fault.CrashAt(1%spec.Procs, fault.CollStart, spec.HaltOp))
-			ft, fw, _ := mttrRun(spec, spec.Procs, st, k, false, plan)
+			inPlace := run(spec.Procs, st, k, false, plan)
 			stats := st.Stats()
 			io := st.DiskIO()
 			st.Close()
@@ -178,11 +189,11 @@ func RunMTTR(spec MTTRSpec) ([]MTTRRow, error) {
 			row := base
 			row.Mode = "in-place"
 			row.ResumeProcs = spec.Procs - 1
-			row.MTTRSec = fw.MaxClock() - cleanSec
+			row.MTTRSec = inPlace.World.MaxClock() - cleanSec
 			row.CheckpointMB = float64(stats.Bytes) / 1e6
 			row.RestoredMB = float64(stats.RestoredB) / 1e6
 			row.DiskWrittenMB = float64(io.WrittenB) / 1e6
-			row.TreeEqual = ft != nil && tree.Diff(baseTree, ft) == ""
+			row.TreeEqual = inPlace.Tree != nil && tree.Diff(baseTree, inPlace.Tree) == ""
 			rows = append(rows, row)
 		}
 
@@ -204,14 +215,14 @@ func RunMTTR(spec MTTRSpec) ([]MTTRRow, error) {
 			for r := 0; r < spec.Procs; r++ {
 				fs = append(fs, fault.CrashAt(r, fault.CollStart, spec.HaltOp))
 			}
-			_, hw, _ := mttrRun(spec, spec.Procs, st, k, false, fault.NewPlan(fs...))
+			halt := run(spec.Procs, st, k, false, fault.NewPlan(fs...))
 			halted := st.Stats()
 			haltedIO := st.DiskIO()
 			st.Close()
-			if len(hw.DeadRanks()) != spec.Procs {
+			if dead := len(halt.World.DeadRanks()); dead != spec.Procs {
 				os.RemoveAll(dir)
 				return nil, fmt.Errorf("experiments: halt at op %d killed %d of %d ranks of %s — move HaltOp earlier",
-					spec.HaltOp, len(hw.DeadRanks()), spec.Procs, spec.Formulation)
+					spec.HaltOp, dead, spec.Procs, spec.Formulation)
 			}
 
 			rst, err := fault.OpenDiskStore(dir)
@@ -219,7 +230,7 @@ func RunMTTR(spec MTTRSpec) ([]MTTRRow, error) {
 				os.RemoveAll(dir)
 				return nil, err
 			}
-			rt, rw, _ := mttrRun(spec, p2, rst, k, true, nil)
+			resumedRun := run(p2, rst, k, true, nil)
 			resumed := rst.Stats()
 			resumedIO := rst.DiskIO()
 			rst.Close()
@@ -231,49 +242,14 @@ func RunMTTR(spec MTTRSpec) ([]MTTRRow, error) {
 				row.Mode = "elastic"
 			}
 			row.ResumeProcs = p2
-			row.MTTRSec = rw.MaxClock()
+			row.MTTRSec = resumedRun.World.MaxClock()
 			row.CheckpointMB = float64(halted.Bytes) / 1e6
 			row.RestoredMB = float64(resumed.RestoredB) / 1e6
 			row.DiskWrittenMB = float64(haltedIO.WrittenB) / 1e6
 			row.DiskReadMB = float64(resumedIO.ReadB) / 1e6
-			row.TreeEqual = rt != nil && tree.Diff(baseTree, rt) == ""
+			row.TreeEqual = resumedRun.Tree != nil && tree.Diff(baseTree, resumedRun.Tree) == ""
 			rows = append(rows, row)
 		}
 	}
 	return rows, nil
-}
-
-// mttrRun is one training process of the sweep: procs ranks over the
-// spec's workload, an optional durable store (nil disables fault
-// tolerance), and an optional fault plan. It returns the first surviving
-// rank's tree.
-func mttrRun(spec MTTRSpec, procs int, st fault.Store, ckptEvery int, resume bool, plan *fault.Plan) (*tree.Tree, *mp.World, []*tree.Tree) {
-	o := spec.Options
-	if st != nil {
-		o.FT = &core.FTOptions{Store: st, CheckpointEvery: ckptEvery, Resume: resume}
-	}
-	build := spec.Formulation.Builder()
-	w := mp.NewWorld(procs, spec.Machine)
-	if plan != nil {
-		w.SetFaultPlan(plan)
-	}
-	trees := make([]*tree.Tree, procs)
-	w.Run(func(c *mp.Comm) {
-		lo := c.Rank() * spec.Records / procs
-		hi := (c.Rank() + 1) * spec.Records / procs
-		local, err := quest.GenerateBlock(quest.Config{Function: spec.Function, Seed: spec.Seed}, lo, hi)
-		if err != nil {
-			panic(err)
-		}
-		local = discretize.UniformPaper(local, quest.PaperBins(), quest.Ranges())
-		trees[c.Rank()] = build(c, local, o)
-	})
-	var first *tree.Tree
-	for _, t := range trees {
-		if t != nil {
-			first = t
-			break
-		}
-	}
-	return first, w, trees
 }

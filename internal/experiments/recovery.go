@@ -1,8 +1,8 @@
 package experiments
 
 import (
+	"partree/internal/build"
 	"partree/internal/core"
-	"partree/internal/discretize"
 	"partree/internal/fault"
 	"partree/internal/mp"
 	"partree/internal/quest"
@@ -78,17 +78,26 @@ type RecoveryResult struct {
 func RunRecovery(spec RecoverySpec) RecoveryResult {
 	spec = spec.withDefaults()
 	res := RecoveryResult{Spec: spec}
+	d := workload(quest.Config{Function: spec.Function, Seed: spec.Seed}, 0, spec.Records, false)
+	// run trains once with the given store (nil disables fault tolerance)
+	// and plan (nil injects nothing).
+	run := func(st fault.Store, plan *fault.Plan) build.Result {
+		o := spec.Options
+		if st != nil {
+			o.FT = &core.FTOptions{Store: st}
+		}
+		return mustRun(build.Spec{Builder: string(spec.Formulation), Procs: spec.Procs,
+			Machine: spec.Machine, Options: o, Fault: plan}, d)
+	}
 
-	baseTree, baseW, _ := recoveryRun(spec, nil, nil)
-	res.BaselineSeconds = baseW.MaxClock()
+	base := run(nil, nil)
+	res.BaselineSeconds = base.World.MaxClock()
 
-	cleanStore := fault.NewStore()
-	_, cleanW, _ := recoveryRun(spec, cleanStore, nil)
-	res.CleanSeconds = cleanW.MaxClock()
+	res.CleanSeconds = run(fault.NewStore(), nil).World.MaxClock()
 
 	faultStore := fault.NewStore()
-	plan := fault.NewPlan(fault.CrashAt(spec.CrashRank, fault.CollStart, spec.CrashOp))
-	faultTree, faultW, _ := recoveryRun(spec, faultStore, plan)
+	faulted := run(faultStore, fault.NewPlan(fault.CrashAt(spec.CrashRank, fault.CollStart, spec.CrashOp)))
+	faultW := faulted.World
 	res.FaultSeconds = faultW.MaxClock()
 	st := faultStore.Stats()
 	res.Checkpoints = st.Checkpoints
@@ -97,40 +106,6 @@ func RunRecovery(spec RecoverySpec) RecoveryResult {
 	res.RestoredMB = float64(st.RestoredB) / 1e6
 	res.DeadRanks = faultW.DeadRanks()
 	res.Recovery = faultW.Breakdown().Phase(core.PhaseRecovery)
-	res.TreeEqual = faultTree != nil && tree.Diff(baseTree, faultTree) == ""
+	res.TreeEqual = faulted.Tree != nil && tree.Diff(base.Tree, faulted.Tree) == ""
 	return res
-}
-
-// recoveryRun trains once with the given store (nil disables fault
-// tolerance) and plan (nil injects nothing), returning the first
-// surviving rank's tree.
-func recoveryRun(spec RecoverySpec, st fault.Store, plan *fault.Plan) (*tree.Tree, *mp.World, []*tree.Tree) {
-	o := spec.Options
-	if st != nil {
-		o.FT = &core.FTOptions{Store: st}
-	}
-	build := spec.Formulation.Builder()
-	w := mp.NewWorld(spec.Procs, spec.Machine)
-	if plan != nil {
-		w.SetFaultPlan(plan)
-	}
-	trees := make([]*tree.Tree, spec.Procs)
-	w.Run(func(c *mp.Comm) {
-		lo := c.Rank() * spec.Records / spec.Procs
-		hi := (c.Rank() + 1) * spec.Records / spec.Procs
-		local, err := quest.GenerateBlock(quest.Config{Function: spec.Function, Seed: spec.Seed}, lo, hi)
-		if err != nil {
-			panic(err)
-		}
-		local = discretize.UniformPaper(local, quest.PaperBins(), quest.Ranges())
-		trees[c.Rank()] = build(c, local, o)
-	})
-	var first *tree.Tree
-	for _, t := range trees {
-		if t != nil {
-			first = t
-			break
-		}
-	}
-	return first, w, trees
 }

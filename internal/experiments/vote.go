@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"partree/internal/dataset"
-	"partree/internal/discretize"
 	"partree/internal/quest"
 	"partree/internal/tree"
 )
@@ -39,15 +38,8 @@ func VoteSweep(base Spec, attrs, ks []int, testRecords int) []VotePoint {
 		spec.Attrs = a
 		spec.Options.Tree.Vote.K = 0
 		sd := spec.withDefaults()
-		test, err := quest.GenerateBlock(
-			quest.Config{Function: sd.Function, Seed: sd.Seed, Attrs: a},
-			sd.Records, sd.Records+testRecords)
-		if err != nil {
-			panic(err)
-		}
-		if !sd.Continuous {
-			test = discretize.UniformPaper(test, quest.PaperBins(), quest.Ranges())
-		}
+		test := workload(quest.Config{Function: sd.Function, Seed: sd.Seed, Attrs: a},
+			sd.Records, sd.Records+testRecords, sd.Continuous)
 		exactRes, exactTree := runTree(spec)
 		out = append(out, votePoint(exactRes, exactTree, exactTree, a, 0, test))
 		for _, k := range ks {

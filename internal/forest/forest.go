@@ -24,14 +24,10 @@ import (
 	"sort"
 	"sync"
 
+	"partree/internal/build"
 	"partree/internal/core"
 	"partree/internal/dataset"
-	"partree/internal/mp"
-	"partree/internal/scalparc"
-	"partree/internal/sliq"
-	"partree/internal/sprint"
 	"partree/internal/tree"
-	"partree/internal/vertical"
 )
 
 // VoteMode selects how member predictions combine into the forest's.
@@ -59,18 +55,14 @@ func (v VoteMode) String() string {
 	}
 }
 
-// Builders lists the supported member builders: every formulation in the
-// repository can grow forest members.
-var Builders = []string{"hunt", "bfs", "sliq", "sprint", "sync", "partitioned", "hybrid", "scalparc", "vertical"}
-
 // Config parameterizes ensemble training.
 type Config struct {
 	// Trees is the ensemble size (required, >= 1).
 	Trees int
-	// Builder names the member builder, one of Builders. Default "hunt".
+	// Builder names the member builder, any build.Names entry. Default
+	// "hunt".
 	Builder string
-	// Procs is the modeled rank count for the multi-rank builders
-	// (sync/partitioned/hybrid/scalparc/vertical). Default 4.
+	// Procs is the modeled rank count of a multi-rank builder. Default 4.
 	Procs int
 	// Seed is the master seed every per-member bootstrap and subspace
 	// seed derives from.
@@ -87,11 +79,9 @@ type Config struct {
 	Vote VoteMode
 	// Tree holds the per-member induction parameters.
 	Tree tree.Options
-	// SyncEveryNodes, MicroBins, NodeBins mirror core.Options for the
-	// multi-rank builders; zero keeps their defaults.
-	SyncEveryNodes int
-	MicroBins      int
-	NodeBins       int
+	// MicroBins and NodeBins set the multi-rank builders' per-node
+	// discretization (core.Options); zero keeps their defaults.
+	MicroBins, NodeBins int
 	// Workers bounds concurrent member builds; <= 0 means GOMAXPROCS.
 	// The forest is identical for every worker count.
 	Workers int
@@ -118,13 +108,11 @@ func (c Config) Validate() error {
 	if c.FeatureFraction < 0 || c.FeatureFraction > 1 {
 		return fmt.Errorf("forest: FeatureFraction %g out of [0, 1]", c.FeatureFraction)
 	}
-	b := c.withDefaults().Builder
-	for _, known := range Builders {
-		if b == known {
-			return nil
-		}
+	c = c.withDefaults()
+	if err := (build.Spec{Builder: c.Builder, Procs: c.Procs}).Validate(); err != nil {
+		return fmt.Errorf("forest: %w", err)
 	}
-	return fmt.Errorf("forest: unknown builder %q (want one of %v)", b, Builders)
+	return nil
 }
 
 // Forest is a trained ensemble: member trees sharing one schema, plus the
@@ -248,7 +236,8 @@ func Train(d *dataset.Dataset, cfg Config) (*Forest, error) {
 
 // trainMember grows member m: draw its bootstrap sample and feature
 // subspace, build through the configured builder on the (possibly
-// projected) view, and remap the finished tree back onto the full schema.
+// projected) view — a multi-rank builder on a fresh modeled world — and
+// remap the finished tree back onto the full schema.
 func trainMember(d *dataset.Dataset, cfg Config, m int) (*tree.Tree, error) {
 	sample := d
 	if cfg.Bootstrap {
@@ -259,14 +248,18 @@ func trainMember(d *dataset.Dataset, cfg Config, m int) (*tree.Tree, error) {
 		sample.AssignRIDs(0)
 	}
 	attrs := subspace(cfg.Seed, m, d.Schema.NumAttrs(), cfg.FeatureFraction)
-	build := sample
+	view := sample
 	if attrs != nil {
-		build = sample.Project(attrs)
+		view = sample.Project(attrs)
 	}
-	t, err := buildOne(cfg, build)
+	topts := cfg.Tree
+	topts.Binner = nil // per-member data means per-member binners
+	res, err := build.Run(build.Spec{Builder: cfg.Builder, Procs: cfg.Procs,
+		Options: core.Options{Tree: topts, MicroBins: cfg.MicroBins, NodeBins: cfg.NodeBins}}, view)
 	if err != nil {
 		return nil, err
 	}
+	t := res.Tree
 	if attrs != nil {
 		if err := t.RemapAttrs(attrs, d.Schema); err != nil {
 			return nil, err
@@ -277,64 +270,6 @@ func trainMember(d *dataset.Dataset, cfg Config, m int) (*tree.Tree, error) {
 	// forest schema.
 	t.Schema = d.Schema
 	return t, nil
-}
-
-// buildOne dispatches a single build to the named builder. The multi-rank
-// formulations run on a fresh modeled world per member.
-func buildOne(cfg Config, d *dataset.Dataset) (t *tree.Tree, err error) {
-	topts := cfg.Tree
-	topts.Binner = nil // per-member data means per-member binners
-	coreOpts := core.Options{
-		Tree:           topts,
-		SyncEveryNodes: cfg.SyncEveryNodes,
-		MicroBins:      cfg.MicroBins,
-		NodeBins:       cfg.NodeBins,
-	}
-	switch cfg.Builder {
-	case "hunt":
-		return tree.BuildHunt(d, topts), nil
-	case "bfs":
-		return tree.BuildBFS(d, coreOpts.SerialOptions(d)), nil
-	case "sliq":
-		return sliq.Build(d, topts), nil
-	case "sprint":
-		return sprint.Build(d, topts), nil
-	case "sync", "partitioned", "hybrid", "scalparc", "vertical":
-		return buildRanks(cfg, d, coreOpts)
-	default:
-		return nil, fmt.Errorf("forest: unknown builder %q", cfg.Builder)
-	}
-}
-
-// buildRanks runs one member build on a modeled multi-rank world and
-// returns the (identical-on-every-rank) tree of the lowest rank.
-func buildRanks(cfg Config, d *dataset.Dataset, o core.Options) (*tree.Tree, error) {
-	p := cfg.Procs
-	w := mp.NewWorld(p, mp.SP2())
-	trees := make([]*tree.Tree, p)
-	blocks := d.BlockPartition(p)
-	w.Run(func(c *mp.Comm) {
-		switch cfg.Builder {
-		case "sync":
-			trees[c.Rank()] = core.BuildSync(c, blocks[c.Rank()], o)
-		case "partitioned":
-			trees[c.Rank()] = core.BuildPartitioned(c, blocks[c.Rank()], o)
-		case "hybrid":
-			trees[c.Rank()] = core.BuildHybrid(c, blocks[c.Rank()], o)
-		case "scalparc":
-			trees[c.Rank()] = scalparc.Build(c, blocks[c.Rank()], scalparc.Options{Tree: o.Tree, Mode: scalparc.DistributedHash}).Tree
-		case "vertical":
-			// Vertical partitioning divides columns: every rank holds the
-			// full member sample.
-			trees[c.Rank()] = vertical.Build(c, d, o.Tree)
-		}
-	})
-	for _, t := range trees {
-		if t != nil {
-			return t, nil
-		}
-	}
-	return nil, fmt.Errorf("forest: no rank produced a tree")
 }
 
 // Accuracy returns the fraction of rows the forest classifies correctly

@@ -109,40 +109,48 @@ func (b Breakdown) Merge(o Breakdown) {
 	}
 }
 
+// sum adds the cells that keep selects in sorted Cell order (phase,
+// collective, algorithm), so float totals do not depend on map order.
+func (b Breakdown) sum(keep func(Cell) bool) CellStats {
+	cells := make([]Cell, 0, len(b.Cells))
+	for c := range b.Cells {
+		if keep(c) {
+			cells = append(cells, c)
+		}
+	}
+	sort.Slice(cells, func(i, j int) bool {
+		x, y := cells[i], cells[j]
+		if x.Phase != y.Phase {
+			return x.Phase < y.Phase
+		}
+		if x.Coll != y.Coll {
+			return x.Coll < y.Coll
+		}
+		return x.Algo < y.Algo
+	})
+	var out CellStats
+	for _, c := range cells {
+		out.add(b.Cells[c])
+	}
+	return out
+}
+
 // Coll sums the stats of one collective kind over all phases and
 // algorithms.
 func (b Breakdown) Coll(k Coll) CellStats {
-	var out CellStats
-	for c, v := range b.Cells {
-		if c.Coll == k {
-			out.add(v)
-		}
-	}
-	return out
+	return b.sum(func(c Cell) bool { return c.Coll == k })
 }
 
 // PhaseColl sums the stats of one (phase, collective) over all
 // algorithms.
 func (b Breakdown) PhaseColl(phase string, k Coll) CellStats {
-	var out CellStats
-	for c, v := range b.Cells {
-		if c.Phase == phase && c.Coll == k {
-			out.add(v)
-		}
-	}
-	return out
+	return b.sum(func(c Cell) bool { return c.Phase == phase && c.Coll == k })
 }
 
 // CollAlgo sums the stats of one (collective, algorithm) pair over all
 // phases.
 func (b Breakdown) CollAlgo(k Coll, a Algo) CellStats {
-	var out CellStats
-	for c, v := range b.Cells {
-		if c.Coll == k && c.Algo == a {
-			out.add(v)
-		}
-	}
-	return out
+	return b.sum(func(c Cell) bool { return c.Coll == k && c.Algo == a })
 }
 
 // Algos returns the algorithm labels recorded for one collective kind,
@@ -164,23 +172,13 @@ func (b Breakdown) Algos(k Coll) []Algo {
 
 // Phase sums the stats of one phase over all collectives.
 func (b Breakdown) Phase(name string) CellStats {
-	var out CellStats
-	for c, v := range b.Cells {
-		if c.Phase == name {
-			out.add(v)
-		}
-	}
-	return out
+	return b.sum(func(c Cell) bool { return c.Phase == name })
 }
 
 // Total sums every cell. Its CommTime/CompTime equal the world's
 // Traffic() totals (up to float summation order).
 func (b Breakdown) Total() CellStats {
-	var out CellStats
-	for _, v := range b.Cells {
-		out.add(v)
-	}
-	return out
+	return b.sum(func(Cell) bool { return true })
 }
 
 // Phases returns the phase labels present, sorted, the unlabeled phase

@@ -265,3 +265,21 @@ func TestResetClearsObservability(t *testing.T) {
 		t.Fatalf("breakdown survived Reset: %+v", total)
 	}
 }
+
+// TestBreakdownTableOrderIndependent: the phase, collective and total
+// rows sum cells in sorted order, so cells whose float sum depends on the
+// order of addition still render one table.
+func TestBreakdownTableOrderIndependent(t *testing.T) {
+	b := NewBreakdown()
+	b.Cells[Cell{"p", CollAllreduce, "a"}] = CellStats{Calls: 1, CommTime: 1e12}
+	for _, a := range []Algo{"b", "c", "d", "e", "f", "g", "h", "i"} {
+		b.Cells[Cell{"p", CollAllreduce, a}] = CellStats{Calls: 1, CommTime: 5e-5, CompTime: 5e-5}
+	}
+	b.Cells[Cell{"p", CollNone, ""}] = CellStats{CompTime: 1e12}
+	want := b.Table()
+	for i := 0; i < 200; i++ {
+		if got := b.Table(); got != want {
+			t.Fatalf("call %d rendered a different table:\n%s\nwant:\n%s", i, got, want)
+		}
+	}
+}

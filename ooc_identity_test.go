@@ -17,169 +17,19 @@ import (
 	"reflect"
 	"testing"
 
+	"partree/internal/build"
 	"partree/internal/core"
 	"partree/internal/dataset"
 	"partree/internal/fault"
 	"partree/internal/kernel"
 	"partree/internal/mp"
 	"partree/internal/quest"
-	"partree/internal/scalparc"
-	"partree/internal/sliq"
-	"partree/internal/sprint"
 	"partree/internal/tree"
-	"partree/internal/vertical"
 )
 
 // oocStoreChunkRows keeps store chunks small so every build crosses many
 // chunk boundaries.
 const oocStoreChunkRows = 256
-
-// oocBuild is one named way of growing a tree from a chunked table — the
-// out-of-core twin of a kernelBuild.
-type oocBuild struct {
-	name  string
-	build func(t *testing.T, tbl dataset.Table) (*tree.Tree, *mp.World)
-}
-
-// runRanksTable runs a p-rank modeled world where each rank builds from
-// its block section of the shared table.
-func runRanksTable(t *testing.T, tbl dataset.Table, p int, f func(c *mp.Comm, local dataset.Table) (*tree.Tree, error)) (*tree.Tree, *mp.World) {
-	t.Helper()
-	return runRanksTableOn(t, mp.SP2(), tbl, p, f)
-}
-
-// runRanksTableOn is runRanksTable on a given machine.
-func runRanksTableOn(t *testing.T, m mp.Machine, tbl dataset.Table, p int, f func(c *mp.Comm, local dataset.Table) (*tree.Tree, error)) (*tree.Tree, *mp.World) {
-	t.Helper()
-	w := mp.NewWorld(p, m)
-	n := tbl.Len()
-	trees := make([]*tree.Tree, p)
-	errs := make([]error, p)
-	w.Run(func(c *mp.Comm) {
-		lo, hi := dataset.BlockBounds(n, p, c.Rank())
-		trees[c.Rank()], errs[c.Rank()] = f(c, dataset.SectionOf(tbl, lo, hi))
-	})
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	for r := 1; r < p; r++ {
-		if diff := tree.Diff(trees[0], trees[r]); diff != "" {
-			t.Fatalf("rank %d tree differs from rank 0: %s", r, diff)
-		}
-	}
-	return trees[0], w
-}
-
-// oocBuilders enumerates the chunk-fed twin of every formulation in
-// kernelBuilders, with identical induction options. The genuinely
-// streaming builders (bfs, sync) keep only the slot vector resident; the
-// attribute-list builders (sliq, sprint, scalparc) stream their one-time
-// presort; the builders whose working set is inherently resident (hunt,
-// partitioned, hybrid, vertical) materialize their block through the
-// chunk interface with the read volume charged to the disk class.
-func oocBuilders(discrete bool) []oocBuild {
-	serialOpts := tree.Options{Binary: true}
-	coreOpts := core.Options{Tree: tree.Options{Binary: true}, SyncEveryNodes: 8}
-	if !discrete {
-		coreOpts.MicroBins = 32
-		coreOpts.NodeBins = 6
-	}
-	const p = 3
-	return []oocBuild{
-		{"hunt", func(t *testing.T, tbl dataset.Table) (*tree.Tree, *mp.World) {
-			d, _, err := dataset.Materialize(tbl)
-			if err != nil {
-				t.Fatalf("materialize: %v", err)
-			}
-			return tree.BuildHunt(d, serialOpts), nil
-		}},
-		{"bfs", func(t *testing.T, tbl dataset.Table) (*tree.Tree, *mp.World) {
-			to, err := coreOpts.SerialOptionsTable(tbl)
-			if err != nil {
-				t.Fatalf("options: %v", err)
-			}
-			tr, err := tree.BuildBFSOOC(tbl, to)
-			if err != nil {
-				t.Fatalf("build: %v", err)
-			}
-			return tr, nil
-		}},
-		{"sliq", func(t *testing.T, tbl dataset.Table) (*tree.Tree, *mp.World) {
-			tr, err := sliq.BuildTable(tbl, serialOpts)
-			if err != nil {
-				t.Fatalf("build: %v", err)
-			}
-			return tr, nil
-		}},
-		{"sprint", func(t *testing.T, tbl dataset.Table) (*tree.Tree, *mp.World) {
-			tr, err := sprint.BuildTable(tbl, serialOpts)
-			if err != nil {
-				t.Fatalf("build: %v", err)
-			}
-			return tr, nil
-		}},
-		{"sync", func(t *testing.T, tbl dataset.Table) (*tree.Tree, *mp.World) {
-			return runRanksTable(t, tbl, p, func(c *mp.Comm, local dataset.Table) (*tree.Tree, error) {
-				return core.BuildSyncOOC(c, local, coreOpts)
-			})
-		}},
-		{"partitioned", func(t *testing.T, tbl dataset.Table) (*tree.Tree, *mp.World) {
-			return runRanksTable(t, tbl, p, func(c *mp.Comm, local dataset.Table) (*tree.Tree, error) {
-				d, err := core.MaterializeCharged(c, local)
-				if err != nil {
-					return nil, err
-				}
-				return core.BuildPartitioned(c, d, coreOpts), nil
-			})
-		}},
-		{"hybrid", func(t *testing.T, tbl dataset.Table) (*tree.Tree, *mp.World) {
-			return runRanksTable(t, tbl, p, func(c *mp.Comm, local dataset.Table) (*tree.Tree, error) {
-				d, err := core.MaterializeCharged(c, local)
-				if err != nil {
-					return nil, err
-				}
-				return core.BuildHybrid(c, d, coreOpts), nil
-			})
-		}},
-		{"scalparc", func(t *testing.T, tbl dataset.Table) (*tree.Tree, *mp.World) {
-			return runRanksTable(t, tbl, p, func(c *mp.Comm, local dataset.Table) (*tree.Tree, error) {
-				res, err := scalparc.BuildTable(c, local, scalparc.Options{Tree: serialOpts, Mode: scalparc.DistributedHash})
-				if err != nil {
-					return nil, err
-				}
-				return res.Tree, nil
-			})
-		}},
-		{"vertical", func(t *testing.T, tbl dataset.Table) (*tree.Tree, *mp.World) {
-			// Vertical partitioning divides columns, not rows: every rank
-			// reads the full table.
-			w := mp.NewWorld(p, mp.SP2())
-			trees := make([]*tree.Tree, p)
-			errs := make([]error, p)
-			w.Run(func(c *mp.Comm) {
-				d, err := core.MaterializeCharged(c, tbl)
-				if err != nil {
-					errs[c.Rank()] = err
-					return
-				}
-				trees[c.Rank()] = vertical.Build(c, d, serialOpts)
-			})
-			for r, err := range errs {
-				if err != nil {
-					t.Fatalf("rank %d: %v", r, err)
-				}
-			}
-			for r := 1; r < p; r++ {
-				if diff := tree.Diff(trees[0], trees[r]); diff != "" {
-					t.Fatalf("rank %d tree differs from rank 0: %s", r, diff)
-				}
-			}
-			return trees[0], w
-		}},
-	}
-}
 
 // stripDisk removes the disk cost class from a breakdown: DiskBytes /
 // DiskTime are zeroed and cells left with no activity at all are dropped
@@ -223,15 +73,11 @@ func TestOOCIdentity(t *testing.T) {
 	for _, discrete := range []bool{true, false} {
 		d := genKernelData(t, discrete)
 		st := openTestStore(t, d, oocStoreChunkRows)
-		ram := kernelBuilders(discrete)
-		for i, ob := range oocBuilders(discrete) {
-			kb := ram[i]
-			if kb.name != ob.name {
-				t.Fatalf("builder lists out of sync: %q vs %q", kb.name, ob.name)
-			}
-			t.Run(fmt.Sprintf("discrete=%v/%s", discrete, ob.name), func(t *testing.T) {
-				wantTree, wantW := kb.build(t, d)
-				gotTree, gotW := ob.build(t, st)
+		for _, name := range build.Names() {
+			t.Run(fmt.Sprintf("discrete=%v/%s", discrete, name), func(t *testing.T) {
+				s := kernelSpec(name, discrete, kernel.Options{})
+				wantTree, wantW := buildRAM(t, s, d)
+				gotTree, gotW := buildTable(t, s, st)
 				if diff := tree.Diff(wantTree, gotTree); diff != "" {
 					t.Fatalf("out-of-core tree differs from in-RAM tree: %s", diff)
 				}
@@ -327,9 +173,7 @@ func TestOOCSyncPin(t *testing.T) {
 			for _, td := range []float64{0, 2e-9} {
 				name := fmt.Sprintf("discrete=%v/p%d/td=%g", discrete, p, td)
 				t.Run(name, func(t *testing.T) {
-					tr, w := runRanksTableOn(t, mp.SP2().WithDiskRate(td), st, p, func(c *mp.Comm, local dataset.Table) (*tree.Tree, error) {
-						return core.BuildSyncOOC(c, local, o)
-					})
+					tr, w := buildTable(t, build.Spec{Builder: "sync", Procs: p, Machine: mp.SP2().WithDiskRate(td), Options: o}, st)
 					h := sha256.New()
 					if err := tree.WriteJSON(h, tr); err != nil {
 						t.Fatal(err)
@@ -368,12 +212,9 @@ func TestOOCSyncComposes(t *testing.T) {
 				}
 				o.Tree.Vote = kernel.VoteOptions{K: k}
 				t.Run(fmt.Sprintf("reuse=%v/k=%d/p%d", reuse, k, p), func(t *testing.T) {
-					want, ww := runRanks(t, d, p, func(c *mp.Comm, local *dataset.Dataset) *tree.Tree {
-						return core.BuildSync(c, local, o)
-					})
-					got, gw := runRanksTable(t, st, p, func(c *mp.Comm, local dataset.Table) (*tree.Tree, error) {
-						return core.BuildSyncOOC(c, local, o)
-					})
+					s := build.Spec{Builder: "sync", Procs: p, Options: o}
+					want, ww := buildRAM(t, s, d)
+					got, gw := buildTable(t, s, st)
 					if diff := tree.Diff(want, got); diff != "" {
 						t.Fatalf("out-of-core tree differs from in-RAM tree: %s", diff)
 					}

@@ -16,77 +16,12 @@ import (
 	"testing"
 	"time"
 
+	"partree/internal/build"
 	"partree/internal/core"
-	"partree/internal/dataset"
 	"partree/internal/fault"
 	"partree/internal/kernel"
-	"partree/internal/mp"
-	"partree/internal/scalparc"
-	"partree/internal/sliq"
-	"partree/internal/sprint"
 	"partree/internal/tree"
-	"partree/internal/vertical"
 )
-
-// reuseBuilders enumerates every formulation with the reuse options ro
-// threaded through. Mirrors kernelBuilders; the serial builders read
-// tree.Options.Reuse, the parallel ones core.Options.Tree.Reuse.
-func reuseBuilders(discrete bool, ro kernel.Options) []kernelBuild {
-	serialOpts := tree.Options{Binary: true, Reuse: ro}
-	coreOpts := core.Options{Tree: tree.Options{Binary: true, Reuse: ro}, SyncEveryNodes: 8}
-	if !discrete {
-		coreOpts.MicroBins = 32
-		coreOpts.NodeBins = 6
-	}
-	const p = 3
-	return []kernelBuild{
-		{"hunt", func(t *testing.T, d *dataset.Dataset) (*tree.Tree, *mp.World) {
-			return tree.BuildHunt(d, serialOpts), nil
-		}},
-		{"bfs", func(t *testing.T, d *dataset.Dataset) (*tree.Tree, *mp.World) {
-			return tree.BuildBFS(d, coreOpts.SerialOptions(d)), nil
-		}},
-		{"sliq", func(t *testing.T, d *dataset.Dataset) (*tree.Tree, *mp.World) {
-			return sliq.Build(d, serialOpts), nil
-		}},
-		{"sprint", func(t *testing.T, d *dataset.Dataset) (*tree.Tree, *mp.World) {
-			return sprint.Build(d, serialOpts), nil
-		}},
-		{"sync", func(t *testing.T, d *dataset.Dataset) (*tree.Tree, *mp.World) {
-			return runRanks(t, d, p, func(c *mp.Comm, local *dataset.Dataset) *tree.Tree {
-				return core.BuildSync(c, local, coreOpts)
-			})
-		}},
-		{"partitioned", func(t *testing.T, d *dataset.Dataset) (*tree.Tree, *mp.World) {
-			return runRanks(t, d, p, func(c *mp.Comm, local *dataset.Dataset) *tree.Tree {
-				return core.BuildPartitioned(c, local, coreOpts)
-			})
-		}},
-		{"hybrid", func(t *testing.T, d *dataset.Dataset) (*tree.Tree, *mp.World) {
-			return runRanks(t, d, p, func(c *mp.Comm, local *dataset.Dataset) *tree.Tree {
-				return core.BuildHybrid(c, local, coreOpts)
-			})
-		}},
-		{"scalparc", func(t *testing.T, d *dataset.Dataset) (*tree.Tree, *mp.World) {
-			return runRanks(t, d, p, func(c *mp.Comm, local *dataset.Dataset) *tree.Tree {
-				return scalparc.Build(c, local, scalparc.Options{Tree: serialOpts, Mode: scalparc.DistributedHash}).Tree
-			})
-		}},
-		{"vertical", func(t *testing.T, d *dataset.Dataset) (*tree.Tree, *mp.World) {
-			w := mp.NewWorld(p, mp.SP2())
-			trees := make([]*tree.Tree, p)
-			w.Run(func(c *mp.Comm) {
-				trees[c.Rank()] = vertical.Build(c, d, serialOpts)
-			})
-			for r := 1; r < p; r++ {
-				if diff := tree.Diff(trees[0], trees[r]); diff != "" {
-					t.Fatalf("rank %d tree differs from rank 0: %s", r, diff)
-				}
-			}
-			return trees[0], w
-		}},
-	}
-}
 
 // TestReuseIdentity: every formulation grows a bit-identical tree with the
 // reuse layer in any configuration — subtraction alone, sparse encoding
@@ -104,13 +39,11 @@ func TestReuseIdentity(t *testing.T) {
 	}
 	for _, discrete := range []bool{true, false} {
 		d := genKernelData(t, discrete)
-		off := reuseBuilders(discrete, kernel.Options{})
-		for bi := range off {
-			bi := bi
-			t.Run(fmt.Sprintf("discrete=%v/%s", discrete, off[bi].name), func(t *testing.T) {
-				want, _ := off[bi].build(t, d)
+		for _, name := range build.Names() {
+			t.Run(fmt.Sprintf("discrete=%v/%s", discrete, name), func(t *testing.T) {
+				want, _ := buildRAM(t, kernelSpec(name, discrete, kernel.Options{}), d)
 				for _, cfg := range configs {
-					got, _ := reuseBuilders(discrete, cfg.ro)[bi].build(t, d)
+					got, _ := buildRAM(t, kernelSpec(name, discrete, cfg.ro), d)
 					if diff := tree.Diff(want, got); diff != "" {
 						t.Fatalf("%s: tree differs from reuse-disabled reference: %s", cfg.name, diff)
 					}
@@ -126,24 +59,20 @@ func TestReuseIdentity(t *testing.T) {
 // records no encoding stats at all (the dense collective is used verbatim).
 func TestReuseDeterministicCosts(t *testing.T) {
 	d := genKernelData(t, true)
-	idx := map[string]bool{"sync": true, "partitioned": true, "hybrid": true, "scalparc": true}
-	bs1 := reuseBuilders(true, kernel.ReuseAll())
-	bs2 := reuseBuilders(true, kernel.ReuseAll())
-	for bi := range bs1 {
-		if !idx[bs1[bi].name] {
+	for _, name := range build.Names() {
+		if b, _ := build.Lookup(name); !b.MultiRank {
 			continue
 		}
-		bi := bi
-		t.Run(bs1[bi].name, func(t *testing.T) {
-			_, w1 := bs1[bi].build(t, d)
-			_, w2 := bs2[bi].build(t, d)
+		t.Run(name, func(t *testing.T) {
+			_, w1 := buildRAM(t, kernelSpec(name, true, kernel.ReuseAll()), d)
+			_, w2 := buildRAM(t, kernelSpec(name, true, kernel.ReuseAll()), d)
 			if !reflect.DeepEqual(w1.Breakdown(), w2.Breakdown()) {
 				t.Fatal("reuse-enabled breakdown not deterministic across identical runs")
 			}
 			if !reflect.DeepEqual(w1.EncodingByPhase(), w2.EncodingByPhase()) {
 				t.Fatal("encoding stats not deterministic across identical runs")
 			}
-			_, w3 := reuseBuilders(true, kernel.Options{Subtraction: true})[bi].build(t, d)
+			_, w3 := buildRAM(t, kernelSpec(name, true, kernel.Options{Subtraction: true}), d)
 			if enc := w3.EncodingByPhase(); len(enc) != 0 {
 				t.Fatalf("threshold 0 recorded encoding stats: %+v", enc)
 			}
@@ -158,15 +87,12 @@ func TestReuseDeterministicCosts(t *testing.T) {
 // straddles — the tree must stay bit-identical throughout.
 func TestReuseFlushBoundaries(t *testing.T) {
 	d := genKernelData(t, true)
-	const p = 3
 	for _, sen := range []int{1, 2, 3, 4, 5, 7, 100} {
-		sen := sen
 		t.Run(fmt.Sprintf("syncEvery=%d", sen), func(t *testing.T) {
 			mk := func(ro kernel.Options) *tree.Tree {
-				o := core.Options{Tree: tree.Options{Binary: true, Reuse: ro}, SyncEveryNodes: sen}
-				tr, _ := runRanks(t, d, p, func(c *mp.Comm, local *dataset.Dataset) *tree.Tree {
-					return core.BuildSync(c, local, o)
-				})
+				s := kernelSpec("sync", true, ro)
+				s.Options.SyncEveryNodes = sen
+				tr, _ := buildRAM(t, s, d)
 				return tr
 			}
 			want := mk(kernel.Options{})
@@ -188,28 +114,31 @@ func TestReuseIdentityUnderFaults(t *testing.T) {
 	want := tree.BuildBFS(d, o.SerialOptions(d))
 
 	const p = 4
-	run := func(t *testing.T, n int, build func(c *mp.Comm, local *dataset.Dataset) *tree.Tree) {
-		w := mp.NewWorld(p, mp.SP2())
-		w.SetFaultPlan(fault.NewPlan(fault.CrashAt(n%p, fault.CollStart, n)))
-		blocks := d.BlockPartition(p)
-		trees := make([]*tree.Tree, p)
+	ro := o
+	ro.Tree.Reuse = kernel.ReuseAll()
+	ro.FT = &core.FTOptions{Store: fault.NewStore()}
+	run := func(t *testing.T, name string, n int) {
+		s := build.Spec{Builder: name, Procs: p, Options: ro, Fault: fault.NewPlan(fault.CrashAt(n%p, fault.CollStart, n))}
+		var res build.Result
+		var err error
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			w.Run(func(c *mp.Comm) {
-				trees[c.Rank()] = build(c, blocks[c.Rank()])
-			})
+			res, err = build.Run(s, d)
 		}()
 		select {
 		case <-done:
 		case <-time.After(60 * time.Second):
 			t.Fatal("recovery run deadlocked (watchdog)")
 		}
+		if err != nil {
+			t.Fatal(err)
+		}
 		dead := map[int]bool{}
-		for _, r := range w.DeadRanks() {
+		for _, r := range res.World.DeadRanks() {
 			dead[r] = true
 		}
-		for r, tr := range trees {
+		for r, tr := range res.Trees {
 			if tr == nil {
 				if !dead[r] {
 					t.Fatalf("rank %d returned no tree but is not dead", r)
@@ -221,19 +150,9 @@ func TestReuseIdentityUnderFaults(t *testing.T) {
 			}
 		}
 	}
-	ro := o
-	ro.Tree.Reuse = kernel.ReuseAll()
-	ro.FT = &core.FTOptions{Store: fault.NewStore()}
 	for _, n := range []int{3, 5, 8} {
-		t.Run(fmt.Sprintf("sync-crash-op%d", n), func(t *testing.T) {
-			run(t, n, func(c *mp.Comm, local *dataset.Dataset) *tree.Tree {
-				return core.BuildSync(c, local, ro)
-			})
-		})
-		t.Run(fmt.Sprintf("hybrid-crash-op%d", n), func(t *testing.T) {
-			run(t, n, func(c *mp.Comm, local *dataset.Dataset) *tree.Tree {
-				return core.BuildHybrid(c, local, ro)
-			})
-		})
+		for _, name := range []string{"sync", "hybrid"} {
+			t.Run(fmt.Sprintf("%s-crash-op%d", name, n), func(t *testing.T) { run(t, name, n) })
+		}
 	}
 }

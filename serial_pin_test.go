@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"partree/internal/core"
-	"partree/internal/dataset"
 	"partree/internal/kernel"
 	"partree/internal/mp"
 	"partree/internal/tree"
@@ -35,19 +34,8 @@ var pinReuses = []struct {
 	{"all", kernel.ReuseAll()},
 }
 
-func pinCoreOptions(discrete bool, ro kernel.Options) core.Options {
-	o := core.Options{Tree: tree.Options{Binary: true, Reuse: ro}, SyncEveryNodes: 8}
-	if !discrete {
-		o.MicroBins = 32
-		o.NodeBins = 6
-	}
-	return o
-}
-
 // hashCells writes every breakdown cell, sorted, with its floats in
-// round-trip form. Breakdown.Table is not hashed: its phase and total rows
-// sum cells in map order, so their last printed digit can differ between
-// identical runs.
+// round-trip form.
 func hashCells(h hash.Hash, b mp.Breakdown) {
 	keys := make([]string, 0, len(b.Cells))
 	vals := map[string]mp.CellStats{}
@@ -76,7 +64,7 @@ func TestSerialBFSPin(t *testing.T) {
 		for _, ru := range pinReuses {
 			name := fmt.Sprintf("discrete=%v/reuse=%s", discrete, ru.name)
 			t.Run(name, func(t *testing.T) {
-				o := pinCoreOptions(discrete, ru.ro).SerialOptions(d)
+				o := kernelSpec("bfs", discrete, ru.ro).Options.SerialOptions(d)
 				root := &tree.Node{ID: 0, Kind: tree.Leaf, Dist: make([]int64, d.Schema.NumClasses())}
 				scan, word := tree.GrowFrontierBFS(d, []tree.FrontierItem{{Node: root, Idx: d.AllIndex()}}, o, tree.NewIDGen(1))
 				tr := &tree.Tree{Schema: d.Schema, Root: root}
@@ -121,24 +109,16 @@ func TestSequentialPhasePin(t *testing.T) {
 		"discrete=false/hybrid/p5/reuse=sub":      "5c4025499be0126a60f8283e2453e14c6d6d13d2ec40d170d40fd043626f8fe6",
 		"discrete=false/hybrid/p5/reuse=all":      "90aca334acdf82db9127c4ffdea12e6d8dacf86cb121d3e9d7d931d7b036f790",
 	}
-	builds := []struct {
-		name  string
-		build func(c *mp.Comm, local *dataset.Dataset, o core.Options) *tree.Tree
-	}{
-		{"partitioned", core.BuildPartitioned},
-		{"hybrid", core.BuildHybrid},
-	}
 	for _, discrete := range []bool{true, false} {
 		d := genKernelData(t, discrete)
-		for _, b := range builds {
+		for _, b := range []string{"partitioned", "hybrid"} {
 			for _, p := range []int{3, 5} {
 				for _, ru := range pinReuses {
-					name := fmt.Sprintf("discrete=%v/%s/p%d/reuse=%s", discrete, b.name, p, ru.name)
+					name := fmt.Sprintf("discrete=%v/%s/p%d/reuse=%s", discrete, b, p, ru.name)
 					t.Run(name, func(t *testing.T) {
-						o := pinCoreOptions(discrete, ru.ro)
-						tr, w := runRanks(t, d, p, func(c *mp.Comm, local *dataset.Dataset) *tree.Tree {
-							return b.build(c, local, o)
-						})
+						s := kernelSpec(b, discrete, ru.ro)
+						s.Procs = p
+						tr, w := buildRAM(t, s, d)
 						h := sha256.New()
 						if err := tree.WriteJSON(h, tr); err != nil {
 							t.Fatal(err)

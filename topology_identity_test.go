@@ -12,64 +12,11 @@ import (
 	"reflect"
 	"testing"
 
-	"partree/internal/core"
-	"partree/internal/dataset"
+	"partree/internal/build"
 	"partree/internal/kernel"
 	"partree/internal/mp"
-	"partree/internal/scalparc"
 	"partree/internal/tree"
 )
-
-// netConfig is one network configuration applied to a fresh world before
-// a build; the zero value leaves the world untouched.
-type netConfig struct {
-	topology string
-	coll     string
-	hopLat   float64
-}
-
-func (nc netConfig) apply(w *mp.World, p int) {
-	if nc.topology != "" {
-		topo, err := mp.NewTopology(nc.topology, p)
-		if err != nil {
-			panic(err)
-		}
-		w.SetTopology(topo)
-	}
-	if nc.coll != "" {
-		cfg, err := mp.ParseCollSpec(nc.coll)
-		if err != nil {
-			panic(err)
-		}
-		w.SetCollConfig(cfg)
-	}
-}
-
-func (nc netConfig) machine() mp.Machine {
-	m := mp.SP2()
-	if nc.hopLat != 0 {
-		m = m.WithHopLatency(nc.hopLat)
-	}
-	return m
-}
-
-// runRanksNet is runRanks with an explicit world size and network config.
-func runRanksNet(t *testing.T, d *dataset.Dataset, p int, nc netConfig, f func(c *mp.Comm, local *dataset.Dataset) *tree.Tree) (*tree.Tree, *mp.World) {
-	t.Helper()
-	w := mp.NewWorld(p, nc.machine())
-	nc.apply(w, p)
-	blocks := d.BlockPartition(p)
-	trees := make([]*tree.Tree, p)
-	w.Run(func(c *mp.Comm) {
-		trees[c.Rank()] = f(c, blocks[c.Rank()])
-	})
-	for r := 1; r < p; r++ {
-		if diff := tree.Diff(trees[0], trees[r]); diff != "" {
-			t.Fatalf("rank %d tree differs from rank 0: %s", r, diff)
-		}
-	}
-	return trees[0], w
-}
 
 // TestDefaultNetworkConfigIdentity: for every formulation, a world that
 // explicitly sets the hypercube topology and the default collective
@@ -77,21 +24,19 @@ func runRanksNet(t *testing.T, d *dataset.Dataset, p int, nc netConfig, f func(c
 // breakdown — to an untouched world. This is the acceptance gate for the
 // topology refactor: the default path must not have moved.
 func TestDefaultNetworkConfigIdentity(t *testing.T) {
-	explicit := netConfig{topology: "hypercube", coll: "default"}
 	for _, discrete := range []bool{true, false} {
 		d := genKernelData(t, discrete)
-		for _, b := range kernelBuilders(discrete) {
-			t.Run(fmt.Sprintf("discrete=%v/%s", discrete, b.name), func(t *testing.T) {
-				wantTree, wantW := b.build(t, d) // untouched worlds inside
-				gotTree, gotW := buildWithNet(t, d, b.name, discrete, explicit)
-				if gotTree == nil {
+		for _, name := range build.Names() {
+			t.Run(fmt.Sprintf("discrete=%v/%s", discrete, name), func(t *testing.T) {
+				if b, _ := build.Lookup(name); !b.MultiRank {
 					t.Skip("single-process builder: no world to configure")
 				}
+				s := kernelSpec(name, discrete, kernel.Options{})
+				wantTree, wantW := buildRAM(t, s, d) // untouched world
+				s.Topology, s.Coll = "hypercube", "default"
+				gotTree, gotW := buildRAM(t, s, d)
 				if diff := tree.Diff(wantTree, gotTree); diff != "" {
 					t.Fatalf("explicit default config changed the tree: %s", diff)
-				}
-				if wantW == nil || gotW == nil {
-					return
 				}
 				if wantW.MaxClock() != gotW.MaxClock() {
 					t.Fatalf("explicit default config changed the modeled clock: %v vs %v",
@@ -112,39 +57,6 @@ func TestDefaultNetworkConfigIdentity(t *testing.T) {
 	}
 }
 
-// buildWithNet rebuilds kernelBuilders' multi-rank formulations with a
-// network config; returns nils for the single-process builders.
-func buildWithNet(t *testing.T, d *dataset.Dataset, name string, discrete bool, nc netConfig) (*tree.Tree, *mp.World) {
-	t.Helper()
-	coreOpts := core.Options{Tree: tree.Options{Binary: true}, SyncEveryNodes: 8}
-	if !discrete {
-		coreOpts.MicroBins = 32
-		coreOpts.NodeBins = 6
-	}
-	serialOpts := tree.Options{Binary: true}
-	const p = 3
-	switch name {
-	case "sync":
-		return runRanksNet(t, d, p, nc, func(c *mp.Comm, local *dataset.Dataset) *tree.Tree {
-			return core.BuildSync(c, local, coreOpts)
-		})
-	case "partitioned":
-		return runRanksNet(t, d, p, nc, func(c *mp.Comm, local *dataset.Dataset) *tree.Tree {
-			return core.BuildPartitioned(c, local, coreOpts)
-		})
-	case "hybrid":
-		return runRanksNet(t, d, p, nc, func(c *mp.Comm, local *dataset.Dataset) *tree.Tree {
-			return core.BuildHybrid(c, local, coreOpts)
-		})
-	case "scalparc":
-		return runRanksNet(t, d, p, nc, func(c *mp.Comm, local *dataset.Dataset) *tree.Tree {
-			return scalparc.Build(c, local, scalparc.Options{Tree: serialOpts, Mode: scalparc.DistributedHash}).Tree
-		})
-	default:
-		return nil, nil
-	}
-}
-
 // TestNonPowerOfTwoDifferential: every multi-rank formulation at
 // P ∈ {3, 5, 6, 12} grows the same tree as its serial reference, and the
 // per-phase breakdown stays internally consistent with the raw traffic
@@ -153,47 +65,22 @@ func buildWithNet(t *testing.T, d *dataset.Dataset, name string, discrete bool, 
 // exactly as correct as the recursive-doubling fast path.
 func TestNonPowerOfTwoDifferential(t *testing.T) {
 	d := genKernelData(t, true)
-	coreOpts := core.Options{Tree: tree.Options{Binary: true}, SyncEveryNodes: 8}
-	serialRef := tree.BuildBFS(d, coreOpts.SerialOptions(d))
-	builders := []struct {
-		name  string
-		build func(c *mp.Comm, local *dataset.Dataset) *tree.Tree
-	}{
-		{"sync", func(c *mp.Comm, local *dataset.Dataset) *tree.Tree {
-			return core.BuildSync(c, local, coreOpts)
-		}},
-		{"partitioned", func(c *mp.Comm, local *dataset.Dataset) *tree.Tree {
-			return core.BuildPartitioned(c, local, coreOpts)
-		}},
-		{"hybrid", func(c *mp.Comm, local *dataset.Dataset) *tree.Tree {
-			return core.BuildHybrid(c, local, coreOpts)
-		}},
-	}
+	serialRef, _ := buildRAM(t, kernelSpec("bfs", true, kernel.Options{}), d)
 	for _, p := range []int{3, 5, 6, 12} {
-		for _, b := range builders {
-			t.Run(fmt.Sprintf("p=%d/%s", p, b.name), func(t *testing.T) {
-				got, w := runRanksNet(t, d, p, netConfig{}, b.build)
+		for _, name := range build.Names() {
+			if b, _ := build.Lookup(name); !b.MultiRank {
+				continue
+			}
+			t.Run(fmt.Sprintf("p=%d/%s", p, name), func(t *testing.T) {
+				s := kernelSpec(name, true, kernel.Options{})
+				s.Procs = p
+				got, w := buildRAM(t, s, d)
 				if diff := tree.Diff(serialRef, got); diff != "" {
 					t.Fatalf("P=%d tree differs from serial reference: %s", p, diff)
 				}
 				checkBreakdownConsistent(t, w)
 			})
 		}
-		// ScalParC's distributed hash tables give identical trees across
-		// ranks (checked inside runRanksNet) but take their own split
-		// path; compare against its own P=2 run instead of the BFS serial.
-		t.Run(fmt.Sprintf("p=%d/scalparc", p), func(t *testing.T) {
-			ref, _ := runRanksNet(t, d, 2, netConfig{}, func(c *mp.Comm, local *dataset.Dataset) *tree.Tree {
-				return scalparc.Build(c, local, scalparc.Options{Tree: tree.Options{Binary: true}, Mode: scalparc.DistributedHash}).Tree
-			})
-			got, w := runRanksNet(t, d, p, netConfig{}, func(c *mp.Comm, local *dataset.Dataset) *tree.Tree {
-				return scalparc.Build(c, local, scalparc.Options{Tree: tree.Options{Binary: true}, Mode: scalparc.DistributedHash}).Tree
-			})
-			if diff := tree.Diff(ref, got); diff != "" {
-				t.Fatalf("P=%d scalparc tree differs from P=2 reference: %s", p, diff)
-			}
-			checkBreakdownConsistent(t, w)
-		})
 	}
 }
 
@@ -216,35 +103,32 @@ func checkBreakdownConsistent(t *testing.T, w *mp.World) {
 // runs under every allreduce algorithm.
 func TestTreeInvariantUnderNetworkConfig(t *testing.T) {
 	d := genKernelData(t, true)
-	coreOpts := core.Options{Tree: tree.Options{Binary: true}, SyncEveryNodes: 8}
-	coreOpts.Tree.Reuse = kernel.ReuseAll()
-	build := func(c *mp.Comm, local *dataset.Dataset) *tree.Tree {
-		return core.BuildSync(c, local, coreOpts)
-	}
-	const p = 6
-	want, _ := runRanksNet(t, d, p, netConfig{}, build)
-	for _, nc := range []netConfig{
-		{coll: "ring"},
-		{coll: "rhd"}, // falls back to red+bcast at p=6
-		{coll: "auto"},
-		{coll: "allreduce=ring,bcast=scatter-ag,allgather=gather+bcast"},
-		{topology: "ring", hopLat: 5e-6},
-		{topology: "torus", coll: "ring", hopLat: 5e-6},
-		{topology: "fattree", coll: "auto", hopLat: 5e-6},
+	s := kernelSpec("sync", true, kernel.ReuseAll())
+	s.Procs = 6
+	want, _ := buildRAM(t, s, d)
+	for _, nc := range []build.Spec{
+		{Coll: "ring"},
+		{Coll: "rhd"}, // falls back to red+bcast at p=6
+		{Coll: "auto"},
+		{Coll: "allreduce=ring,bcast=scatter-ag,allgather=gather+bcast"},
+		{Topology: "ring", Machine: mp.SP2().WithHopLatency(5e-6)},
+		{Topology: "torus", Coll: "ring", Machine: mp.SP2().WithHopLatency(5e-6)},
+		{Topology: "fattree", Coll: "auto", Machine: mp.SP2().WithHopLatency(5e-6)},
 	} {
-		got, w := runRanksNet(t, d, p, nc, build)
+		s.Topology, s.Coll, s.Machine = nc.Topology, nc.Coll, nc.Machine
+		got, w := buildRAM(t, s, d)
 		if diff := tree.Diff(want, got); diff != "" {
-			t.Fatalf("config %+v changed the tree: %s", nc, diff)
+			t.Fatalf("config %s/%s/t_h=%g changed the tree: %s", nc.Topology, nc.Coll, nc.Machine.TH, diff)
 		}
 		checkBreakdownConsistent(t, w)
 	}
 	// The hybrid's split trigger is allowed to depend on the configured
 	// algorithm's cost model, but its tree must still match the serial
 	// reference under the default trigger semantics.
-	serialRef := tree.BuildBFS(d, core.Options{Tree: tree.Options{Binary: true}, SyncEveryNodes: 8}.SerialOptions(d))
-	hybridGot, _ := runRanksNet(t, d, p, netConfig{coll: "ring"}, func(c *mp.Comm, local *dataset.Dataset) *tree.Tree {
-		return core.BuildHybrid(c, local, core.Options{Tree: tree.Options{Binary: true}, SyncEveryNodes: 8})
-	})
+	serialRef, _ := buildRAM(t, kernelSpec("bfs", true, kernel.Options{}), d)
+	hs := kernelSpec("hybrid", true, kernel.Options{})
+	hs.Procs, hs.Coll = 6, "ring"
+	hybridGot, _ := buildRAM(t, hs, d)
 	if diff := tree.Diff(serialRef, hybridGot); diff != "" {
 		t.Fatalf("hybrid under ring allreduce differs from serial reference: %s", diff)
 	}
