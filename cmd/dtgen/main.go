@@ -35,8 +35,10 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"partree/internal/dataset"
@@ -46,25 +48,48 @@ import (
 )
 
 func main() {
+	err := run(os.Args[1:], os.Stdout)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	fmt.Fprintln(os.Stderr, "dtgen:", err)
+	var u usageError
+	if errors.As(err, &u) {
+		os.Exit(2)
+	}
+	os.Exit(1)
+}
+
+// usageError is a rejected command line (exit status 2; any other
+// failure exits 1). It is returned before anything is written.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// run parses args and writes the generated rows: CSV to stdout (or -o), or
+// an on-disk column store with -ooc.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("dtgen", flag.ContinueOnError)
 	var (
-		n          = flag.Int("n", 100000, "number of records")
-		fn         = flag.Int("function", 2, "classification function 1..10")
-		seed       = flag.Uint64("seed", 1998, "generator seed")
-		attrs      = flag.Int("attrs", 0, "widen the schema to this many attributes (0 = the 9 paper attributes; extras are synthetic noise)")
-		out        = flag.String("o", "", "output file (default stdout)")
-		disc       = flag.Bool("discretize", false, "apply the paper's uniform discretization")
-		blocks     = flag.Int("blocks", 1, "emit only block i of this many (with -block)")
-		block      = flag.Int("block", 0, "block index to emit (0-based)")
-		bootstrap  = flag.Bool("bootstrap", false, "emit a with-replacement resample of the block (bagging input)")
-		sampleSeed = flag.Uint64("sample-seed", 1, "master seed of the -bootstrap draw (forest trainer stream, member 0)")
-		ooc        = flag.Bool("ooc", false, "write an on-disk column store directory instead of CSV (bounded RAM)")
-		chunkRows  = flag.Int("chunk-rows", dataset.DefaultChunkRows, "rows per chunk of the -ooc store")
+		n          = fs.Int("n", 100000, "number of records")
+		fn         = fs.Int("function", 2, "classification function 1..10")
+		seed       = fs.Uint64("seed", 1998, "generator seed")
+		attrs      = fs.Int("attrs", 0, "widen the schema to this many attributes (0 = the 9 paper attributes; extras are synthetic noise)")
+		out        = fs.String("o", "", "output file (default stdout)")
+		disc       = fs.Bool("discretize", false, "apply the paper's uniform discretization")
+		blocks     = fs.Int("blocks", 1, "emit only block i of this many (with -block)")
+		block      = fs.Int("block", 0, "block index to emit (0-based)")
+		bootstrap  = fs.Bool("bootstrap", false, "emit a with-replacement resample of the block (bagging input)")
+		sampleSeed = fs.Uint64("sample-seed", 1, "master seed of the -bootstrap draw (forest trainer stream, member 0)")
+		ooc        = fs.Bool("ooc", false, "write an on-disk column store directory instead of CSV (bounded RAM)")
+		chunkRows  = fs.Int("chunk-rows", dataset.DefaultChunkRows, "rows per chunk of the -ooc store")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *block < 0 || *block >= *blocks {
-		fmt.Fprintf(os.Stderr, "dtgen: block %d out of range 0..%d\n", *block, *blocks-1)
-		os.Exit(2)
+		return usageError(fmt.Sprintf("block %d out of range 0..%d", *block, *blocks-1))
 	}
 	lo := *block * *n / *blocks
 	hi := (*block + 1) * *n / *blocks
@@ -72,24 +97,17 @@ func main() {
 
 	if *ooc {
 		if *bootstrap {
-			fmt.Fprintln(os.Stderr, "dtgen: -bootstrap is not supported with -ooc (the resample index is Θ(n) resident)")
-			os.Exit(2)
+			return usageError("-bootstrap is not supported with -ooc (the resample index is Θ(n) resident)")
 		}
 		if *out == "" {
-			fmt.Fprintln(os.Stderr, "dtgen: -ooc requires -o (store directory)")
-			os.Exit(2)
+			return usageError("-ooc requires -o (store directory)")
 		}
-		if err := generateStore(cfg, lo, hi, *out, *chunkRows, *disc); err != nil {
-			fmt.Fprintln(os.Stderr, "dtgen:", err)
-			os.Exit(1)
-		}
-		return
+		return generateStore(cfg, lo, hi, *out, *chunkRows, *disc)
 	}
 
 	d, err := quest.GenerateBlock(cfg, lo, hi)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dtgen:", err)
-		os.Exit(2)
+		return usageError(err.Error())
 	}
 	if *bootstrap {
 		d = d.Select(forest.BootstrapIndices(*sampleSeed, 0, d.Len()))
@@ -101,24 +119,25 @@ func main() {
 		d = discretize.UniformPaper(d, quest.PaperBins(), quest.Ranges())
 	}
 
-	w := bufio.NewWriter(os.Stdout)
+	var f *os.File
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtgen:", err)
-			os.Exit(1)
+		if f, err = os.Create(*out); err != nil {
+			return err
 		}
-		defer f.Close()
-		w = bufio.NewWriter(f)
+		defer f.Close() // error paths; the success path checks Close below
+		stdout = f
 	}
+	w := bufio.NewWriter(stdout)
 	if err := dataset.WriteCSV(w, d); err != nil {
-		fmt.Fprintln(os.Stderr, "dtgen:", err)
-		os.Exit(1)
+		return err
 	}
 	if err := w.Flush(); err != nil {
-		fmt.Fprintln(os.Stderr, "dtgen:", err)
-		os.Exit(1)
+		return err
 	}
+	if f != nil {
+		return f.Close()
+	}
+	return nil
 }
 
 // recodeSink recodes each generated record through a discretizer before

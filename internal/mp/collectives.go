@@ -2,7 +2,6 @@ package mp
 
 import (
 	"fmt"
-	"math/bits"
 	"unsafe"
 )
 
@@ -83,6 +82,18 @@ func replaceExact[T Elem](c *Comm, dst, src []T, what string) {
 	copy(dst, src)
 }
 
+// denseWire is the typed wire over x: every message is a copy of its span
+// (SendSlice), folded in with op — charging TOp per element — or received
+// in place of the span, panicking on a length mismatch; what names the
+// collective in that panic.
+func denseWire[T Elem](c *Comm, x []T, op Op[T], what string) wire {
+	return wire{
+		send: func(dst, tag, lo, hi int, _ bool) { SendSlice(c, dst, tag, x[lo:hi]) },
+		fold: func(src, tag, lo, hi int) { combine(c, x[lo:hi], RecvSlice[T](c, src, tag), op) },
+		recv: func(src, tag, lo, hi int) { replaceExact(c, x[lo:hi], RecvSlice[T](c, src, tag), what) },
+	}
+}
+
 // Allreduce combines x element-wise across all ranks with op and leaves
 // the identical result in x on every rank. The algorithm is selected by
 // the world's CollConfig: by default recursive doubling for power-of-two
@@ -91,129 +102,33 @@ func replaceExact[T Elem](c *Comm, dst, src []T, what string) {
 // (reduce-scatter + allgather) and recursive halving/doubling trade
 // latency for bandwidth on large messages; "auto" picks per call from the
 // closed-form cost model. Every algorithm produces identical values.
+//
+// The broadcast half of red+bcast runs the world's Bcast algorithm, so
+// under Bcast: scatter-ag (or auto resolving to it) it is a binomial
+// scatter + ring allgather. AllreduceSum's red+bcast and ModelAllreduce
+// both use the binomial broadcast regardless.
 func Allreduce[T Elem](c *Comm, x []T, op Op[T]) {
 	p := c.Size()
 	if p == 1 {
 		return
 	}
-	algo := c.allreduceAlgo(len(x) * elemBytes[T]())
+	bytes := len(x) * elemBytes[T]()
+	algo := c.allreduceAlgo(bytes)
 	c.beginColl(CollAllreduce, 0, algo)
 	defer c.endColl()
-	switch algo {
-	case AlgoRecDoubling:
-		allreduceRD(c, x, op)
-	case AlgoRing:
-		allreduceRing(c, x, op)
-	case AlgoRecHalving:
-		allreduceRHD(c, x, op)
-	default: // AlgoReduceBcast
-		Reduce(c, x, op, 0)
-		Bcast(c, x, 0)
-	}
-}
-
-// allreduceRD is recursive doubling: log₂P pairwise exchange-and-combine
-// steps. Power-of-two sizes only.
-func allreduceRD[T Elem](c *Comm, x []T, op Op[T]) {
-	for mask := 1; mask < c.Size(); mask <<= 1 {
-		partner := c.rank ^ mask
-		SendSlice(c, partner, tagReduce, x)
-		rx := RecvSlice[T](c, partner, tagReduce)
-		combine(c, x, rx, op)
-	}
-}
-
-// allreduceRing is the bandwidth-optimal ring algorithm: a reduce-scatter
-// of P vector chunks around the ring (each rank ends up owning the fully
-// reduced chunk (rank+1) mod P) followed by a ring allgather of the
-// reduced chunks. 2(P−1) nearest-neighbour steps, each carrying ~1/P of
-// the vector. Works for any P ≥ 2.
-func allreduceRing[T Elem](c *Comm, x []T, op Op[T]) {
-	p, r, n := c.Size(), c.rank, len(x)
-	right, left := (r+1)%p, (r-1+p)%p
-	lo := func(i int) int { return i * n / p }
-	// Reduce-scatter: at step s, send the chunk reduced so far and fold
-	// the neighbour's partial into the next one.
-	for s := 0; s < p-1; s++ {
-		sc := (r - s + p) % p
-		SendSlice(c, right, tagReduce, x[lo(sc):lo(sc+1)])
-		rc := (r - s - 1 + p) % p
-		rx := RecvSlice[T](c, left, tagReduce)
-		combine(c, x[lo(rc):lo(rc+1)], rx, op)
-	}
-	// Allgather: circulate the fully reduced chunks.
-	for s := 0; s < p-1; s++ {
-		sc := (r + 1 - s + p) % p
-		SendSlice(c, right, tagBcast, x[lo(sc):lo(sc+1)])
-		rc := (r - s + p) % p
-		rx := RecvSlice[T](c, left, tagBcast)
-		replaceExact(c, x[lo(rc):lo(rc+1)], rx, "ring allgather")
-	}
-}
-
-// allreduceRHD is Rabenseifner's recursive halving/doubling: a
-// reduce-scatter by recursive vector halving (log₂P steps, message sizes
-// m/2, m/4, …) followed by an allgather by recursive doubling in reverse.
-// Same bandwidth term as the ring with only 2·log₂P latencies.
-// Power-of-two sizes only.
-func allreduceRHD[T Elem](c *Comm, x []T, op Op[T]) {
-	p, r := c.Size(), c.rank
-	type win struct{ lo, mid, hi int }
-	var stack []win
-	lo, hi := 0, len(x)
-	for mask := 1; mask < p; mask <<= 1 {
-		partner := r ^ mask
-		mid := lo + (hi-lo)/2
-		if r&mask == 0 {
-			SendSlice(c, partner, tagReduce, x[mid:hi])
-			rx := RecvSlice[T](c, partner, tagReduce)
-			combine(c, x[lo:mid], rx, op)
-			stack = append(stack, win{lo, mid, hi})
-			hi = mid
-		} else {
-			SendSlice(c, partner, tagReduce, x[lo:mid])
-			rx := RecvSlice[T](c, partner, tagReduce)
-			combine(c, x[mid:hi], rx, op)
-			stack = append(stack, win{lo, mid, hi})
-			lo = mid
-		}
-	}
-	for i := len(stack) - 1; i >= 0; i-- {
-		partner := r ^ (1 << i)
-		w := stack[i]
-		SendSlice(c, partner, tagBcast, x[lo:hi])
-		rx := RecvSlice[T](c, partner, tagBcast)
-		if r&(1<<i) == 0 {
-			replaceExact(c, x[w.mid:w.hi], rx, "rhd allgather")
-		} else {
-			replaceExact(c, x[w.lo:w.mid], rx, "rhd allgather")
-		}
-		lo, hi = w.lo, w.hi
-	}
+	scatterAG := algo == AlgoReduceBcast && c.bcastAlgo(bytes) == AlgoScatterAllgather
+	allreduce(c, algo, len(x), scatterAG, denseWire(c, x, op, "allreduce"))
 }
 
 // Reduce combines x element-wise onto rank root via a binomial tree; the
 // result is defined only at root (other ranks' x hold partial sums).
 func Reduce[T Elem](c *Comm, x []T, op Op[T], root int) {
-	p := c.Size()
-	if p == 1 {
+	if c.Size() == 1 {
 		return
 	}
 	c.beginColl(CollReduce, 0, AlgoBinomial)
 	defer c.endColl()
-	vrank := (c.rank - root + p) % p
-	for mask := 1; mask < p; mask <<= 1 {
-		if vrank&mask != 0 {
-			dst := (vrank - mask + root) % p
-			SendSlice(c, dst, tagReduce, x)
-			return
-		}
-		if vrank|mask < p {
-			src := (vrank + mask + root) % p
-			rx := RecvSlice[T](c, src, tagReduce)
-			combine(c, x, rx, op)
-		}
-	}
+	binomialReduce(c, root, len(x), denseWire(c, x, op, "reduce"))
 }
 
 // Bcast distributes root's x to every rank (in place). The default
@@ -229,66 +144,7 @@ func Bcast[T Elem](c *Comm, x []T, root int) {
 	algo := c.bcastAlgo(len(x) * elemBytes[T]())
 	c.beginColl(CollBcast, 0, algo)
 	defer c.endColl()
-	if algo == AlgoScatterAllgather {
-		bcastScatterAG(c, x, root)
-		return
-	}
-	vrank := (c.rank - root + p) % p
-	var k int
-	if vrank == 0 {
-		k = bits.Len(uint(p - 1)) // ⌈log₂p⌉
-	} else {
-		k = bits.TrailingZeros(uint(vrank))
-		src := (vrank - (1 << k) + root) % p
-		rx := RecvSlice[T](c, src, tagBcast)
-		replaceExact(c, x, rx, "bcast")
-	}
-	for j := k - 1; j >= 0; j-- {
-		dst := vrank + 1<<j
-		if dst < p {
-			SendSlice(c, (dst+root)%p, tagBcast, x)
-		}
-	}
-}
-
-// bcastScatterAG splits x into P chunks, scatters them down a binomial
-// tree in vrank space (each internal node keeps the chunks of its own
-// subtree and forwards the rest), then runs a ring allgather so every
-// rank assembles the full vector. Total volume ≈ 2·m·(P−1)/P per rank
-// instead of the binomial tree's m per round.
-func bcastScatterAG[T Elem](c *Comm, x []T, root int) {
-	p, n := c.Size(), len(x)
-	vrank := (c.rank - root + p) % p
-	lo := func(i int) int { return i * n / p }
-	// Binomial scatter: after it, vrank v holds the element span of
-	// chunks [v, min(v+2^TZ(v), p)); the root holds everything.
-	var k int
-	if vrank == 0 {
-		k = bits.Len(uint(p - 1))
-	} else {
-		k = bits.TrailingZeros(uint(vrank))
-		src := (vrank - 1<<k + root) % p
-		a, b := lo(vrank), lo(min(vrank+1<<k, p))
-		rx := RecvSlice[T](c, src, tagBcast)
-		replaceExact(c, x[a:b], rx, "bcast scatter")
-	}
-	for j := k - 1; j >= 0; j-- {
-		dst := vrank + 1<<j
-		if dst < p {
-			a, b := lo(dst), lo(min(dst+1<<j, p))
-			SendSlice(c, (dst+root)%p, tagBcast, x[a:b])
-		}
-	}
-	// Ring allgather of the chunks: the right neighbour in vrank space is
-	// the right neighbour in rank space, so each step is nearest-neighbour.
-	right, left := (c.rank+1)%p, (c.rank-1+p)%p
-	cur := vrank
-	for s := 0; s < p-1; s++ {
-		SendSlice(c, right, tagBcast, x[lo(cur):lo(cur+1)])
-		cur = (cur - 1 + p) % p
-		rx := RecvSlice[T](c, left, tagBcast)
-		replaceExact(c, x[lo(cur):lo(cur+1)], rx, "bcast allgather")
-	}
+	bcast(c, root, len(x), algo == AlgoScatterAllgather, denseWire(c, x, nil, "bcast"))
 }
 
 // Gatherv collects each rank's variable-length x at root, returned as a
@@ -326,17 +182,20 @@ func Allgatherv[T Elem](c *Comm, tag int, x []T) []T {
 	if algo == AlgoGatherBcast {
 		return allgathervGatherBcast(c, tag, x)
 	}
+	// Every block is its own message, so the ring runs over p one-block
+	// "elements": span [i, i+1) is block i.
 	p := c.Size()
 	blocks := make([][]T, p)
 	blocks[c.rank] = append([]T(nil), x...)
-	right := (c.rank + 1) % p
-	left := (c.rank - 1 + p) % p
-	cur := c.rank
-	for step := 0; step < p-1; step++ {
-		SendSlice(c, right, tagAllgather^tag<<8, blocks[cur])
-		cur = (cur - 1 + p) % p
-		blocks[cur] = RecvSlice[T](c, left, tagAllgather^tag<<8)
-	}
+	ringAllgather(c, tagAllgather^tag<<8, c.rank, p, wire{
+		send: func(dst, tag, i, _ int, _ bool) { SendSlice(c, dst, tag, blocks[i]) },
+		recv: func(src, tag, i, _ int) { blocks[i] = RecvSlice[T](c, src, tag) },
+	})
+	return concat(blocks)
+}
+
+// concat joins blocks in order into one freshly allocated slice.
+func concat[T Elem](blocks [][]T) []T {
 	var total int
 	for _, b := range blocks {
 		total += len(b)
@@ -355,14 +214,7 @@ func allgathervGatherBcast[T Elem](c *Comm, tag int, x []T) []T {
 	blocks := Gatherv(c, tag, x, 0)
 	var full []T
 	if c.rank == 0 {
-		var total int
-		for _, b := range blocks {
-			total += len(b)
-		}
-		full = make([]T, 0, total)
-		for _, b := range blocks {
-			full = append(full, b...)
-		}
+		full = concat(blocks)
 	}
 	payload := BcastValue(c, full, len(full)*elemBytes[T](), 0)
 	if c.rank == 0 {
@@ -409,29 +261,18 @@ func Alltoallv[T Elem](c *Comm, tag int, send [][]T) [][]T {
 // payload nil). Used to replicate assembled trees, whose wire size is
 // modeled by tree.SubtreeBytes rather than by element count.
 func BcastValue(c *Comm, payload any, bytes int, root int) any {
-	p := c.Size()
-	if p == 1 {
+	if c.Size() == 1 {
 		return payload
 	}
 	c.beginColl(CollBcast, 0, AlgoBinomial)
 	defer c.endColl()
-	vrank := (c.rank - root + p) % p
-	var k int
-	if vrank == 0 {
-		k = bits.Len(uint(p - 1))
-	} else {
-		k = bits.TrailingZeros(uint(vrank))
-		src := (vrank - (1 << k) + root) % p
-		msg := c.Recv(src, tagBcast)
-		payload = msg.Payload
-		bytes = msg.Bytes
-	}
-	for j := k - 1; j >= 0; j-- {
-		dst := vrank + 1<<j
-		if dst < p {
-			c.Send((dst+root)%p, tagBcast, payload, bytes)
-		}
-	}
+	bcast(c, root, 0, false, wire{
+		send: func(dst, tag, _, _ int, _ bool) { c.Send(dst, tag, payload, bytes) },
+		recv: func(src, tag, _, _ int) {
+			msg := c.Recv(src, tag)
+			payload, bytes = msg.Payload, msg.Bytes
+		},
+	})
 	return payload
 }
 
@@ -463,38 +304,13 @@ func (c *Comm) AllreduceClock() {
 	if p == 1 {
 		return
 	}
-	c.beginColl(CollBarrier, 0, defaultAllreduceAlgo(p))
+	algo := defaultAllreduceAlgo(p)
+	c.beginColl(CollBarrier, 0, algo)
 	defer c.endColl()
-	if p&(p-1) == 0 {
-		// Recursive doubling: log₂P rounds of zero-byte pairwise exchange.
-		for mask := 1; mask < p; mask <<= 1 {
-			partner := c.rank ^ mask
-			c.Send(partner, tagClock, nil, 0)
-			c.Recv(partner, tagClock)
-		}
-		return
-	}
-	// Binomial-tree reduce onto rank 0 followed by a binomial broadcast,
-	// both with zero-byte messages.
-	for mask := 1; mask < p; mask <<= 1 {
-		if c.rank&mask != 0 {
-			c.Send(c.rank-mask, tagClock, nil, 0)
-			break
-		}
-		if c.rank|mask < p {
-			c.Recv(c.rank+mask, tagClock)
-		}
-	}
-	var k int
-	if c.rank == 0 {
-		k = bits.Len(uint(p - 1))
-	} else {
-		k = bits.TrailingZeros(uint(c.rank))
-		c.Recv(c.rank-1<<k, tagClock)
-	}
-	for j := k - 1; j >= 0; j-- {
-		if dst := c.rank + 1<<j; dst < p {
-			c.Send(dst, tagClock, nil, 0)
-		}
-	}
+	recv := func(src, _, _, _ int) { c.Recv(src, tagClock) }
+	allreduce(c, algo, 0, false, wire{
+		send: func(dst, _, _, _ int, _ bool) { c.Send(dst, tagClock, nil, 0) },
+		fold: recv,
+		recv: recv,
+	})
 }

@@ -2,7 +2,6 @@ package mp
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"strings"
 
@@ -227,6 +226,22 @@ func (c *Comm) recvSumReplace(src, tag int, x []int64) {
 	}
 }
 
+// adaptiveWire is the adaptive int64 wire over x: every message goes
+// dense or sparse by its own density (sendSumAdaptive) and is folded in
+// or received in place of its span accordingly. *sparse is set when a
+// reduce-leg message went sparse — the flush classification.
+func (c *Comm) adaptiveWire(x []int64, threshold float64, sparse *bool) wire {
+	return wire{
+		send: func(dst, tag, lo, hi int, reduce bool) {
+			if c.sendSumAdaptive(dst, tag, x[lo:hi], threshold, reduce) && reduce {
+				*sparse = true
+			}
+		},
+		fold: func(src, tag, lo, hi int) { c.recvSumCombine(src, tag, x[lo:hi]) },
+		recv: func(src, tag, lo, hi int) { c.recvSumReplace(src, tag, x[lo:hi]) },
+	}
+}
+
 // AllreduceSum sums x element-wise across all ranks and leaves the
 // identical total in x on every rank, like Allreduce(c, x, Sum), with the
 // adaptive sparse wire encoding. threshold ≤ 0 delegates to the plain
@@ -234,8 +249,8 @@ func (c *Comm) recvSumReplace(src, tag int, x []int64) {
 // to Allreduce — so a zero kernel.Options flows through unchanged.
 //
 // The algorithm is selected exactly like Allreduce's (the world's
-// CollConfig resolved against the dense byte volume) and mirrors the
-// dense collective step for step: the same messages between the same
+// CollConfig resolved against the dense byte volume) and runs the same
+// schedule as the dense collective: the same messages between the same
 // ranks in the same order, so fault plans keyed to operation counts fire
 // at the same boundaries. Only each message's encoding — and therefore
 // its modeled byte bill — differs, chosen per message from its actual
@@ -243,6 +258,11 @@ func (c *Comm) recvSumReplace(src, tag int, x []int64) {
 // and halving/doubling variants encode each vector chunk independently,
 // which lets a mostly-zero chunk go sparse even when the whole vector
 // would not.
+//
+// One exception: red+bcast always broadcasts the total down the binomial
+// tree here, whereas the dense Allreduce broadcasts with the world's Bcast
+// algorithm — binomial scatter + ring allgather under Bcast: scatter-ag
+// (or auto resolving to it), a different message set.
 func AllreduceSum(c *Comm, x []int64, threshold float64) {
 	if threshold <= 0 {
 		Allreduce(c, x, Sum[int64])
@@ -257,106 +277,5 @@ func AllreduceSum(c *Comm, x []int64, threshold float64) {
 	defer c.endColl()
 	sparse := false
 	defer func() { c.me.noteEncFlush(sparse) }()
-	switch algo {
-	case AlgoRecDoubling:
-		for mask := 1; mask < p; mask <<= 1 {
-			partner := c.rank ^ mask
-			sparse = c.sendSumAdaptive(partner, tagReduce, x, threshold, true) || sparse
-			c.recvSumCombine(partner, tagReduce, x)
-		}
-	case AlgoRing:
-		sparse = allreduceSumRing(c, x, threshold)
-	case AlgoRecHalving:
-		sparse = allreduceSumRHD(c, x, threshold)
-	default: // AlgoReduceBcast
-		sparse = allreduceSumRedBcast(c, x, threshold)
-	}
-}
-
-// allreduceSumRedBcast is the adaptive counterpart of Reduce+Bcast:
-// binomial-tree reduce onto rank 0 followed by a binomial broadcast of
-// the total, every message adaptively encoded. Works for any P ≥ 2.
-func allreduceSumRedBcast(c *Comm, x []int64, threshold float64) (sparse bool) {
-	p := c.Size()
-	for mask := 1; mask < p; mask <<= 1 {
-		if c.rank&mask != 0 {
-			sparse = c.sendSumAdaptive(c.rank-mask, tagReduce, x, threshold, true) || sparse
-			break
-		}
-		if c.rank|mask < p {
-			c.recvSumCombine(c.rank+mask, tagReduce, x)
-		}
-	}
-	var k int
-	if c.rank == 0 {
-		k = bits.Len(uint(p - 1))
-	} else {
-		k = bits.TrailingZeros(uint(c.rank))
-		c.recvSumReplace(c.rank-1<<k, tagBcast, x)
-	}
-	for j := k - 1; j >= 0; j-- {
-		if dst := c.rank + 1<<j; dst < p {
-			c.sendSumAdaptive(dst, tagBcast, x, threshold, false)
-		}
-	}
-	return sparse
-}
-
-// allreduceSumRing is the adaptive counterpart of allreduceRing: every
-// circulating chunk is encoded from its own density.
-func allreduceSumRing(c *Comm, x []int64, threshold float64) (sparse bool) {
-	p, r, n := c.Size(), c.rank, len(x)
-	right, left := (r+1)%p, (r-1+p)%p
-	lo := func(i int) int { return i * n / p }
-	for s := 0; s < p-1; s++ {
-		sc := (r - s + p) % p
-		sparse = c.sendSumAdaptive(right, tagReduce, x[lo(sc):lo(sc+1)], threshold, true) || sparse
-		rc := (r - s - 1 + p) % p
-		c.recvSumCombine(left, tagReduce, x[lo(rc):lo(rc+1)])
-	}
-	for s := 0; s < p-1; s++ {
-		sc := (r + 1 - s + p) % p
-		c.sendSumAdaptive(right, tagBcast, x[lo(sc):lo(sc+1)], threshold, false)
-		rc := (r - s + p) % p
-		c.recvSumReplace(left, tagBcast, x[lo(rc):lo(rc+1)])
-	}
-	return sparse
-}
-
-// allreduceSumRHD is the adaptive counterpart of allreduceRHD.
-// Power-of-two sizes only (the resolver guarantees it).
-func allreduceSumRHD(c *Comm, x []int64, threshold float64) (sparse bool) {
-	p, r := c.Size(), c.rank
-	type win struct{ lo, mid, hi int }
-	var stack []win
-	lo, hi := 0, len(x)
-	for mask := 1; mask < p; mask <<= 1 {
-		partner := r ^ mask
-		mid := lo + (hi-lo)/2
-		if r&mask == 0 {
-			sparse = c.sendSumAdaptive(partner, tagReduce, x[mid:hi], threshold, true) || sparse
-			c.recvSumCombine(partner, tagReduce, x[lo:mid])
-		} else {
-			sparse = c.sendSumAdaptive(partner, tagReduce, x[lo:mid], threshold, true) || sparse
-			c.recvSumCombine(partner, tagReduce, x[mid:hi])
-		}
-		stack = append(stack, win{lo, mid, hi})
-		if r&mask == 0 {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	for i := len(stack) - 1; i >= 0; i-- {
-		partner := r ^ (1 << i)
-		w := stack[i]
-		c.sendSumAdaptive(partner, tagBcast, x[lo:hi], threshold, false)
-		if r&(1<<i) == 0 {
-			c.recvSumReplace(partner, tagBcast, x[w.mid:w.hi])
-		} else {
-			c.recvSumReplace(partner, tagBcast, x[w.lo:w.mid])
-		}
-		lo, hi = w.lo, w.hi
-	}
-	return sparse
+	allreduce(c, algo, len(x), false, c.adaptiveWire(x, threshold, &sparse))
 }
