@@ -49,22 +49,37 @@ import (
 
 func main() {
 	err := run(os.Args[1:], os.Stdout)
-	if err == nil || errors.Is(err, flag.ErrHelp) {
-		return
+	var f flagError
+	if err != nil && !errors.Is(err, flag.ErrHelp) && !errors.As(err, &f) {
+		fmt.Fprintln(os.Stderr, "dtgen:", err)
 	}
-	fmt.Fprintln(os.Stderr, "dtgen:", err)
-	var u usageError
-	if errors.As(err, &u) {
-		os.Exit(2)
-	}
-	os.Exit(1)
+	os.Exit(exitCode(err))
 }
 
-// usageError is a rejected command line (exit status 2; any other
-// failure exits 1). It is returned before anything is written.
+// usageError is a rejected command line. It is returned before anything
+// is written.
 type usageError string
 
 func (e usageError) Error() string { return string(e) }
+
+// flagError is a command line the flag package rejected; the flag package
+// has already printed the error and the usage.
+type flagError struct{ error }
+
+// exitCode is the process status for run's result: 0 on success or -h,
+// 2 for a rejected command line (as the flag package's own ExitOnError
+// handling would), 1 for any other failure.
+func exitCode(err error) int {
+	var u usageError
+	var f flagError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, &u), errors.As(err, &f):
+		return 2
+	}
+	return 1
+}
 
 // run parses args and writes the generated rows: CSV to stdout (or -o), or
 // an on-disk column store with -ooc.
@@ -85,7 +100,10 @@ func run(args []string, stdout io.Writer) error {
 		chunkRows  = fs.Int("chunk-rows", dataset.DefaultChunkRows, "rows per chunk of the -ooc store")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return flagError{err}
 	}
 
 	if *block < 0 || *block >= *blocks {

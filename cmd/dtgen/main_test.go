@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,14 +11,17 @@ import (
 	"partree/internal/quest"
 )
 
-// TestRunRejects: contradictory or out-of-range flags fail as usage errors
-// before anything is written — to stdout, to -o or to a store directory.
+// TestRunRejects: contradictory, out-of-range, unknown or malformed flags
+// fail with exit status 2 before anything is written — to stdout, to -o or
+// to a store directory.
 func TestRunRejects(t *testing.T) {
 	for _, args := range [][]string{
 		{"-bootstrap", "-ooc", "-o", "DIR"},
 		{"-ooc"},
 		{"-blocks", "3", "-block", "3", "-o", "DIR"},
 		{"-block", "-1", "-o", "DIR"},
+		{"-nosuch", "-o", "DIR"},
+		{"-n", "many", "-o", "DIR"},
 	} {
 		dir := filepath.Join(t.TempDir(), "out")
 		for i, a := range args {
@@ -29,9 +31,8 @@ func TestRunRejects(t *testing.T) {
 		}
 		var stdout bytes.Buffer
 		err := run(append(args, "-n", "40"), &stdout)
-		var u usageError
-		if !errors.As(err, &u) {
-			t.Errorf("%v: error %v, want a usage error", args, err)
+		if code := exitCode(err); code != 2 {
+			t.Errorf("%v: error %v exits %d, want 2", args, err, code)
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%v: wrote %d bytes to stdout", args, stdout.Len())
@@ -39,6 +40,18 @@ func TestRunRejects(t *testing.T) {
 		if _, err := os.Stat(dir); !os.IsNotExist(err) {
 			t.Errorf("%v: created %s", args, dir)
 		}
+	}
+}
+
+// TestRunHelp: -h is not a failure (exit status 0) and writes no rows.
+func TestRunHelp(t *testing.T) {
+	var stdout bytes.Buffer
+	err := run([]string{"-h"}, &stdout)
+	if code := exitCode(err); code != 0 {
+		t.Errorf("-h: error %v exits %d, want 0", err, code)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("-h: wrote %d bytes to stdout", stdout.Len())
 	}
 }
 
