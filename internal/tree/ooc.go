@@ -11,14 +11,15 @@ import (
 // over the chunked Table interface. Instead of per-node row-index vectors
 // (which are Θ(N) resident), the builder keeps one int32 slot per row —
 // which frontier node the row currently sits at, -1 once settled — and
-// makes two sequential passes over the chunks per level: one to tabulate
-// every frontier node's statistics, one to advance each row's slot
-// through its node's freshly chosen split. Statistics, split decisions
-// and routing are the exact functions of the in-RAM path, so the tree is
-// bit-identical to BuildBFS on the same rows; only the access pattern
-// (and the resident footprint, 4 bytes per row) changes. Slots holds that
-// per-row state and both passes as a RowSource, for this package's serial
-// level loop and the synchronous-parallel one in core.
+// makes one sequential pass over the chunks per level: each decoded chunk
+// first advances its rows' slots through the previous level's freshly
+// chosen splits, then tabulates every frontier node's statistics from the
+// same rows. Statistics, split decisions and routing are the exact
+// functions of the in-RAM path, so the tree is bit-identical to BuildBFS
+// on the same rows; only the access pattern (and the resident footprint,
+// 4 bytes per row) changes. Slots holds that per-row state and the pass
+// as a RowSource, for this package's serial level loop and the
+// synchronous-parallel one in core.
 
 // newSpec builds a kernel tabulation spec with no columns bound: bin
 // counts and micro edges are resolved from the schema and binner once;
@@ -89,13 +90,15 @@ func ExpandNodeOOC(it FrontierItem, stats *NodeStats, s *dataset.Schema, o Optio
 }
 
 // Slots is the RowSource of a chunked table: the per-row slot vector,
-// plus the local statistics blocks and the routing table of the level
-// being expanded. Begin tabulates every frontier node's block in one
-// chunk pass, TabulateInto hands a block out with the ops
-// kernel.TabulateInto would bill for the node's local rows, Expand bills
-// PartitionRows' ops and routes nothing, and End advances every row's
-// slot in one routing pass. A chunk read error stops every later pass and
-// is reported by Err.
+// plus the local statistics blocks of the level being expanded and the
+// routing tables of the level just expanded. Begin reads every chunk
+// once, routing its rows through the previous level's splits and then
+// tabulating every frontier node's block; TabulateInto hands a block out
+// with the ops kernel.TabulateInto would bill for the node's local rows,
+// Expand bills PartitionRows' ops and records the node's routing table,
+// and End reads nothing — the routing it stands for happens in the next
+// Begin's pass, or never when the level was the last. A chunk read error
+// stops every later pass and is reported by Err.
 type Slots struct {
 	t      dataset.Table
 	o      Options
@@ -104,14 +107,19 @@ type Slots struct {
 	ch     dataset.Chunk
 	stride int
 	blocks []int64
-	routes [][]int32 // per frontier node: child index → next-level slot; nil for a leaf
-	kids   int32     // next-frontier items handed out by Expand this level
+	// Per frontier node of the level last expanded: the split node, and
+	// its child index → next-level slot table; both nil for a leaf. The
+	// nodes are kept here because the caller may reuse the frontier's
+	// backing array before the next Begin routes through them.
+	nodes  []*Node
+	routes [][]int32
+	kids   int32 // next-frontier items handed out by Expand this level
 	read   func(bytes int64)
 	err    error
 }
 
 // NewSlots starts every row of t at the root (slot 0). read, if not nil,
-// is called with the encoded size of every chunk either pass reads.
+// is called with the encoded size of every chunk the pass reads.
 func NewSlots(t dataset.Table, o Options, read func(bytes int64)) *Slots {
 	s := t.Schema()
 	return &Slots{t: t, o: o, slot: make([]int32, t.Len()), spec: newSpec(s, o), stride: StatsLen(s, o), read: read}
@@ -123,17 +131,40 @@ func (sl *Slots) Schema() *dataset.Schema { return sl.t.Schema() }
 // Err returns the first chunk read error, if any.
 func (sl *Slots) Err() error { return sl.err }
 
-// Begin is a level's statistics pass: every live row is tabulated into
-// its frontier node's block.
+// Begin is a level's one chunk pass: every live row first moves through
+// the previous level's split of its node — rows at leaf nodes settle
+// (-1), rows at split nodes move to their child's slot in frontier — and
+// is then tabulated into its frontier node's block.
 func (sl *Slots) Begin(frontier []FrontierItem) {
 	n := len(frontier)
 	sl.blocks = append(sl.blocks[:0], make([]int64, n*sl.stride)...)
-	sl.routes = append(sl.routes[:0], make([][]int32, n)...)
-	sl.kids = 0
+	route := sl.kids > 0
 	sl.pass(func(rows []int32) {
+		if route {
+			sl.route(rows)
+		}
 		bind(sl.spec, sl.ch.Class, sl.ch.Cat, sl.ch.Cont)
 		kernel.TabulateAssigned(sl.blocks, sl.stride, rows, sl.spec)
 	})
+	sl.nodes = append(sl.nodes[:0], make([]*Node, n)...)
+	sl.routes = append(sl.routes[:0], make([][]int32, n)...)
+	sl.kids = 0
+}
+
+// route advances the current chunk's window of the slot vector through
+// the routing tables Expand recorded.
+func (sl *Slots) route(rows []int32) {
+	for i, sv := range rows {
+		if sv < 0 {
+			continue
+		}
+		cs := sl.routes[sv]
+		if cs == nil {
+			rows[i] = -1
+			continue
+		}
+		rows[i] = cs[sl.nodes[sv].RouteChunkRow(&sl.ch, i)]
+	}
 }
 
 // localRows is frontier node j's local row count, its block's class total.
@@ -152,7 +183,8 @@ func (sl *Slots) TabulateInto(j int, _ FrontierItem, blk []int64) int64 {
 }
 
 // Expand finalizes frontier node j with ExpandNodeOOC and records its
-// routing table for End.
+// split node and routing table for the next Begin. The routing ops are
+// billed here, at the level that chose the split.
 func (sl *Slots) Expand(j int, it FrontierItem, stats *NodeStats, ids *IDGen, ops *int64) []FrontierItem {
 	kids, cs, split := ExpandNodeOOC(it, stats, sl.t.Schema(), sl.o, ids)
 	if !split {
@@ -164,32 +196,15 @@ func (sl *Slots) Expand(j int, it FrontierItem, stats *NodeStats, ids *IDGen, op
 			cs[ci] += sl.kids
 		}
 	}
+	sl.nodes[j] = it.Node
 	sl.routes[j] = cs
 	sl.kids += int32(len(kids))
 	return kids
 }
 
-// End is a level's routing pass: rows at leaf nodes settle (-1), rows at
-// split nodes move to their child's next-level slot. It reads nothing
-// when the next frontier is empty.
-func (sl *Slots) End(frontier []FrontierItem) {
-	if sl.kids == 0 {
-		return
-	}
-	sl.pass(func(rows []int32) {
-		for i, sv := range rows {
-			if sv < 0 {
-				continue
-			}
-			cs := sl.routes[sv]
-			if cs == nil {
-				rows[i] = -1
-				continue
-			}
-			rows[i] = cs[frontier[sv].Node.RouteChunkRow(&sl.ch, i)]
-		}
-	})
-}
+// End closes a level without reading: its routing is fused into the next
+// level's Begin pass.
+func (sl *Slots) End([]FrontierItem) {}
 
 // pass reads every chunk in order and hands f the chunk's window of the
 // slot vector.
