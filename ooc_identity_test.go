@@ -148,18 +148,18 @@ func TestOOCChunkBoundaries(t *testing.T) {
 // under which phase, the chunks are read.
 func TestOOCSyncPin(t *testing.T) {
 	want := map[string]string{
-		"discrete=true/p1/td=0":      "b9bc2feabd287755527c56ff9cd96d396f1fd8348906d481b04df12986cb7073",
-		"discrete=true/p1/td=2e-09":  "d065a2b85b20cc6e6627173fc7ec2146b8ce2b0dfce792a5992a06ce45e80551",
-		"discrete=true/p3/td=0":      "0de22a859259ce67c6bd93cb979d4428051ab35b038d7f3f8b261c6e3f1175f1",
-		"discrete=true/p3/td=2e-09":  "855295dcdb0e831894ed8ce46d27db2eb625e6ece4d6945a7ee7cc47fad32c21",
-		"discrete=true/p4/td=0":      "4cc82d17a8dd659669edc809a7412c63488bcdfb29c075c392e29c315d579f63",
-		"discrete=true/p4/td=2e-09":  "fb37abfdc9bedb29b659dff4ae6f651ae8c6cb37a0ad76e69ad7e012653587a3",
-		"discrete=false/p1/td=0":     "3fa4fbf6b38b9904cc188e27af446a2a3cd6f099f79829064b0ecbdc2cfcd374",
-		"discrete=false/p1/td=2e-09": "1aafb7cba8c4d3b12c8affe5bf8b769c66c41fd6fe0642c2e10510121044eac7",
-		"discrete=false/p3/td=0":     "06187af078e76e0cb8f40fdfbd43bb1e729d1adb214cd3926112d84a413bcff2",
-		"discrete=false/p3/td=2e-09": "7e7d841070fdcc3d825fe3c7f224ec5fba11dc676d20717bde1373c6e79fdd64",
-		"discrete=false/p4/td=0":     "3bfbf4c54d1cbee20e6014469d465872f235356d1b446537e79b41ebf24a9ba3",
-		"discrete=false/p4/td=2e-09": "b93ae4578ab2c24d2ba8dfec65088f0c62451ec6c34a1229c5144a547daabbd9",
+		"discrete=true/p1/td=0":      "8afef07596ebc58c08d991c6016ed8d8a1f6d9af7fd03be76ad7716f8667e086",
+		"discrete=true/p1/td=2e-09":  "f4f83da866af515e521ea3c710f0df908b545be29c19b4ae26a4dddbb1bc8e23",
+		"discrete=true/p3/td=0":      "2c33d90790976f0ef78f8d46431cf3297a6c3a3751e44fe78049f6cc235cef70",
+		"discrete=true/p3/td=2e-09":  "80f310c35fbc584017e4f353db7edb483b0e46660a23aa82eb18a533d413baf2",
+		"discrete=true/p4/td=0":      "4870dfb8c8a2f5cc85caededd13345f31cb848191e6ec806506bfb1e071eb20b",
+		"discrete=true/p4/td=2e-09":  "253a27c2930fc0aa07e7b34505ad43a3f10fe4bc4178898d90a3df914c1e89bd",
+		"discrete=false/p1/td=0":     "f6c314390a9b2e25f923d453e7636b9f4742926b32ff5eea798fe3bfa6656876",
+		"discrete=false/p1/td=2e-09": "8e54f520302f72474510e9a122ecfa95b994e96cc8d499ce8f29efaff17023b2",
+		"discrete=false/p3/td=0":     "ed8e9eb26e8b24fceb4e22e64f99b3c49e2d54c5f70778aa8985c862ee51be0c",
+		"discrete=false/p3/td=2e-09": "28710241eace9227886fc1005bbf69eac3711be1859b13409bb4a940f96c159a",
+		"discrete=false/p4/td=0":     "d7d582db5bcf9fa1015e15474f21eea5b67e7f2b13bb4c437a72af31c8951cdd",
+		"discrete=false/p4/td=2e-09": "569f546d2bba6b775f8e19e9edcf28576ac72d8a2aa27130b5273a74cbaf568d",
 	}
 	for _, discrete := range []bool{true, false} {
 		d := genKernelData(t, discrete)
