@@ -291,17 +291,19 @@ func (s Spec) run(rank func(c *mp.Comm) (*tree.Tree, int, error)) (res Result, e
 		}
 	}
 	res = Result{World: w, Trees: make([]*tree.Tree, s.Procs)}
+	hashes := make([]int, s.Procs)
+	errs := make([]error, s.Procs)
 	defer func() {
 		if r := recover(); r != nil {
 			fe, ok := fault.AsError(r)
 			if !ok {
 				panic(r)
 			}
-			err = fe
+			// A rank that returned an error left its peers waiting on it:
+			// the fault they saw is a symptom, so keep the cause with it.
+			err = errors.Join(append([]error{fe}, errs...)...)
 		}
 	}()
-	hashes := make([]int, s.Procs)
-	errs := make([]error, s.Procs)
 	w.Run(func(c *mp.Comm) {
 		res.Trees[c.Rank()], hashes[c.Rank()], errs[c.Rank()] = rank(c)
 	})

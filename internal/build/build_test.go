@@ -2,10 +2,14 @@ package build
 
 import (
 	"errors"
+	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"partree/internal/core"
 	"partree/internal/dataset"
+	"partree/internal/discretize"
 	"partree/internal/fault"
 	"partree/internal/quest"
 	"partree/internal/tree"
@@ -102,5 +106,57 @@ func TestRunFaultIsError(t *testing.T) {
 	}
 	if res.Trees[1] != nil {
 		t.Fatal("crashed rank returned a tree")
+	}
+}
+
+// failingTable is a Table whose ReadChunk of chunk k fails on its nth
+// read (0-based), once; ranks read through it concurrently.
+type failingTable struct {
+	dataset.Table
+	k, n  int
+	reads atomic.Int32
+	err   error
+}
+
+func (f *failingTable) ReadChunk(k int, ch *dataset.Chunk) (int64, error) {
+	if k == f.k && int(f.reads.Add(1))-1 == f.n {
+		return 0, f.err
+	}
+	return f.Table.ReadChunk(k, ch)
+}
+
+// TestRunTableReadError: when one rank's chunk read fails mid-build, the
+// read error comes back from RunTable — not only the fault its peers hit
+// waiting on the rank that stopped — and the build returns promptly. The
+// failing chunk lies wholly inside the last rank's block; on discrete
+// data each level reads every chunk once, so its nth read is at level n.
+func TestRunTableReadError(t *testing.T) {
+	const chunkRows = 32
+	d := discretize.UniformPaper(smallData(t), quest.PaperBins(), quest.Ranges())
+	injected := errors.New("injected chunk read error")
+	for _, p := range []int{2, 3} {
+		for level := 1; level <= 4; level++ {
+			t.Run(fmt.Sprintf("p%d/level%d", p, level), func(t *testing.T) {
+				lo, _ := dataset.BlockBounds(d.Len(), p, p-1)
+				tbl := &failingTable{Table: d.Chunked(chunkRows), k: (lo + chunkRows - 1) / chunkRows, n: level, err: injected}
+				spec := Spec{Builder: "sync", Procs: p, Options: core.Options{Tree: tree.Options{Binary: true}}}
+				done := make(chan error, 1)
+				go func() {
+					_, err := RunTable(spec, tbl)
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					if int(tbl.reads.Load()) <= level {
+						t.Fatalf("build read chunk %d only %d times; the injection never fired", tbl.k, tbl.reads.Load())
+					}
+					if !errors.Is(err, injected) {
+						t.Fatalf("got %v, want the injected read error", err)
+					}
+				case <-time.After(20 * time.Second):
+					t.Fatal("build did not return after a chunk read failed")
+				}
+			})
+		}
 	}
 }
