@@ -21,7 +21,7 @@ import (
 )
 
 // modelJSON trains a small tree on function-2 data and serializes it.
-func modelJSON(t *testing.T, seed uint64) []byte {
+func modelJSON(t testing.TB, seed uint64) []byte {
 	t.Helper()
 	d, err := quest.Generate(quest.Config{Function: 2, Seed: seed}, 2000)
 	if err != nil {
