@@ -93,7 +93,10 @@ func MaterializeCharged(c *mp.Comm, t dataset.Table) (*dataset.Dataset, error) {
 // through expandLevelSync, as in BuildSync, so sibling subtraction and
 // voting compose unchanged, and the returned tree, and (at TD = 0) the
 // modeled clock and breakdown, are bit-identical to BuildSync on the
-// materialized block; chunk reads are charged to the disk cost class.
+// materialized block. Each level reads every local chunk once — the
+// previous level's routing and this level's tabulation share the read,
+// in tree.Slots.Begin — after one binner-ranges pass when the schema has
+// continuous attributes; every read is charged to the disk cost class.
 //
 // Fault tolerance is not supported out-of-core (its checkpoint cuts
 // serialize resident row-index vectors); requesting it is an error —
