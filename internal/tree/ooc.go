@@ -96,9 +96,8 @@ func ExpandNodeOOC(it FrontierItem, stats *NodeStats, s *dataset.Schema, o Optio
 // tabulating every frontier node's block; TabulateInto hands a block out
 // with the ops kernel.TabulateInto would bill for the node's local rows,
 // Expand bills PartitionRows' ops and records the node's routing table,
-// and End reads nothing — the routing it stands for happens in the next
-// Begin's pass, or never when the level was the last. A chunk read error
-// stops every later pass and is reported by Err.
+// and End reads nothing: the next Begin's pass does the routing. A chunk
+// read error stops every later pass and is reported by Err.
 type Slots struct {
 	t      dataset.Table
 	o      Options
@@ -202,8 +201,8 @@ func (sl *Slots) Expand(j int, it FrontierItem, stats *NodeStats, ids *IDGen, op
 	return kids
 }
 
-// End closes a level without reading: its routing is fused into the next
-// level's Begin pass.
+// End reads nothing: the level's routing is done by the next Begin, on
+// the same chunk read as that level's tabulation.
 func (sl *Slots) End([]FrontierItem) {}
 
 // pass reads every chunk in order and hands f the chunk's window of the
