@@ -137,14 +137,22 @@ func (sl *Slots) Err() error { return sl.err }
 func (sl *Slots) Begin(frontier []FrontierItem) {
 	n := len(frontier)
 	sl.blocks = append(sl.blocks[:0], make([]int64, n*sl.stride)...)
-	route := sl.kids > 0
-	sl.pass(func(rows []int32) {
-		if route {
+	for k := 0; k < sl.t.NumChunks() && sl.err == nil; k++ {
+		nb, err := sl.t.ReadChunk(k, &sl.ch)
+		if err != nil {
+			sl.err = err
+			break
+		}
+		if sl.read != nil {
+			sl.read(nb)
+		}
+		rows := sl.slot[sl.ch.Lo:sl.ch.Hi]
+		if sl.kids > 0 {
 			sl.route(rows)
 		}
 		bind(sl.spec, sl.ch.Class, sl.ch.Cat, sl.ch.Cont)
 		kernel.TabulateAssigned(sl.blocks, sl.stride, rows, sl.spec)
-	})
+	}
 	sl.nodes = append(sl.nodes[:0], make([]*Node, n)...)
 	sl.routes = append(sl.routes[:0], make([][]int32, n)...)
 	sl.kids = 0
@@ -204,22 +212,6 @@ func (sl *Slots) Expand(j int, it FrontierItem, stats *NodeStats, ids *IDGen, op
 // End reads nothing: the level's routing is done by the next Begin, on
 // the same chunk read as that level's tabulation.
 func (sl *Slots) End([]FrontierItem) {}
-
-// pass reads every chunk in order and hands f the chunk's window of the
-// slot vector.
-func (sl *Slots) pass(f func(rows []int32)) {
-	for k := 0; k < sl.t.NumChunks() && sl.err == nil; k++ {
-		nb, err := sl.t.ReadChunk(k, &sl.ch)
-		if err != nil {
-			sl.err = err
-			return
-		}
-		if sl.read != nil {
-			sl.read(nb)
-		}
-		f(sl.slot[sl.ch.Lo:sl.ch.Hi])
-	}
-}
 
 // BuildBFSOOC grows a tree breadth-first over a chunked table with
 // bounded resident memory: the only per-row state is the slot vector. It
