@@ -257,6 +257,12 @@ func TestBinarySubsetSplitMatchesReference(t *testing.T) {
 			checkAgainstReference(t, fc.name, h, crit)
 		}
 	}
+
+	// A negative count, which would index the entropy bound's table below
+	// zero, takes the exact path.
+	h := subsetBenchHist(8, 3)
+	h.Counts[4] = -5
+	checkAgainstReference(t, "negative count", h, Entropy)
 }
 
 // TestSubsetLowerBound holds the table bound of the entropy search below
