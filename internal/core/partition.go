@@ -2,7 +2,6 @@ package core
 
 import (
 	"partree/internal/dataset"
-	"partree/internal/kernel"
 	"partree/internal/mp"
 	"partree/internal/tree"
 )
@@ -44,9 +43,10 @@ func buildPartitionedOnce(c *mp.Comm, local *dataset.Dataset, o Options) *tree.T
 	return &tree.Tree{Schema: local.Schema, Root: root}
 }
 
-// ptcExpand expands the single node it within the processor group c.
-// Invariant: when it returns, comm rank 0 holds the complete subtree
-// rooted at it.Node.
+// ptcExpand expands the single node it within the processor group c:
+// step 1 is expandLevelSync on the one-item frontier, step 2 partitions
+// the successors and the processors (Case 1 or Case 2). Invariant: when
+// it returns, comm rank 0 holds the complete subtree rooted at it.Node.
 func ptcExpand(c *mp.Comm, d *dataset.Dataset, it tree.FrontierItem, o Options, ids *tree.IDGen) {
 	if c.Size() == 1 {
 		c.BeginPhase(PhaseSequential)
@@ -57,34 +57,11 @@ func ptcExpand(c *mp.Comm, d *dataset.Dataset, it tree.FrontierItem, o Options, 
 		return
 	}
 
-	// Step 1: the group expands the node cooperatively (§3.1 method).
-	s := d.Schema
-	statsLen := tree.StatsLen(s, o.Tree)
-	flat := kernel.GetInt64(statsLen)
-	c.BeginPhase(PhaseStatistics)
-	c.Compute(float64(tree.ComputeStatsInto(flat, d, it.Idx, o.Tree)))
-	c.EndPhase()
-	if o.Tree.Vote.Active(len(s.Attrs)) {
-		// Voted reduction: the level step's two rounds on a one-node root
-		// family — nominate from the local statistics already in flat,
-		// elect ≤2k candidates, reduce only their blocks (vote.go).
-		vr := newVoteRound(s, o.Tree, famsCovering(nil, 1))
-		vr.reduce(c, []tree.FrontierItem{it}, 0, 1, []int{0}, flat, new(float64))
-	} else {
-		c.BeginPhase(PhaseReduction)
-		// Sibling subtraction does not apply here — after the expansion the
-		// children move to disjoint processor subsets, so no rank sees a whole
-		// family again — but the sparse encoding of the single-node reduction
-		// still pays near the leaves of deep Case 2 recursions.
-		mp.AllreduceSum(c, flat, o.Tree.Reuse.SparseThreshold)
-		c.EndPhase()
-	}
-	c.BeginPhase(PhaseStatistics)
-	var routeOps int64
-	children := tree.ExpandNode(it, tree.DecodeStats(flat, s, o.Tree), d, o.Tree, ids, &routeOps)
-	c.Compute(float64(routeOps))
-	c.EndPhase()
-	kernel.PutInt64(flat) // stats fully consumed by ExpandNode; recycle before recursing
+	// Step 1: the group expands the node cooperatively (§3.1 method). The
+	// level state starts empty and is dropped: the children move to
+	// disjoint processor subsets, so no rank sees a whole family again and
+	// sibling subtraction has no cache to fill.
+	children, _ := expandLevelSync(c, tree.NewIndexRows(d, o.Tree), []tree.FrontierItem{it}, o, ids, &levelState{})
 	if len(children) == 0 {
 		return // leaf: nothing to partition
 	}

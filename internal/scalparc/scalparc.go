@@ -128,25 +128,25 @@ type builder struct {
 }
 
 // Build grows a decision tree over the block-distributed training set
-// with the selected parallel SPRINT variant. Every rank returns the
-// complete (replicated) tree and its own peak hash size.
+// with the selected parallel SPRINT variant: BuildTable over the local
+// block as one chunk, a zero-copy view whose reads cost nothing. Every
+// rank returns the complete (replicated) tree and its own peak hash size.
 func Build(c *mp.Comm, local *dataset.Dataset, o Options) Result {
-	o.Tree = o.Tree.WithDefaults()
-	b := &builder{c: c, s: local.Schema, o: o, ids: tree.NewIDGen(1), p: c.Size(), rank: c.Rank()}
-	return b.run(b.presort(local))
+	r, _ := BuildTable(c, local.Chunked(0), o) // a resident view reads without error
+	return r
 }
 
 // BuildTable grows the tree from this rank's chunked section of the
 // training set. ScalParC's only whole-column access is the one-time
-// pre-sorting pass; it streams here chunk by chunk with the encoded read
-// volume charged to the modeled disk cost class, then the identical
-// sample-sort exchanges run on the same entries in the same order — so
-// the tree and (at the default TD = 0) the modeled clock are
-// bit-identical to Build on the materialized block.
+// pre-sorting pass; it streams chunk by chunk with the encoded read
+// volume charged to the modeled disk cost class, then the sample-sort
+// exchanges run on the entries in row order — so the tree and (at the
+// default TD = 0) the modeled clock depend only on the rows, never on
+// the chunking or the backing store.
 func BuildTable(c *mp.Comm, local dataset.Table, o Options) (Result, error) {
 	o.Tree = o.Tree.WithDefaults()
 	b := &builder{c: c, s: local.Schema(), o: o, ids: tree.NewIDGen(1), p: c.Size(), rank: c.Rank()}
-	lists, err := b.presortTable(local)
+	lists, err := b.presort(local)
 	if err != nil {
 		return Result{}, err
 	}
@@ -169,38 +169,13 @@ func (b *builder) run(lists [][]entry) Result {
 	}
 }
 
-// presort builds the root's attribute lists: continuous attributes are
-// parallel-sample-sorted into globally ordered sections (SPRINT's one-time
-// pre-sorting step); categorical attributes keep the local records'
-// entries.
-func (b *builder) presort(local *dataset.Dataset) [][]entry {
-	lists := make([][]entry, b.s.NumAttrs())
-	for a, attr := range b.s.Attrs {
-		raw := make([]entry, local.Len())
-		for i := range raw {
-			v := 0.0
-			if attr.Kind == dataset.Continuous {
-				v = local.Cont[a][i]
-			} else {
-				v = float64(local.Cat[a][i])
-			}
-			raw[i] = entry{value: v, rid: local.RID[i], class: local.Class[i]}
-		}
-		if attr.Kind == dataset.Continuous {
-			lists[a] = sampleSort(b.c, raw, a)
-		} else {
-			lists[a] = raw
-		}
-	}
-	return lists
-}
-
-// presortTable is the chunk-fed presort: one stream over the section's
-// chunks fills every attribute's raw entries (charging the read volume to
-// the disk cost class), then the continuous attributes sample-sort in the
-// same attribute order as presort. The entries and the communication
-// sequence are identical to presort on the materialized block.
-func (b *builder) presortTable(local dataset.Table) ([][]entry, error) {
+// presort builds the root's attribute lists: one stream over the
+// section's chunks fills every attribute's entries in row order (charging
+// the read volume to the disk cost class), then the continuous attributes
+// are parallel-sample-sorted into globally ordered sections (SPRINT's
+// one-time pre-sorting step); categorical attributes keep the local
+// records' entries.
+func (b *builder) presort(local dataset.Table) ([][]entry, error) {
 	lists := make([][]entry, b.s.NumAttrs())
 	for a := range b.s.Attrs {
 		lists[a] = make([]entry, local.Len())

@@ -80,39 +80,19 @@ type sliqFam struct {
 	members []*leafState
 }
 
-// Build grows a decision tree with the SLIQ algorithm.
+// Build grows a decision tree with the SLIQ algorithm: BuildTable over
+// the rows as one chunk, a zero-copy view whose reads cost nothing.
 func Build(d *dataset.Dataset, o tree.Options) *tree.Tree {
-	// The class list, and the one-time pre-sorting step.
-	classList := make([]classEntry, d.Len())
-	for i := range classList {
-		classList[i] = classEntry{class: d.Class[i], leaf: 0}
-	}
-	lists := make([][]listEntry, d.Schema.NumAttrs())
-	for a, attr := range d.Schema.Attrs {
-		list := make([]listEntry, d.Len())
-		if attr.Kind == dataset.Continuous {
-			col := d.Cont[a]
-			for i := range list {
-				list[i] = listEntry{value: col[i], rid: int32(i)}
-			}
-		} else {
-			col := d.Cat[a]
-			for i := range list {
-				list[i] = listEntry{value: float64(col[i]), rid: int32(i)}
-			}
-		}
-		lists[a] = list
-	}
-	return grow(d.Schema, classList, lists, o)
+	tr, _ := BuildTable(d.Chunked(0), o) // a resident view reads without error
+	return tr
 }
 
 // BuildTable grows a SLIQ tree from a chunked table. The only whole-
 // column access SLIQ ever makes is the one-time pre-sorting pass, and it
-// streams here chunk by chunk; everything after runs on SLIQ's own
-// resident structures (class list + attribute lists), exactly as Build.
-// The tree is bit-identical to Build on the same rows: the pre-sort sees
-// entries in the same row order, and the (value, rid) comparator is a
-// total order.
+// streams chunk by chunk; everything after runs on SLIQ's own resident
+// structures (class list + attribute lists). The tree depends only on
+// the rows, never on the chunking: the pre-sort sees entries in row
+// order, and the (value, rid) comparator is a total order.
 func BuildTable(t dataset.Table, o tree.Options) (*tree.Tree, error) {
 	s := t.Schema()
 	classList := make([]classEntry, t.Len())
@@ -144,9 +124,9 @@ func BuildTable(t dataset.Table, o tree.Options) (*tree.Tree, error) {
 	return grow(s, classList, lists, o), nil
 }
 
-// grow is the SLIQ level loop shared by the in-RAM and chunk-fed entry
-// points: continuous lists are sorted by (value, rid), then each level
-// runs one scan of every list against the class list.
+// grow is the SLIQ level loop: continuous lists are sorted by
+// (value, rid), then each level runs one scan of every list against the
+// class list.
 func grow(s *dataset.Schema, classList []classEntry, lists [][]listEntry, o tree.Options) *tree.Tree {
 	o = o.WithDefaults()
 	nClasses := s.NumClasses()

@@ -38,37 +38,22 @@ type nodeLists struct {
 	lists [][]entry
 }
 
-// Build grows a decision tree with the SPRINT algorithm. Continuous
-// attributes get native binary threshold tests; categorical attributes get
-// binary subset tests when o.Binary is set, multiway tests otherwise.
+// Build grows a decision tree with the SPRINT algorithm: BuildTable over
+// the rows as one chunk, a zero-copy view whose reads cost nothing.
+// Continuous attributes get native binary threshold tests; categorical
+// attributes get binary subset tests when o.Binary is set, multiway tests
+// otherwise.
 func Build(d *dataset.Dataset, o tree.Options) *tree.Tree {
-	// Pre-sorting step: one list per attribute in row order (continuous
-	// lists are sorted by grow).
-	rootLists := make([][]entry, d.Schema.NumAttrs())
-	for a, attr := range d.Schema.Attrs {
-		list := make([]entry, d.Len())
-		if attr.Kind == dataset.Continuous {
-			col := d.Cont[a]
-			for i := range list {
-				list[i] = entry{value: col[i], rid: d.RID[i], class: d.Class[i]}
-			}
-		} else {
-			col := d.Cat[a]
-			for i := range list {
-				list[i] = entry{value: float64(col[i]), rid: d.RID[i], class: d.Class[i]}
-			}
-		}
-		rootLists[a] = list
-	}
-	return grow(d.Schema, rootLists, o)
+	tr, _ := BuildTable(d.Chunked(0), o) // a resident view reads without error
+	return tr
 }
 
 // BuildTable grows a SPRINT tree from a chunked table. SPRINT's only
-// whole-column access is the one-time pre-sorting pass, streamed here
-// chunk by chunk; the attribute lists it builds are SPRINT's own resident
-// working set, exactly as Build's. Bit-identical to Build on the same
-// rows: entries arrive in the same row order and the (value, rid)
-// comparator is a total order (rids are unique).
+// whole-column access is the one-time pre-sorting pass, streamed chunk by
+// chunk; the attribute lists it builds are SPRINT's own resident working
+// set. The tree depends only on the rows, never on the chunking: entries
+// arrive in row order and the (value, rid) comparator is a total order
+// (rids are unique).
 func BuildTable(t dataset.Table, o tree.Options) (*tree.Tree, error) {
 	s := t.Schema()
 	rootLists := make([][]entry, s.NumAttrs())
@@ -96,9 +81,8 @@ func BuildTable(t dataset.Table, o tree.Options) (*tree.Tree, error) {
 	return grow(s, rootLists, o), nil
 }
 
-// grow is the SPRINT queue loop shared by the in-RAM and chunk-fed entry
-// points: continuous root lists are sorted by (value, rid), then nodes
-// expand in breadth-first order.
+// grow is the SPRINT queue loop: continuous root lists are sorted by
+// (value, rid), then nodes expand in breadth-first order.
 func grow(s *dataset.Schema, rootLists [][]entry, o tree.Options) *tree.Tree {
 	o = o.WithDefaults()
 	root := &tree.Node{Kind: tree.Leaf, Dist: make([]int64, s.NumClasses())}

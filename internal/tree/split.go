@@ -89,21 +89,6 @@ func NewStatsSpec(d *dataset.Dataset, o Options) *kernel.Spec {
 	return sp
 }
 
-// ComputeStatsInto tabulates the class distribution and per-attribute
-// histograms of the rows idx into the flattened vector flat (length
-// StatsLen), accumulating on top of existing counts, through the shared
-// statistics kernel. Returns the modeled operation count: one op per
-// record-attribute touch (the per-level data scan) plus one op per
-// histogram-table cell (the "initialization and update of all the class
-// histogram tables" term of the paper's Equation 1, C·A_d·M per node —
-// every cooperating processor pays it for every frontier node whether or
-// not it holds that node's records, which is exactly why the synchronous
-// formulation degrades on bushy levels). Callers expanding many nodes
-// should build a NewStatsSpec once and call kernel.TabulateInto directly.
-func ComputeStatsInto(flat []int64, d *dataset.Dataset, idx []int32, o Options) int64 {
-	return kernel.TabulateInto(flat, idx, NewStatsSpec(d, o))
-}
-
 // NodeStats is the decoded view of one node's flattened statistics. Hists
 // alias the flat buffer (no copies).
 type NodeStats struct {
@@ -112,7 +97,7 @@ type NodeStats struct {
 }
 
 // DecodeStats wraps a flattened statistics vector (as produced by
-// ComputeStatsInto, possibly after reduction) in a NodeStats view.
+// kernel.TabulateInto, possibly after reduction) in a NodeStats view.
 func DecodeStats(flat []int64, s *dataset.Schema, o Options) *NodeStats {
 	c := s.NumClasses()
 	ns := &NodeStats{Dist: flat[:c], Hists: make([]*criteria.Hist, len(s.Attrs))}

@@ -7,6 +7,7 @@ import (
 	"partree/internal/criteria"
 	"partree/internal/dataset"
 	"partree/internal/discretize"
+	"partree/internal/kernel"
 )
 
 // TestHuntWeatherGolden asserts the exact structure of Figure 1(c): the
@@ -145,7 +146,7 @@ func TestGlobalChildCountsMatchPartition(t *testing.T) {
 	d := randomCategorical(5, 400)
 	o := Options{Binary: true}.WithDefaults()
 	flat := make([]int64, StatsLen(d.Schema, o))
-	ComputeStatsInto(flat, d, d.AllIndex(), o)
+	kernel.TabulateInto(flat, d.AllIndex(), NewStatsSpec(d, o))
 	stats := DecodeStats(flat, d.Schema, o)
 	sp, ok := ChooseSplit(stats, d.Schema, o, 0)
 	if !ok {
