@@ -5,9 +5,10 @@
 // partitioned and hybrid formulations, scalparc and parallel-sprint, and
 // the attribute-partitioned vertical) on a modeled P-processor machine.
 //
-// Data comes from a Quest-schema CSV written by dtgen (-data) or is
-// generated on the fly (-n/-function/-seed); a column store directory
-// (dtgen -ooc) trains out-of-core with any builder. A holdout fraction
+// Data comes from a Quest-schema CSV written by dtgen (-data; raw or
+// -discretize'd rows) or is generated on the fly (-n/-function/-seed); a
+// column store directory (dtgen -ooc) trains out-of-core with any
+// builder. A holdout fraction
 // measures test accuracy. For multi-rank builders the modeled runtime,
 // speedup ingredients and message traffic are reported; -stats adds the
 // per-phase × per-collective modeled-cost breakdown and -trace exports
@@ -303,7 +304,7 @@ func runForest(o options, train, test *dataset.Dataset) {
 	}
 	if b, _ := build.Lookup(o.spec.Builder); b.MultiRank {
 		if o.disc {
-			train = discretize.UniformPaper(train, quest.PaperBins(), quest.Ranges())
+			train = uniform(train)
 		} else {
 			cfg.MicroBins = 32
 			cfg.NodeBins = 6
@@ -344,16 +345,25 @@ func runForest(o options, train, test *dataset.Dataset) {
 // the model was trained on pre-discretized rows (its schema differs).
 func recode(model *dataset.Schema, d *dataset.Dataset) *dataset.Dataset {
 	if model.NumContinuous() != d.Schema.NumContinuous() {
-		d = discretize.UniformPaper(d, quest.PaperBins(), quest.Ranges())
+		d = uniform(d)
 	}
 	return d
+}
+
+// uniform applies the paper's uniform discretization to raw Quest rows.
+// Rows that already carry it (a dtgen -discretize file) pass unchanged.
+func uniform(d *dataset.Dataset) *dataset.Dataset {
+	if d.Schema.Attrs[quest.Salary].Kind != dataset.Continuous {
+		return d
+	}
+	return discretize.UniformPaper(d, quest.PaperBins(), quest.Ranges())
 }
 
 // trainTree grows the tree from resident rows (multi-rank builders on
 // -discretize'd rows), checkpointing to -ckpt-dir if set.
 func trainTree(o options, train *dataset.Dataset) *tree.Tree {
 	if b, _ := build.Lookup(o.spec.Builder); b.MultiRank && o.disc {
-		train = discretize.UniformPaper(train, quest.PaperBins(), quest.Ranges())
+		train = uniform(train)
 	}
 	if o.ckptDir != "" {
 		dst, err := fault.OpenDiskStore(o.ckptDir)
@@ -487,16 +497,36 @@ func flatEvaluator(t *tree.Tree) func(*tree.Tree, *dataset.Dataset) float64 {
 	}
 }
 
+// load generates the rows, or reads a CSV of raw Quest rows or of the
+// paper-discretized rows dtgen -discretize writes. A file whose first row
+// does not read as raw is read as discretized; if that fails too, the
+// error of the reading that got further is reported.
 func load(path string, n, fn int, seed uint64, attrs int) (*dataset.Dataset, error) {
 	if path == "" {
 		return quest.Generate(quest.Config{Function: fn, Seed: seed, Attrs: attrs}, n)
 	}
+	raw := quest.SchemaN(attrs)
+	d, rows, err := readCSV(path, raw)
+	if err != nil && rows == 0 {
+		binned := discretize.UniformPaperRecoder(raw, quest.PaperBins(), quest.Ranges()).Schema()
+		if bd, brows, berr := readCSV(path, binned); berr == nil || brows > 0 {
+			return bd, berr
+		}
+	}
+	return d, err
+}
+
+// readCSV reads the CSV file at path under schema s and returns the rows
+// read before any error.
+func readCSV(path string, s *dataset.Schema) (*dataset.Dataset, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer f.Close()
-	return dataset.ReadCSV(f, quest.SchemaN(attrs))
+	d := dataset.New(s, 0)
+	rows, err := dataset.ReadCSVTo(f, s, d)
+	return d, rows, err
 }
 
 // runOOC trains from an on-disk column store with bounded resident

@@ -1,12 +1,19 @@
 package main
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"partree/internal/build"
+	"partree/internal/dataset"
+	"partree/internal/discretize"
 	"partree/internal/fault"
 	"partree/internal/kernel"
+	"partree/internal/quest"
 )
 
 // TestParseFlags pins the flag → build.Spec translation, including the
@@ -115,6 +122,64 @@ func TestParseFlags(t *testing.T) {
 		var ue *build.UnsupportedError
 		if _, err := parseFlags(args); !errors.As(err, &ue) {
 			t.Errorf("%v: got %v, want an *build.UnsupportedError", args, err)
+		}
+	}
+}
+
+// TestLoadDiscretizedCSV: a CSV of paper-discretized rows, as dtgen
+// -discretize writes it, loads to the rows discretize.UniformPaper gives,
+// on the paper schema and a widened one; raw rows still load raw, and
+// discretizing loaded rows again leaves them as they are.
+func TestLoadDiscretizedCSV(t *testing.T) {
+	for _, attrs := range []int{0, 12} {
+		raw, err := quest.Generate(quest.Config{Function: 2, Seed: 5, Attrs: attrs}, 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binned := discretize.UniformPaper(raw, quest.PaperBins(), quest.Ranges())
+		for _, want := range []*dataset.Dataset{raw, binned} {
+			path := filepath.Join(t.TempDir(), "train.csv")
+			var buf bytes.Buffer
+			if err := dataset.WriteCSV(&buf, want); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, err := load(path, 0, 0, 0, attrs)
+			if err != nil {
+				t.Fatalf("attrs=%d, %d continuous: %v", attrs, want.Schema.NumContinuous(), err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("attrs=%d, %d continuous: loaded rows differ from the written ones", attrs, want.Schema.NumContinuous())
+			}
+			if want == binned && uniform(got) != got {
+				t.Fatalf("attrs=%d: discretized rows were discretized again", attrs)
+			}
+		}
+	}
+}
+
+// TestLoadReportsFurthestError: a malformed row past the first is
+// reported under the schema the file's first row matched.
+func TestLoadReportsFurthestError(t *testing.T) {
+	raw, err := quest.Generate(quest.Config{Function: 2, Seed: 5}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*dataset.Dataset{raw, discretize.UniformPaper(raw, quest.PaperBins(), quest.Ranges())} {
+		var buf bytes.Buffer
+		if err := dataset.WriteCSV(&buf, d); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "train.csv")
+		if err := os.WriteFile(path, append(buf.Bytes(), "short,row\n"...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := load(path, 0, 0, 0, 0)
+		var ce *dataset.ColumnCountError
+		if !errors.As(err, &ce) || ce.Line != 6 {
+			t.Fatalf("%d continuous: error %v, want a column count error on line 6", d.Schema.NumContinuous(), err)
 		}
 	}
 }
