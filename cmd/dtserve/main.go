@@ -24,6 +24,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -33,14 +34,48 @@ import (
 	"partree/internal/serve"
 )
 
+func main() {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	var f flagError
+	if err != nil && !errors.Is(err, flag.ErrHelp) && !errors.As(err, &f) {
+		fmt.Fprintln(os.Stderr, "dtserve:", err)
+	}
+	os.Exit(exitCode(err))
+}
+
+// usageError is a rejected command line. It is returned before any model
+// is loaded.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// flagError is a command line the flag package rejected; the flag package
+// has already printed the error and the usage.
+type flagError struct{ error }
+
+// exitCode is the process status for run's result: 0 on success or -h,
+// 2 for a rejected command line (as the flag package's own ExitOnError
+// handling would), 1 for any other failure.
+func exitCode(err error) int {
+	var u usageError
+	var f flagError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, &u), errors.As(err, &f):
+		return 2
+	}
+	return 1
+}
+
 // preload checksum-verifies one model file against its .sha256 sidecar
 // (written by dtree -save; absent sidecars verify trivially) and loads it
 // into the registry.
-func preload(reg *serve.Registry, name, path string) (*serve.Entry, error) {
+func preload(stdout io.Writer, reg *serve.Registry, name, path string) (*serve.Entry, error) {
 	if verified, err := serve.VerifyFileChecksum(path); err != nil {
 		return nil, err
 	} else if verified {
-		fmt.Printf("checksum verified for %s\n", path)
+		fmt.Fprintf(stdout, "checksum verified for %s\n", path)
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -59,20 +94,39 @@ func (m *modelFlags) Set(v string) error {
 	return nil
 }
 
-func main() {
+// run parses args, preloads the -model files and serves until SIGINT or
+// SIGTERM has drained the server. Every -model spec is checked before any
+// model is loaded.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("dtserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var models modelFlags
 	var (
-		addr     = flag.String("addr", ":8080", "listen address")
-		workers  = flag.Int("workers", 0, "prediction workers (0 = GOMAXPROCS)")
-		maxBatch = flag.Int("max-batch", 100000, "largest accepted predict batch")
-		timeout  = flag.Duration("timeout", 30*time.Second, "per-request handling timeout")
-		drain    = flag.Duration("drain-timeout", 10*time.Second, "shutdown drain window; connections still open when it expires are force-closed")
-		maxInfl  = flag.Int("max-inflight", 256, "concurrent /v1/ requests before shedding with 429 (negative disables)")
-		brkFails = flag.Int("breaker-threshold", 3, "consecutive model-load failures that open the load circuit breaker")
-		brkCool  = flag.Duration("breaker-cooldown", 5*time.Second, "how long an open load breaker rejects swaps before probing")
+		addr     = fs.String("addr", ":8080", "listen address")
+		workers  = fs.Int("workers", 0, "prediction workers (0 = GOMAXPROCS)")
+		maxBatch = fs.Int("max-batch", 100000, "largest accepted predict batch")
+		timeout  = fs.Duration("timeout", 30*time.Second, "per-request handling timeout")
+		drain    = fs.Duration("drain-timeout", 10*time.Second, "shutdown drain window; connections still open when it expires are force-closed")
+		maxInfl  = fs.Int("max-inflight", 256, "concurrent /v1/ requests before shedding with 429 (negative disables)")
+		brkFails = fs.Int("breaker-threshold", 3, "consecutive model-load failures that open the load circuit breaker")
+		brkCool  = fs.Duration("breaker-cooldown", 5*time.Second, "how long an open load breaker rejects swaps before probing")
 	)
-	flag.Var(&models, "model", "model to preload, as name=path/to/model.json (repeatable)")
-	flag.Parse()
+	fs.Var(&models, "model", "model to preload, as name=path/to/model.json (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return flagError{err}
+	}
+	names := make([]string, len(models))
+	paths := make([]string, len(models))
+	for i, spec := range models {
+		name, path, ok := strings.Cut(spec, "=")
+		if !ok || name == "" || path == "" {
+			return usageError(fmt.Sprintf("-model wants name=path, got %q", spec))
+		}
+		names[i], paths[i] = name, path
+	}
 
 	srv := serve.New(serve.Config{
 		MaxBatch:         *maxBatch,
@@ -83,40 +137,35 @@ func main() {
 		BreakerThreshold: *brkFails,
 		BreakerCooldown:  *brkCool,
 	})
-	for _, spec := range models {
-		name, path, ok := strings.Cut(spec, "=")
-		if !ok || name == "" || path == "" {
-			fmt.Fprintf(os.Stderr, "dtserve: -model wants name=path, got %q\n", spec)
-			os.Exit(2)
-		}
+	for i, name := range names {
 		// A model that cannot be preloaded — unreadable, failing its
 		// checksum sidecar, or unparseable — is skipped with a degraded
 		// mark instead of failing boot: the remaining models still serve,
 		// /healthz reports "degraded", and a later PUT can repair the name.
-		if e, err := preload(srv.Registry(), name, path); err != nil {
-			fmt.Fprintf(os.Stderr, "dtserve: model %q degraded, serving without it: %v\n", name, err)
+		if e, err := preload(stdout, srv.Registry(), name, paths[i]); err != nil {
+			fmt.Fprintf(stderr, "dtserve: model %q degraded, serving without it: %v\n", name, err)
 			srv.Registry().SetDegraded(name, err.Error())
 		} else {
-			fmt.Printf("loaded %s %q from %s (%d trees, %d flat nodes, %d leaves)\n",
-				e.Kind(), e.Name, path, e.Trees(), e.Nodes(), e.Leaves())
+			fmt.Fprintf(stdout, "loaded %s %q from %s (%d trees, %d flat nodes, %d leaves)\n",
+				e.Kind(), e.Name, paths[i], e.Trees(), e.Nodes(), e.Leaves())
 		}
 	}
 
 	if deg := srv.Registry().Degraded(); len(deg) > 0 {
-		fmt.Printf("dtserve: %d model(s) degraded at boot; /healthz reports details\n", len(deg))
+		fmt.Fprintf(stdout, "dtserve: %d model(s) degraded at boot; /healthz reports details\n", len(deg))
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	fmt.Printf("dtserve listening on %s (%d models)\n", *addr, srv.Registry().Len())
+	fmt.Fprintf(stdout, "dtserve listening on %s (%d models)\n", *addr, srv.Registry().Len())
 	err := srv.ListenAndServe(ctx, *addr)
 	srv.Close()
 	if errors.Is(err, serve.ErrDrainTimeout) {
-		fmt.Printf("dtserve: drain window of %s expired; forced close of remaining connections\n", *drain)
-		return
+		fmt.Fprintf(stdout, "dtserve: drain window of %s expired; forced close of remaining connections\n", *drain)
+		return nil
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dtserve:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Println("dtserve: drained and stopped")
+	fmt.Fprintln(stdout, "dtserve: drained and stopped")
+	return nil
 }
