@@ -8,11 +8,11 @@
 // Data comes from a Quest-schema CSV written by dtgen (-data; raw or
 // -discretize'd rows) or is generated on the fly (-n/-function/-seed); a
 // column store directory (dtgen -ooc) trains out-of-core with any
-// builder. A holdout fraction
-// measures test accuracy. For multi-rank builders the modeled runtime,
-// speedup ingredients and message traffic are reported; -stats adds the
-// per-phase × per-collective modeled-cost breakdown and -trace exports
-// the deterministic per-rank event timeline as JSONL.
+// builder. A holdout fraction measures test accuracy. For multi-rank
+// builders the modeled runtime, speedup ingredients and message traffic
+// are reported; -stats adds the per-phase × per-collective modeled-cost
+// breakdown and -trace exports the deterministic per-rank event timeline
+// as JSONL.
 //
 // With -forest N an ensemble of N trees is trained instead — bagged
 // bootstrap samples (disable with -no-bootstrap), optional random

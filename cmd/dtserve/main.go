@@ -43,26 +43,19 @@ func main() {
 	os.Exit(exitCode(err))
 }
 
-// usageError is a rejected command line. It is returned before any model
-// is loaded.
-type usageError string
-
-func (e usageError) Error() string { return string(e) }
-
-// flagError is a command line the flag package rejected; the flag package
-// has already printed the error and the usage.
+// flagError is a command line the flag package rejected, before any model
+// is loaded; the flag package has already printed the error and the usage.
 type flagError struct{ error }
 
 // exitCode is the process status for run's result: 0 on success or -h,
 // 2 for a rejected command line (as the flag package's own ExitOnError
 // handling would), 1 for any other failure.
 func exitCode(err error) int {
-	var u usageError
 	var f flagError
 	switch {
 	case err == nil, errors.Is(err, flag.ErrHelp):
 		return 0
-	case errors.As(err, &u), errors.As(err, &f):
+	case errors.As(err, &f):
 		return 2
 	}
 	return 1
@@ -85,18 +78,22 @@ func preload(stdout io.Writer, reg *serve.Registry, name, path string) (*serve.E
 	return reg.Load(name, f)
 }
 
-// modelFlags collects repeated -model name=path pairs.
+// modelFlags collects repeated -model name=path pairs, rejecting any
+// other form while the command line is parsed.
 type modelFlags []string
 
 func (m *modelFlags) String() string { return strings.Join(*m, ",") }
 func (m *modelFlags) Set(v string) error {
+	if name, path, ok := strings.Cut(v, "="); !ok || name == "" || path == "" {
+		return fmt.Errorf("want name=path, got %q", v)
+	}
 	*m = append(*m, v)
 	return nil
 }
 
 // run parses args, preloads the -model files and serves until SIGINT or
-// SIGTERM has drained the server. Every -model spec is checked before any
-// model is loaded.
+// SIGTERM has drained the server. Every -model spec is checked, while the
+// flags are parsed, before any model is loaded.
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("dtserve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -118,15 +115,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		return flagError{err}
 	}
-	names := make([]string, len(models))
-	paths := make([]string, len(models))
-	for i, spec := range models {
-		name, path, ok := strings.Cut(spec, "=")
-		if !ok || name == "" || path == "" {
-			return usageError(fmt.Sprintf("-model wants name=path, got %q", spec))
-		}
-		names[i], paths[i] = name, path
-	}
 
 	srv := serve.New(serve.Config{
 		MaxBatch:         *maxBatch,
@@ -137,17 +125,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		BreakerThreshold: *brkFails,
 		BreakerCooldown:  *brkCool,
 	})
-	for i, name := range names {
+	for _, spec := range models {
+		name, path, _ := strings.Cut(spec, "=") // checked by modelFlags.Set
 		// A model that cannot be preloaded — unreadable, failing its
 		// checksum sidecar, or unparseable — is skipped with a degraded
 		// mark instead of failing boot: the remaining models still serve,
 		// /healthz reports "degraded", and a later PUT can repair the name.
-		if e, err := preload(stdout, srv.Registry(), name, paths[i]); err != nil {
+		if e, err := preload(stdout, srv.Registry(), name, path); err != nil {
 			fmt.Fprintf(stderr, "dtserve: model %q degraded, serving without it: %v\n", name, err)
 			srv.Registry().SetDegraded(name, err.Error())
 		} else {
 			fmt.Fprintf(stdout, "loaded %s %q from %s (%d trees, %d flat nodes, %d leaves)\n",
-				e.Kind(), e.Name, paths[i], e.Trees(), e.Nodes(), e.Leaves())
+				e.Kind(), e.Name, path, e.Trees(), e.Nodes(), e.Leaves())
 		}
 	}
 
