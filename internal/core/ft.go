@@ -56,21 +56,56 @@ import (
 
 // protect runs fn and returns the *fault.Error it panicked with, if any.
 // Genuine panics and injected fault.Crashed values propagate — a crashing
-// rank must die, not recover itself.
-func protect(fn func()) (ferr *fault.Error) {
+// rank must die, not recover itself. protect is the recovery boundary:
+// a caught fault leaves the rank's phase stack as it was on entry (the
+// panic skipped the EndPhase of every phase fn opened since), and mp
+// panics with c's ID if a collective is still open there.
+func protect(c *mp.Comm, fn func()) (ferr *fault.Error) {
+	unwind := c.PhaseMark()
 	defer func() {
 		v := recover()
 		if v == nil {
 			return
 		}
-		if e, ok := fault.AsError(v); ok {
-			ferr = e
-			return
+		e, ok := fault.AsError(v)
+		if !ok {
+			panic(v)
 		}
-		panic(v)
+		unwind()
+		ferr = e
 	}()
 	fn()
 	return nil
+}
+
+// maxRecoveryRounds bounds how many recovery rounds a build attempts
+// before giving up and propagating the fault (covers nested faults
+// during recovery itself).
+const maxRecoveryRounds = 8
+
+// recoverRounds runs round — one recovery from fault ferr — until a round
+// completes without a fault of its own. rounds counts them over the
+// whole build; the fault propagates once they exceed maxRecoveryRounds.
+func recoverRounds(c *mp.Comm, rounds *int, ferr *fault.Error, round func()) {
+	for ferr != nil {
+		*rounds++
+		if *rounds > maxRecoveryRounds {
+			panic(ferr)
+		}
+		ferr = protect(c, round)
+	}
+}
+
+// regroup moves the caller into the current recovery epoch and returns
+// the survivor communicator with PhaseRecovery pushed; the caller pops
+// it. A fault inside regroup leaves the phase to the protect boundary.
+func regroup(c *mp.Comm) *mp.Comm {
+	c.EnterRecovery()
+	nc := c.ShrinkAlive()
+	nc.BeginPhase(PhaseRecovery)
+	nc.Barrier() // every survivor is past its failed op and in this epoch
+	nc.PurgeStale()
+	return nc
 }
 
 func worldRankOf(c *mp.Comm) int { return c.WorldRank(c.Rank()) }
@@ -79,6 +114,14 @@ func worldRankOf(c *mp.Comm) int { return c.WorldRank(c.Rank()) }
 // modeled cost of re-reading state from stable storage during recovery.
 func chargeRestore(c *mp.Comm, bytes int) {
 	c.AdvanceClock(float64(bytes) * c.Machine().TW)
+}
+
+// chargeDiskRead records checkpoint bytes read back from a durable store
+// against the disk cost class (free under an in-memory store).
+func chargeDiskRead(c *mp.Comm, st fault.Store, bytes int) {
+	if diskBacked(st) {
+		c.ChargeDisk(bytes)
+	}
 }
 
 // lostRanks returns the world ranks in old but not in cur, ascending —
@@ -95,6 +138,71 @@ func lostRanks(old, cur []int) []int {
 		}
 	}
 	return lost
+}
+
+// ownCopy says where a restore finds this rank's own share of a cut.
+type ownCopy int
+
+const (
+	// ownIfSaved restores this rank's copy when it saved one. A resumed
+	// rank outside the cut's participants holds none: its records live in
+	// a participant's copy.
+	ownIfSaved ownCopy = iota
+	// ownSaved restores this rank's copy, which must exist: every
+	// survivor of an in-run restart saved the cut.
+	ownSaved
+	// ownInMemory leaves this rank's rows to the caller. In-run level
+	// recovery keeps them in its history and picked the cut as its newest
+	// committed checkpoint, so each lost rank's newest committed
+	// checkpoint must be that same cut.
+	ownInMemory
+)
+
+// restoreCut restores this rank's share of the committed cut id on the
+// new communicator nc: its own copy, as own says, then the copy of each
+// participant missing from nc that the heir rule hands it — lost rank i
+// goes to survivor i mod P′, an assignment every survivor computes
+// alike, so nc as a whole restores the cut's full record multiset.
+// decode applies one copy's payload. Each restored copy is billed once:
+// at the wire rate, and to the disk cost class under a durable store.
+func restoreCut(nc *mp.Comm, st fault.Store, id string, participants []int, own ownCopy,
+	decode func(cp *fault.Checkpoint) error) {
+	restore := func(cp *fault.Checkpoint) {
+		if err := decode(cp); err != nil {
+			panic(fmt.Sprintf("core: restoring rank %d's copy of %q: %v", cp.Rank, id, err))
+		}
+		chargeRestore(nc, len(cp.Data))
+		chargeDiskRead(nc, st, len(cp.Data))
+	}
+	me := worldRankOf(nc)
+	if own != ownInMemory {
+		my := st.Get(me, id)
+		if my == nil && own == ownSaved {
+			panic(fmt.Sprintf("core: recovery without a committed %q checkpoint", id))
+		}
+		if my != nil {
+			restore(my)
+		}
+	}
+	ranks := nc.Ranks()
+	for i, lr := range lostRanks(participants, ranks) {
+		if ranks[i%len(ranks)] != me {
+			continue
+		}
+		var lcp *fault.Checkpoint
+		if own == ownInMemory {
+			lcp = st.Effective(lr)
+			if lcp != nil && lcp.ID != id {
+				panic(fmt.Sprintf("core: lost rank %d's newest committed checkpoint %q is not the cut %q", lr, lcp.ID, id))
+			}
+		} else {
+			lcp = st.Get(lr, id)
+		}
+		if lcp == nil {
+			panic(fmt.Sprintf("core: lost rank %d has no committed copy of cut %q", lr, id))
+		}
+		restore(lcp)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -170,7 +278,7 @@ func buildSyncFT(c *mp.Comm, local *dataset.Dataset, o Options) *tree.Tree {
 	frontier := []tree.FrontierItem{{Node: root, Idx: d.AllIndex()}}
 	level := 0
 	var history []levelSnap
-	retries := 0
+	rounds := 0
 	ls := newLevelState(o)
 	if ft.Resume {
 		if rs, ok := resumeSync(c, st, local, &o); ok {
@@ -189,7 +297,7 @@ func buildSyncFT(c *mp.Comm, local *dataset.Dataset, o Options) *tree.Tree {
 			history = append(history, levelSnap{frontier: frontier, ids: ids.Snapshot(), ckptID: ckptID, level: level, vote: ls.vote})
 		}
 		var next []tree.FrontierItem
-		ferr := protect(func() {
+		ferr := protect(c, func() {
 			if level == 0 {
 				// The binner's min/max reductions are part of the protected
 				// region; re-running them on the survivor group yields the
@@ -203,58 +311,42 @@ func buildSyncFT(c *mp.Comm, local *dataset.Dataset, o Options) *tree.Tree {
 			level++
 			continue
 		}
-		for {
-			retries++
-			if retries > ft.maxRetries() {
-				panic(ferr)
-			}
-			var nc *mp.Comm
-			var nd *dataset.Dataset
-			var nf []tree.FrontierItem
-			var hi int
-			rerr := protect(func() {
-				nc, nd, nf, hi = recoverFrontier(c, st, d, history)
-			})
-			if rerr == nil {
-				snap := history[hi]
-				ids.Restore(snap.ids)
-				c, d, frontier, level, history = nc, nd, nf, snap.level, history[:hi]
-				// The reuse cache must not survive a restore: it describes the
-				// failed attempt's next level (and may be partially written from
-				// the aborted expansion), while the rolled-back frontier re-runs
-				// an older level whose parents were never cached. Dropping it
-				// costs one full tabulation level, which recovery already pays.
-				// Vote families instead roll back with the frontier they
-				// describe; the retried level then elects exactly what the
-				// aborted attempt did (elections never read the reuse cache).
-				ls.drop()
-				ls.vote = snap.vote
-				break
-			}
-			ferr = rerr
-		}
+		var nc *mp.Comm
+		var nd *dataset.Dataset
+		var nf []tree.FrontierItem
+		var hi int
+		recoverRounds(c, &rounds, ferr, func() { nc, nd, nf, hi = recoverFrontier(c, st, d, history) })
+		snap := history[hi]
+		ids.Restore(snap.ids)
+		c, d, frontier, level, history = nc, nd, nf, snap.level, history[:hi]
+		// The reuse cache must not survive a restore: it describes the
+		// failed attempt's next level (and may be partially written from
+		// the aborted expansion), while the rolled-back frontier re-runs
+		// an older level whose parents were never cached. Dropping it
+		// costs one full tabulation level, which recovery already pays.
+		// Vote families instead roll back with the frontier they
+		// describe; the retried level then elects exactly what the
+		// aborted attempt did (elections never read the reuse cache).
+		ls.drop()
+		ls.vote = snap.vote
 	}
 	return &tree.Tree{Schema: local.Schema, Root: root}
 }
 
 // recoverFrontier runs one recovery round for the synchronous builder:
-// regroup the survivors, agree on the last committed level, and adopt the
-// lost ranks' rows. All message-passing happens before any state is
-// built, so a nested fault aborts the round without side effects; the
-// local restore that follows cannot fail. Returns the survivor comm, the
-// (possibly extended) dataset, the restored frontier and the history
-// index of the restored level.
+// regroup the survivors, roll back to this rank's newest committed level
+// cut, and adopt the lost ranks' rows. All message-passing happens before
+// any state is built, so a nested fault aborts the round without side
+// effects; the local restore that follows cannot fail. Returns the
+// survivor comm, the (possibly extended) dataset, the restored frontier
+// and the history index of the restored level.
 func recoverFrontier(c *mp.Comm, st fault.Store, d *dataset.Dataset, history []levelSnap) (*mp.Comm, *dataset.Dataset, []tree.FrontierItem, int) {
-	c.EnterRecovery()
-	nc := c.ShrinkAlive()
-	nc.BeginPhase(PhaseRecovery)
+	nc := regroup(c)
 	defer nc.EndPhase()
-	nc.Barrier() // every survivor is past its failed op and in this epoch
-	nc.PurgeStale()
 
-	// Local restore: the newest checkpoint every participant committed.
-	me := worldRankOf(nc)
-	eff := st.Effective(me)
+	// The newest checkpoint every participant committed; this rank's own
+	// rows are its history snapshot of that level.
+	eff := st.Effective(worldRankOf(nc))
 	if eff == nil {
 		panic("core: recovery with no committed checkpoint")
 	}
@@ -268,45 +360,21 @@ func recoverFrontier(c *mp.Comm, st fault.Store, d *dataset.Dataset, history []l
 	if hi < 0 {
 		panic(fmt.Sprintf("core: committed checkpoint %q not in this rank's history", eff.ID))
 	}
-	snap := history[hi]
 
 	// Fresh frontier with copied row slices (history must stay pristine in
 	// case a later fault rolls back here again).
-	nf := make([]tree.FrontierItem, len(snap.frontier))
-	for i, it := range snap.frontier {
+	nf := make([]tree.FrontierItem, len(history[hi].frontier))
+	for i, it := range history[hi].frontier {
 		nf[i] = it
 		nf[i].Idx = append([]int32(nil), it.Idx...)
 	}
-
-	// Adopt the lost ranks' rows: lost rank i goes to survivor i mod P',
-	// every survivor computes the same assignment.
 	nd := d
-	lost := lostRanks(c.Ranks(), nc.Ranks())
-	for i, lr := range lost {
-		if nc.Ranks()[i%nc.Size()] != me {
-			continue
-		}
-		lcp := st.Effective(lr)
-		if lcp == nil || lcp.ID != eff.ID {
-			panic(fmt.Sprintf("core: lost rank %d has no checkpoint for committed cut %q", lr, eff.ID))
-		}
+	restoreCut(nc, st, eff.ID, c.Ranks(), ownInMemory, func(cp *fault.Checkpoint) error {
 		if nd == d {
 			nd = d.Slice(0, d.Len()) // copy-on-adopt: keep the caller's block intact
 		}
-		rows, err := levelCkptRows(lcp.Data)
-		if err != nil {
-			panic(fmt.Sprintf("core: restoring rank %d's checkpoint: %v", lr, err))
-		}
-		perKey := make(map[int][]int32, len(nf))
-		if err := decodeFrames(nd, perKey, d.Schema, rows); err != nil {
-			panic(fmt.Sprintf("core: restoring rank %d's checkpoint: %v", lr, err))
-		}
-		for j := range nf {
-			nf[j].Idx = append(nf[j].Idx, perKey[j]...)
-		}
-		chargeRestore(nc, len(lcp.Data))
-		chargeDiskRead(nc, st, len(lcp.Data))
-	}
+		return adoptLevelRows(nd, nf, cp.Data)
+	})
 	return nc, nd, nf, hi
 }
 
@@ -334,35 +402,29 @@ func saveInitCkpt(st fault.Store, c *mp.Comm, d *dataset.Dataset) {
 // ranks' blocks), and re-runs body from scratch on the new comm. body
 // must grow a result that depends only on the *global multiset* of
 // training records — true of all builders in this repository — so the
-// restarted run is bit-identical. Exported for scalparc.BuildFT.
-func RunRestartable(c *mp.Comm, local *dataset.Dataset, ft *FTOptions, body func(c *mp.Comm, local *dataset.Dataset) any) any {
+// restarted run is bit-identical. Without a store, or on one rank, body
+// simply runs once. Exported for scalparc.BuildFT.
+func RunRestartable[T any](c *mp.Comm, local *dataset.Dataset, ft *FTOptions, body func(c *mp.Comm, local *dataset.Dataset) T) T {
+	if !ft.on(c) {
+		return body(c, local)
+	}
 	st := ft.Store
 	d := local
 	if ft.Resume {
 		c, d = resumeRestart(c, st, d)
 	}
-	retries := 0
+	rounds := 0
 	for {
 		saveInitCkpt(st, c, d)
-		var out any
-		ferr := protect(func() { out = body(c, d) })
+		var out T
+		ferr := protect(c, func() { out = body(c, d) })
 		if ferr == nil {
 			return out
 		}
-		for {
-			retries++
-			if retries > ft.maxRetries() {
-				panic(ferr)
-			}
-			var nc *mp.Comm
-			var nd *dataset.Dataset
-			rerr := protect(func() { nc, nd = recoverRestart(c, st, d) })
-			if rerr == nil {
-				c, d = nc, nd
-				break
-			}
-			ferr = rerr
-		}
+		var nc *mp.Comm
+		var nd *dataset.Dataset
+		recoverRounds(c, &rounds, ferr, func() { nc, nd = recoverRestart(c, st, d) })
+		c, d = nc, nd
 	}
 }
 
@@ -372,42 +434,17 @@ func RunRestartable(c *mp.Comm, local *dataset.Dataset, ft *FTOptions, body func
 // operation (a rank can only die *at* an operation, so the cut is always
 // fully saved, hence committed, by the time a failure is detected). Each
 // survivor restores its own block and the blocks of the lost ranks it
-// inherits (lost rank i → survivor i mod P'), so the union is the full
-// training multiset by construction.
+// inherits, so the union is the full training multiset by construction.
 func recoverRestart(c *mp.Comm, st fault.Store, d *dataset.Dataset) (*mp.Comm, *dataset.Dataset) {
-	c.EnterRecovery()
-	nc := c.ShrinkAlive()
-	nc.BeginPhase(PhaseRecovery)
+	nc := regroup(c)
 	defer nc.EndPhase()
-	nc.Barrier()
-	nc.PurgeStale()
-
-	initID := "init:" + c.ID()
-	me := worldRankOf(nc)
-	eff := st.Get(me, initID)
-	if eff == nil {
-		panic(fmt.Sprintf("core: recovery without a committed %q checkpoint", initID))
-	}
 	nd := dataset.New(d.Schema, 0)
-	if err := dataset.Decode(nd, d.Schema, eff.Data); err != nil {
-		panic(fmt.Sprintf("core: restoring own checkpoint: %v", err))
-	}
-	chargeRestore(nc, len(eff.Data))
-	chargeDiskRead(nc, st, len(eff.Data))
-	lost := lostRanks(c.Ranks(), nc.Ranks())
-	for i, lr := range lost {
-		if nc.Ranks()[i%nc.Size()] != me {
-			continue
-		}
-		lcp := st.Get(lr, initID)
-		if lcp == nil {
-			panic(fmt.Sprintf("core: lost rank %d has no %q checkpoint", lr, initID))
-		}
-		if err := dataset.Decode(nd, d.Schema, lcp.Data); err != nil {
-			panic(fmt.Sprintf("core: restoring rank %d's checkpoint: %v", lr, err))
-		}
-		chargeRestore(nc, len(lcp.Data))
-		chargeDiskRead(nc, st, len(lcp.Data))
-	}
+	restoreCut(nc, st, "init:"+c.ID(), c.Ranks(), ownSaved, decodeInto(nd))
 	return nc, nd
+}
+
+// decodeInto returns a restore decoder appending a whole-block payload
+// to d.
+func decodeInto(d *dataset.Dataset) func(cp *fault.Checkpoint) error {
+	return func(cp *fault.Checkpoint) error { return dataset.Decode(d, d.Schema, cp.Data) }
 }

@@ -26,23 +26,15 @@ import (
 // cost bound (see DESIGN.md §2).
 func BuildHybrid(c *mp.Comm, local *dataset.Dataset, o Options) *tree.Tree {
 	o = o.WithDefaults()
-	if o.FT != nil && o.FT.Store != nil && c.Size() > 1 {
-		out := RunRestartable(c, local, o.FT, func(c *mp.Comm, d *dataset.Dataset) any {
-			return buildHybridOnce(c, d, o)
-		})
-		return out.(*tree.Tree)
-	}
-	return buildHybridOnce(c, local, o)
-}
-
-// buildHybridOnce is one (restartable) construction attempt.
-func buildHybridOnce(c *mp.Comm, local *dataset.Dataset, o Options) *tree.Tree {
-	setupBinner(c, local, &o)
-	root := newRoot(local.Schema)
-	ids := tree.NewIDGen(1)
-	hybridGrow(c, local, []tree.FrontierItem{{Node: root, Idx: local.AllIndex()}}, o, ids)
-	root = bcastTree(c, root)
-	return &tree.Tree{Schema: local.Schema, Root: root}
+	return RunRestartable(c, local, o.FT, func(c *mp.Comm, local *dataset.Dataset) *tree.Tree {
+		o := o // each attempt installs its own binner
+		setupBinner(c, local, &o)
+		root := newRoot(local.Schema)
+		ids := tree.NewIDGen(1)
+		hybridGrow(c, local, []tree.FrontierItem{{Node: root, Idx: local.AllIndex()}}, o, ids)
+		root = bcastTree(c, root)
+		return &tree.Tree{Schema: local.Schema, Root: root}
+	})
 }
 
 // hybridGrow expands every node of the frontier to completion within the

@@ -113,10 +113,6 @@ type FTOptions struct {
 	// store per build; required. fault.NewStore() survives rank crashes
 	// within the process; fault.OpenDiskStore survives the process.
 	Store fault.Store
-	// MaxRetries bounds how many recovery rounds a build attempts before
-	// giving up and propagating the fault (covers nested faults during
-	// recovery itself). Default 8.
-	MaxRetries int
 	// CheckpointEvery saves a synchronous-formulation level checkpoint at
 	// every k-th level boundary (default 1 = every level). Larger
 	// intervals trade checkpoint volume against rollback distance:
@@ -135,11 +131,10 @@ type FTOptions struct {
 	Resume bool
 }
 
-func (ft *FTOptions) maxRetries() int {
-	if ft.MaxRetries > 0 {
-		return ft.MaxRetries
-	}
-	return 8
+// on reports whether a build on c checkpoints and recovers: FT is
+// requested with a store, and there is a peer to lose.
+func (ft *FTOptions) on(c *mp.Comm) bool {
+	return ft != nil && ft.Store != nil && c.Size() > 1
 }
 
 func (ft *FTOptions) ckptEvery() int {

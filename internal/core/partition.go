@@ -24,23 +24,15 @@ import (
 // The complete tree is assembled on rank 0 and replicated to every rank.
 func BuildPartitioned(c *mp.Comm, local *dataset.Dataset, o Options) *tree.Tree {
 	o = o.WithDefaults()
-	if o.FT != nil && o.FT.Store != nil && c.Size() > 1 {
-		out := RunRestartable(c, local, o.FT, func(c *mp.Comm, d *dataset.Dataset) any {
-			return buildPartitionedOnce(c, d, o)
-		})
-		return out.(*tree.Tree)
-	}
-	return buildPartitionedOnce(c, local, o)
-}
-
-// buildPartitionedOnce is one (restartable) construction attempt.
-func buildPartitionedOnce(c *mp.Comm, local *dataset.Dataset, o Options) *tree.Tree {
-	setupBinner(c, local, &o)
-	root := newRoot(local.Schema)
-	ids := tree.NewIDGen(1)
-	ptcExpand(c, local, tree.FrontierItem{Node: root, Idx: local.AllIndex()}, o, ids)
-	root = bcastTree(c, root)
-	return &tree.Tree{Schema: local.Schema, Root: root}
+	return RunRestartable(c, local, o.FT, func(c *mp.Comm, local *dataset.Dataset) *tree.Tree {
+		o := o // each attempt installs its own binner
+		setupBinner(c, local, &o)
+		root := newRoot(local.Schema)
+		ids := tree.NewIDGen(1)
+		ptcExpand(c, local, tree.FrontierItem{Node: root, Idx: local.AllIndex()}, o, ids)
+		root = bcastTree(c, root)
+		return &tree.Tree{Schema: local.Schema, Root: root}
+	})
 }
 
 // ptcExpand expands the single node it within the processor group c:

@@ -6,8 +6,11 @@ import (
 	"time"
 
 	"partree/internal/dataset"
+	"partree/internal/discretize"
 	"partree/internal/fault"
+	"partree/internal/kernel"
 	"partree/internal/mp"
+	"partree/internal/quest"
 	"partree/internal/tree"
 )
 
@@ -259,6 +262,48 @@ func TestRecoveryTwoCrashes(t *testing.T) {
 				t.Fatal("no checkpoint restored")
 			}
 		})
+	}
+}
+
+// TestRecoveryVotedPartitioned is the regression test of the voted
+// recovery hang. A peer's crash inside the ballot collective used to
+// leave the survivors' collective depth raised, so they filed their
+// recovery Barrier under different collective instances and waited
+// forever. The configuration is dtree's `-n 3000 -attrs 32 -algo
+// partitioned -procs 4 -maxdepth 6 -vote-k 3 -fault crash:2:13
+// -recover` (2400 training rows, uniformly discretized), which hung on
+// every run before the fix. The survivors must return the fault-free
+// tree within runRecovery's watchdog, each with its phase stack empty
+// and no collective open.
+func TestRecoveryVotedPartitioned(t *testing.T) {
+	full, err := quest.Generate(quest.Config{Function: 2, Seed: 1998, Attrs: 32}, 3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := discretize.UniformPaper(full.Slice(0, 2400), quest.PaperBins(), quest.Ranges())
+	o := Options{Tree: tree.Options{Binary: true, MaxDepth: 6, Vote: kernel.VoteOptions{K: 3}}}
+	const p, crashed = 4, 2
+	want, _ := runParallel(t, BuildPartitioned, d, p, o)
+	open := make([]int, p)
+	build := func(c *mp.Comm, local *dataset.Dataset, o Options) *tree.Tree {
+		end := c.PhaseMark() // panics if a collective is still open
+		tr := BuildPartitioned(c, local, o)
+		open[c.Rank()] = end()
+		return tr
+	}
+	plan := fault.NewPlan(fault.CrashAt(crashed, fault.CollStart, 13))
+	trees, w, st := runRecovery(t, build, d, p, o, plan, 0)
+	if dead := w.DeadRanks(); len(dead) != 1 || dead[0] != crashed {
+		t.Fatalf("dead ranks = %v, want [%d]", dead, crashed)
+	}
+	checkSurvivors(t, want, trees, w)
+	if st.Stats().Restores == 0 {
+		t.Fatalf("no checkpoint restored: %+v", st.Stats())
+	}
+	for r, n := range open {
+		if n != 0 {
+			t.Fatalf("rank %d ended the build with %d phases open", r, n)
+		}
 	}
 }
 

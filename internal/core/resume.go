@@ -210,15 +210,21 @@ func decodeLevelCkpt(data []byte) (*levelCkpt, error) {
 	return lk, nil
 }
 
-// levelCkptRows returns just the rows section — the fast path for in-run
-// recovery, which shares the partial tree in memory and only needs the
-// lost rank's frontier rows.
-func levelCkptRows(data []byte) ([]byte, error) {
+// adoptLevelRows appends the frontier rows of a level checkpoint to d
+// and their row indices to the matching frontier items.
+func adoptLevelRows(d *dataset.Dataset, frontier []tree.FrontierItem, data []byte) error {
 	lk, err := decodeLevelCkpt(data)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return lk.rows, nil
+	perKey := make(map[int][]int32, len(frontier))
+	if err := decodeFrames(d, perKey, d.Schema, lk.rows); err != nil {
+		return err
+	}
+	for j := range frontier {
+		frontier[j].Idx = append(frontier[j].Idx, perKey[j]...)
+	}
+	return nil
 }
 
 // ckptCursor is a bounds-checked little-endian reader over a level
@@ -342,14 +348,6 @@ func resumeGen(id string) int {
 	return n
 }
 
-// chargeDiskRead records checkpoint bytes read back from a durable store
-// against the disk cost class (free under an in-memory store).
-func chargeDiskRead(c *mp.Comm, st fault.Store, bytes int) {
-	if diskBacked(st) {
-		c.ChargeDisk(bytes)
-	}
-}
-
 // syncResume is the reconstructed mid-build state of a synchronous
 // resume.
 type syncResume struct {
@@ -399,36 +397,9 @@ func resumeSync(c *mp.Comm, st fault.Store, local *dataset.Dataset, o *Options) 
 	}
 
 	d := dataset.New(local.Schema, 0)
-	me := worldRankOf(nc)
-	adopt := func(cp *fault.Checkpoint) {
-		own, err := decodeLevelCkpt(cp.Data)
-		if err != nil {
-			panic(fmt.Sprintf("core: resume: rank %d rows: %v", cp.Rank, err))
-		}
-		perKey := make(map[int][]int32, len(frontier))
-		if err := decodeFrames(d, perKey, local.Schema, own.rows); err != nil {
-			panic(fmt.Sprintf("core: resume: rank %d rows: %v", cp.Rank, err))
-		}
-		for j := range frontier {
-			frontier[j].Idx = append(frontier[j].Idx, perKey[j]...)
-		}
-		chargeRestore(nc, len(cp.Data))
-		chargeDiskRead(nc, st, len(cp.Data))
-	}
-	if my := st.Get(me, cut.ID); my != nil {
-		adopt(my)
-	}
-	lost := lostRanks(cut.Participants, nc.Ranks())
-	for i, lr := range lost {
-		if nc.Ranks()[i%nc.Size()] != me {
-			continue
-		}
-		lcp := st.Get(lr, cut.ID)
-		if lcp == nil {
-			panic(fmt.Sprintf("core: resume: lost rank %d missing from committed cut %q", lr, cut.ID))
-		}
-		adopt(lcp)
-	}
+	restoreCut(nc, st, cut.ID, cut.Participants, ownIfSaved, func(cp *fault.Checkpoint) error {
+		return adoptLevelRows(d, frontier, cp.Data)
+	})
 
 	if len(lk.ranges) > 0 {
 		o.Tree.Binner = o.binner(lk.ranges)
@@ -454,28 +425,6 @@ func resumeRestart(c *mp.Comm, st fault.Store, local *dataset.Dataset) (*mp.Comm
 	defer nc.EndPhase()
 
 	nd := dataset.New(local.Schema, 0)
-	me := worldRankOf(nc)
-	if my := st.Get(me, cut.ID); my != nil {
-		if err := dataset.Decode(nd, local.Schema, my.Data); err != nil {
-			panic(fmt.Sprintf("core: resume: own block: %v", err))
-		}
-		chargeRestore(nc, len(my.Data))
-		chargeDiskRead(nc, st, len(my.Data))
-	}
-	lost := lostRanks(cut.Participants, nc.Ranks())
-	for i, lr := range lost {
-		if nc.Ranks()[i%nc.Size()] != me {
-			continue
-		}
-		lcp := st.Get(lr, cut.ID)
-		if lcp == nil {
-			panic(fmt.Sprintf("core: resume: lost rank %d missing from committed cut %q", lr, cut.ID))
-		}
-		if err := dataset.Decode(nd, local.Schema, lcp.Data); err != nil {
-			panic(fmt.Sprintf("core: resume: rank %d block: %v", lr, err))
-		}
-		chargeRestore(nc, len(lcp.Data))
-		chargeDiskRead(nc, st, len(lcp.Data))
-	}
+	restoreCut(nc, st, cut.ID, cut.Participants, ownIfSaved, decodeInto(nd))
 	return nc, nd
 }

@@ -22,7 +22,7 @@ import (
 // setup); read the breakdown back with (*mp.World).Breakdown.
 func BuildSync(c *mp.Comm, local *dataset.Dataset, o Options) *tree.Tree {
 	o = o.WithDefaults()
-	if o.FT != nil && o.FT.Store != nil && c.Size() > 1 {
+	if o.FT.on(c) {
 		return buildSyncFT(c, local, o)
 	}
 	setupBinner(c, local, &o)

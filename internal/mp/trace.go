@@ -399,6 +399,28 @@ func (c *Comm) EndPhase() {
 	p.phases = p.phases[:len(p.phases)-1]
 }
 
+// PhaseMark records the caller's phase-stack depth and returns the
+// unwind a recovery boundary runs after catching a fault: it pops the
+// phases the panic left open since the mark and returns how many there
+// were. Every collective defers its end, so a fault that unwinds to the
+// boundary has closed them all; one still open is a bug, and unwind
+// panics naming this communicator.
+func (c *Comm) PhaseMark() (unwind func() (popped int)) {
+	depth := len(c.me.phases)
+	return func() int {
+		p := c.me
+		if p.collDepth != 0 {
+			panic(fmt.Sprintf("mp: comm %s reached a recovery boundary inside %d open collectives", c.id, p.collDepth))
+		}
+		popped := len(p.phases) - depth
+		if popped <= 0 {
+			return 0
+		}
+		p.phases = p.phases[:depth]
+		return popped
+	}
+}
+
 // beginColl marks the start of a collective on this rank, carrying the
 // concrete algorithm it resolved to. Nested collectives (a reduce+bcast
 // Allreduce running Reduce and Bcast, Split running Allgatherv, Barrier

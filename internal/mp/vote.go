@@ -34,10 +34,12 @@ func VoteElect(c *Comm, attrs []int32, scores []float64, nGroups, k, elect, numA
 	all := attrs
 	p := c.Size()
 	if p > 1 {
-		c.beginColl(CollVote, tagVote, c.allgatherAlgo())
-		all = Allgatherv(c, tagVote, attrs)
-		Allgatherv(c, tagVoteScore, scores)
-		c.endColl()
+		func() {
+			c.beginColl(CollVote, tagVote, c.allgatherAlgo())
+			defer c.endColl() // a peer's fault must not leave the collective open
+			all = Allgatherv(c, tagVote, attrs)
+			Allgatherv(c, tagVoteScore, scores)
+		}()
 	}
 	ballot := kernel.GetInt32(p * k)
 	for g := 0; g < nGroups; g++ {

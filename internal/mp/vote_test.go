@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
+
+	"partree/internal/fault"
 )
 
 // voteFixture gives rank r of p its deterministic two-group ballot set
@@ -12,9 +15,9 @@ func voteFixture(r, k int) (attrs []int32, scores []float64) {
 	attrs = make([]int32, 2*k)
 	scores = make([]float64, 2*k)
 	for i := 0; i < k; i++ {
-		attrs[i] = int32((r + i*3) % 7)          // group 0: overlapping nominations
-		attrs[k+i] = -1                          // group 1: mostly empty
-		scores[i] = float64(r*10+i) / 100        // diagnostics only
+		attrs[i] = int32((r + i*3) % 7)   // group 0: overlapping nominations
+		attrs[k+i] = -1                   // group 1: mostly empty
+		scores[i] = float64(r*10+i) / 100 // diagnostics only
 	}
 	if r%2 == 0 {
 		attrs[k] = 5 // even ranks nominate attr 5 in group 1
@@ -124,5 +127,58 @@ func TestVoteElectChargesVoteCollective(t *testing.T) {
 	}
 	if tbl := w.Breakdown().Table(); !strings.Contains(tbl, CollVote.String()) {
 		t.Fatalf("breakdown lacks the vote collective row:\n%s", tbl)
+	}
+}
+
+// TestVoteElectFaultClosesCollective: a peer crashing inside the ballot
+// allgather unwinds VoteElect with its collective closed on every
+// survivor (collDepth back at 0), so the survivors regroup and their
+// next Barrier on the survivor communicator completes instead of
+// waiting under a stale collective instance key.
+func TestVoteElectFaultClosesCollective(t *testing.T) {
+	const k, elect, numAttrs, p, crashed = 3, 4, 8, 4, 2
+	w := NewWorld(p, SP2())
+	w.SetFaultPlan(fault.NewPlan(fault.CrashAt(crashed, fault.SendOp, 1)))
+	depth := make([]int, p)
+	regrouped := make([]bool, p)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.Run(func(c *Comm) {
+			func() {
+				defer func() {
+					if v := recover(); v != nil {
+						if _, ok := fault.AsError(v); !ok {
+							panic(v) // incl. the injected crash itself
+						}
+					}
+				}()
+				attrs, scores := voteFixture(c.Rank(), k)
+				VoteElect(c, attrs, scores, 2, k, elect, numAttrs, make([]int32, 2*elect), make([]int32, 2))
+			}()
+			depth[c.Rank()] = c.me.collDepth
+			c.EnterRecovery()
+			c.ShrinkAlive().Barrier()
+			regrouped[c.Rank()] = true
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("survivors' Barrier on the shrunken communicator hung")
+	}
+	if dead := w.DeadRanks(); len(dead) != 1 || dead[0] != crashed {
+		t.Fatalf("dead ranks = %v, want [%d]", dead, crashed)
+	}
+	for r := 0; r < p; r++ {
+		if r == crashed {
+			continue
+		}
+		if depth[r] != 0 {
+			t.Fatalf("rank %d left VoteElect at collective depth %d, want 0", r, depth[r])
+		}
+		if !regrouped[r] {
+			t.Fatalf("rank %d did not complete the survivor Barrier", r)
+		}
 	}
 }

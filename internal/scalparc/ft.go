@@ -14,13 +14,9 @@ import (
 // on the global record multiset (never on its distribution across ranks),
 // the rebuilt tree is bit-identical to the fault-free one.
 //
-// ft == nil (or a nil store) degrades to a plain Build.
+// ft == nil (or a nil store, or one rank) degrades to a plain Build.
 func BuildFT(c *mp.Comm, local *dataset.Dataset, o Options, ft *core.FTOptions) Result {
-	if ft == nil || ft.Store == nil || c.Size() <= 1 {
-		return Build(c, local, o)
-	}
-	out := core.RunRestartable(c, local, ft, func(c *mp.Comm, d *dataset.Dataset) any {
+	return core.RunRestartable(c, local, ft, func(c *mp.Comm, d *dataset.Dataset) Result {
 		return Build(c, d, o)
 	})
-	return out.(Result)
 }
