@@ -316,7 +316,7 @@ func BenchmarkInference(b *testing.B) {
 	}
 	pool := predict.NewPool(0)
 	defer pool.Close()
-	eng := predict.NewEngine(pool, m)
+	eng := predict.NewBatchEngine(pool, m, m.Schema)
 	out := make([]int32, d.Len())
 
 	report := func(b *testing.B) {

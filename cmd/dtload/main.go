@@ -29,6 +29,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -49,46 +50,95 @@ import (
 )
 
 func main() {
-	var (
-		url      = flag.String("url", "http://localhost:8080", "dtserve base URL (HTTP mode)")
-		model    = flag.String("model", "quest", "model name to query (HTTP mode)")
-		batch    = flag.Int("batch", 256, "records per request (HTTP mode)")
-		concList = flag.String("conc", "1,2,4,8", "comma-separated closed-loop worker counts to sweep (HTTP mode)")
-		duration = flag.Duration("duration", 5*time.Second, "measurement window per concurrency level (HTTP mode)")
-		warmup   = flag.Duration("warmup", 500*time.Millisecond, "per-level warmup excluded from measurement (HTTP mode)")
-
-		selfbench = flag.Bool("selfbench", false, "run the in-process fused-vs-naive benchmark instead of HTTP load")
-		rows      = flag.Int("rows", 100000, "batch rows for -selfbench")
-		trainRows = flag.Int("train-rows", 20000, "training rows per -selfbench forest (batch size is -rows)")
-		treesList = flag.String("trees", "1,10,100", "comma-separated forest sizes for -selfbench")
-		maxDepth  = flag.Int("maxdepth", 8, "member depth limit for -selfbench forests")
-		builder   = flag.String("builder", "hunt", "member builder for -selfbench forests")
-		minTime   = flag.Duration("min-time", 2*time.Second, "minimum measurement time per -selfbench configuration")
-
-		fn   = flag.Int("function", 2, "Quest classification function for generated records")
-		seed = flag.Uint64("seed", 1998, "generator seed")
-		out  = flag.String("o", "", "merge results into this BENCH JSON file")
-	)
-	flag.Parse()
-
-	if *selfbench {
-		res, err := runSelfBench(*rows, *trainRows, parseInts(*treesList), *maxDepth, *builder, *fn, *seed, *minTime)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtload:", err)
-			os.Exit(1)
-		}
-		emit(*out, "local", res)
-		return
-	}
-	res, err := runHTTP(*url, *model, *batch, parseInts(*concList), *duration, *warmup, *fn, *seed)
-	if err != nil {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	var f flagError
+	if err != nil && !errors.Is(err, flag.ErrHelp) && !errors.As(err, &f) {
 		fmt.Fprintln(os.Stderr, "dtload:", err)
-		os.Exit(1)
 	}
-	emit(*out, "http", res)
+	os.Exit(exitCode(err))
 }
 
-func parseInts(s string) []int {
+// usageError is a rejected command line. It is returned before anything
+// is measured or written.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// flagError is a command line the flag package rejected; the flag package
+// has already printed the error and the usage.
+type flagError struct{ error }
+
+// exitCode is the process status for run's result: 0 on success or -h,
+// 2 for a rejected command line (as the flag package's own ExitOnError
+// handling would), 1 for any other failure.
+func exitCode(err error) int {
+	var u usageError
+	var f flagError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, &u), errors.As(err, &f):
+		return 2
+	}
+	return 1
+}
+
+// run parses args, runs the self-bench or the HTTP sweep, and merges the
+// result into -o when one is named.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("dtload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		url      = fs.String("url", "http://localhost:8080", "dtserve base URL (HTTP mode)")
+		model    = fs.String("model", "quest", "model name to query (HTTP mode)")
+		batch    = fs.Int("batch", 256, "records per request (HTTP mode)")
+		concList = fs.String("conc", "1,2,4,8", "comma-separated closed-loop worker counts to sweep (HTTP mode)")
+		duration = fs.Duration("duration", 5*time.Second, "measurement window per concurrency level (HTTP mode)")
+		warmup   = fs.Duration("warmup", 500*time.Millisecond, "per-level warmup excluded from measurement (HTTP mode)")
+
+		selfbench = fs.Bool("selfbench", false, "run the in-process fused-vs-naive benchmark instead of HTTP load")
+		rows      = fs.Int("rows", 100000, "batch rows for -selfbench")
+		trainRows = fs.Int("train-rows", 20000, "training rows per -selfbench forest (batch size is -rows)")
+		treesList = fs.String("trees", "1,10,100", "comma-separated forest sizes for -selfbench")
+		maxDepth  = fs.Int("maxdepth", 8, "member depth limit for -selfbench forests")
+		builder   = fs.String("builder", "hunt", "member builder for -selfbench forests")
+		minTime   = fs.Duration("min-time", 2*time.Second, "minimum measurement time per -selfbench configuration")
+
+		fn   = fs.Int("function", 2, "Quest classification function for generated records")
+		seed = fs.Uint64("seed", 1998, "generator seed")
+		out  = fs.String("o", "", "merge results into this BENCH JSON file")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return flagError{err}
+	}
+
+	if *selfbench {
+		sizes, err := parseInts(*treesList)
+		if err != nil {
+			return err
+		}
+		res, err := runSelfBench(stdout, *rows, *trainRows, sizes, *maxDepth, *builder, *fn, *seed, *minTime)
+		if err != nil {
+			return err
+		}
+		return emit(stdout, *out, "local", res)
+	}
+	concs, err := parseInts(*concList)
+	if err != nil {
+		return err
+	}
+	res, err := runHTTP(stdout, *url, *model, *batch, concs, *duration, *warmup, *fn, *seed)
+	if err != nil {
+		return err
+	}
+	return emit(stdout, *out, "http", res)
+}
+
+// parseInts parses a comma-separated list of positive integers.
+func parseInts(s string) ([]int, error) {
 	var out []int
 	for _, p := range strings.Split(s, ",") {
 		p = strings.TrimSpace(p)
@@ -97,16 +147,14 @@ func parseInts(s string) []int {
 		}
 		v, err := strconv.Atoi(p)
 		if err != nil || v < 1 {
-			fmt.Fprintf(os.Stderr, "dtload: bad list entry %q\n", p)
-			os.Exit(2)
+			return nil, usageError(fmt.Sprintf("bad list entry %q", p))
 		}
 		out = append(out, v)
 	}
 	if len(out) == 0 {
-		fmt.Fprintln(os.Stderr, "dtload: empty list")
-		os.Exit(2)
+		return nil, usageError("empty list")
 	}
-	return out
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -133,7 +181,7 @@ type selfResult struct {
 	Configs   []selfConfig `json:"configs"`
 }
 
-func runSelfBench(rows, trainRows int, sizes []int, maxDepth int, builder string, fn int, seed uint64, minTime time.Duration) (*selfResult, error) {
+func runSelfBench(stdout io.Writer, rows, trainRows int, sizes []int, maxDepth int, builder string, fn int, seed uint64, minTime time.Duration) (*selfResult, error) {
 	train, err := quest.Generate(quest.Config{Function: fn, Seed: seed}, trainRows)
 	if err != nil {
 		return nil, err
@@ -175,7 +223,7 @@ func runSelfBench(rows, trainRows int, sizes []int, maxDepth int, builder string
 			FusedVsSingleRatio: fused / singleRate,
 		}
 		res.Configs = append(res.Configs, cfg)
-		fmt.Printf("trees=%-4d nodes=%-7d fused %.0f rows/s  naive %.0f rows/s  single %.0f rows/s  speedup %.2fx  vs-single %.3f\n",
+		fmt.Fprintf(stdout, "trees=%-4d nodes=%-7d fused %.0f rows/s  naive %.0f rows/s  single %.0f rows/s  speedup %.2fx  vs-single %.3f\n",
 			trees, cfg.FusedNodes, fused, naive, singleRate, cfg.SpeedupVsNaive, cfg.FusedVsSingleRatio)
 	}
 	return res, nil
@@ -214,7 +262,7 @@ type httpResult struct {
 	Levels   []httpLevel `json:"levels"`
 }
 
-func runHTTP(base, model string, batch int, concs []int, duration, warmup time.Duration, fn int, seed uint64) (*httpResult, error) {
+func runHTTP(stdout io.Writer, base, model string, batch int, concs []int, duration, warmup time.Duration, fn int, seed uint64) (*httpResult, error) {
 	// Prebuild a handful of distinct request bodies so the server sees
 	// varied rows while the client does no JSON work on the hot path.
 	const bodies = 8
@@ -251,7 +299,7 @@ func runHTTP(base, model string, batch int, concs []int, duration, warmup time.D
 			return nil, err
 		}
 		res.Levels = append(res.Levels, *lv)
-		fmt.Printf("conc=%-3d %7.1f req/s  %9.0f rows/s  p50 %.2fms  p95 %.2fms  p99 %.2fms  errors %d\n",
+		fmt.Fprintf(stdout, "conc=%-3d %7.1f req/s  %9.0f rows/s  p50 %.2fms  p95 %.2fms  p99 %.2fms  errors %d\n",
 			conc, lv.ReqPerSec, lv.RowsPerSec, lv.P50MS, lv.P95MS, lv.P99MS, lv.Errors)
 	}
 	return res, nil
@@ -356,24 +404,22 @@ func predictBody(model string, d *dataset.Dataset, lo, hi int) ([]byte, error) {
 // ---------------------------------------------------------------------------
 // BENCH JSON merge
 
-// emit prints the section and, with a path, merges it into the BENCH
-// file under key, preserving other sections.
-func emit(path, key string, section interface{}) {
+// emit merges section into the BENCH file at path under key, preserving
+// other sections; with no path it writes nothing.
+func emit(stdout io.Writer, path, key string, section interface{}) error {
 	if path == "" {
-		return
+		return nil
 	}
 	doc := map[string]json.RawMessage{}
 	if old, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(old, &doc); err != nil {
-			fmt.Fprintf(os.Stderr, "dtload: existing %s is not a JSON object: %v\n", path, err)
-			os.Exit(1)
+			return fmt.Errorf("existing %s is not a JSON object: %w", path, err)
 		}
 	}
 	doc["benchmark"], _ = json.Marshal("serve")
 	raw, err := json.Marshal(section)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dtload:", err)
-		os.Exit(1)
+		return err
 	}
 	doc[key] = raw
 	// Deterministic key order for a committed artifact.
@@ -387,8 +433,7 @@ func emit(path, key string, section interface{}) {
 	for i, k := range keys {
 		var pretty bytes.Buffer
 		if err := json.Indent(&pretty, doc[k], " ", " "); err != nil {
-			fmt.Fprintln(os.Stderr, "dtload:", err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Fprintf(&buf, " %q: %s", k, pretty.Bytes())
 		if i < len(keys)-1 {
@@ -398,8 +443,8 @@ func emit(path, key string, section interface{}) {
 	}
 	buf.WriteString("}\n")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "dtload:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Printf("%s section written to %s\n", key, path)
+	fmt.Fprintf(stdout, "%s section written to %s\n", key, path)
+	return nil
 }

@@ -470,7 +470,7 @@ func flatEvaluator(t *tree.Tree) func(*tree.Tree, *dataset.Dataset) float64 {
 	}
 	fmt.Printf("flat tree      %d nodes compiled (%d leaves)\n", m.Len(), m.Leaves())
 	pool := predict.NewPool(0)
-	eng := predict.NewEngine(pool, m)
+	eng := predict.NewBatchEngine(pool, m, m.Schema)
 	return func(_ *tree.Tree, d *dataset.Dataset) float64 {
 		d = recode(t.Schema, d)
 		out := make([]int32, d.Len())

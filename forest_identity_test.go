@@ -10,9 +10,11 @@
 package partree_test
 
 import (
+	"slices"
 	"testing"
 
 	"partree/internal/build"
+	"partree/internal/dataset"
 	"partree/internal/flat"
 	"partree/internal/forest"
 	"partree/internal/quest"
@@ -80,17 +82,42 @@ func TestForestFusedMatchesPerTreeVotesLargeBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := forest.Train(train, forest.Config{
-		Trees:           24,
-		Builder:         "hunt",
-		Seed:            9,
-		Bootstrap:       true,
-		FeatureFraction: 0.8,
-		Tree:            tree.Options{Binary: true, MaxDepth: 9},
-	})
+	for _, binary := range []bool{true, false} {
+		f, err := forest.Train(train, forest.Config{
+			Trees:           24,
+			Builder:         "hunt",
+			Seed:            9,
+			Bootstrap:       true,
+			FeatureFraction: 0.8,
+			Tree:            tree.Options{Binary: binary, MaxDepth: 9},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Multiway members carry CatMultiway nodes, which the step walk
+		// rejects: the fused table then serves through the generic walk.
+		if multiway := slices.Contains(mustCompile(t, f).Kind, tree.CatMultiway); multiway == binary {
+			t.Fatalf("Binary: %v forest has CatMultiway nodes: %v", binary, multiway)
+		}
+		fusedMatchesPerTreeVotes(t, f, test)
+	}
+}
+
+// mustCompile fuses f or fails the test.
+func mustCompile(t *testing.T, f *forest.Forest) *forest.Fused {
+	t.Helper()
+	fz, err := forest.Compile(f)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return fz
+}
+
+// fusedMatchesPerTreeVotes checks, under both vote modes, that the fused
+// walk of f votes every row of test like per-tree aggregation, whole and
+// sharded at arbitrary boundaries.
+func fusedMatchesPerTreeVotes(t *testing.T, f *forest.Forest, test *dataset.Dataset) {
+	t.Helper()
 	for _, mode := range []forest.VoteMode{forest.Majority, forest.Weighted} {
 		f.Vote = mode
 		f.Weights = nil
@@ -100,10 +127,7 @@ func TestForestFusedMatchesPerTreeVotesLargeBatch(t *testing.T) {
 				f.Weights[i] = 0.17 + 0.029*float64(i)
 			}
 		}
-		fz, err := forest.Compile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fz := mustCompile(t, f)
 		fused := make([]int32, test.Len())
 		naive := make([]int32, test.Len())
 		fz.PredictInto(test, fused, 0, test.Len())
@@ -135,6 +159,50 @@ func TestForestFusedMatchesPerTreeVotesLargeBatch(t *testing.T) {
 			if shard[r] != fused[r] {
 				t.Fatalf("%v: row %d sharded=%d whole=%d", mode, r, shard[r], fused[r])
 			}
+		}
+	}
+}
+
+// TestForestSingleMultiwayTreeMatchesFlat checks a 1-tree forest of a
+// multiway member, which the fused table serves through the generic
+// walk, against that member's own flat model.
+func TestForestSingleMultiwayTreeMatchesFlat(t *testing.T) {
+	train, err := quest.Generate(quest.Config{Function: 2, Seed: 51}, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	test, err := quest.Generate(quest.Config{Function: 2, Seed: 52, Perturbation: 0.1}, 3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := forest.Train(train, forest.Config{
+		Trees:     1,
+		Builder:   "hunt",
+		Seed:      5,
+		Bootstrap: true,
+		Tree:      tree.Options{MaxDepth: 9},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := flat.Compile(f.Trees[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	fz := mustCompile(t, f)
+	if !slices.Contains(fz.Kind, tree.CatMultiway) {
+		t.Fatal("multiway member has no CatMultiway node")
+	}
+	fused := make([]int32, test.Len())
+	want := make([]int32, test.Len())
+	fz.PredictInto(test, fused, 0, test.Len())
+	m.PredictInto(test, want, 0, test.Len())
+	for r := range fused {
+		if fused[r] != want[r] {
+			t.Fatalf("row %d: fused=%d flat=%d", r, fused[r], want[r])
+		}
+		if got := fz.Predict(test, r); got != want[r] {
+			t.Fatalf("row %d: fused single-row=%d flat=%d", r, got, want[r])
 		}
 	}
 }

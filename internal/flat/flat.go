@@ -23,12 +23,14 @@ import (
 	"partree/internal/tree"
 )
 
-// Model is the compiled struct-of-arrays form of one decision tree. All
-// per-node slices share indexing: node i's split kind is Kind[i], its
-// children (if any) are the NumChild[i] consecutive nodes starting at
-// ChildBase[i], and Class[i] is the class to predict if classification
-// stops at node i — the node's own majority class when it saw training
-// cases, otherwise the pre-resolved nearest-ancestor fallback.
+// Model is the compiled struct-of-arrays form of one decision tree, or
+// of several trees sharing one table (a fused forest roots member t at
+// node t). All per-node slices share indexing: node i's split kind is
+// Kind[i], its children (if any) are the NumChild[i] consecutive nodes
+// starting at ChildBase[i] (-1 for leaves), and Class[i] is the class to
+// predict if classification stops at node i — the node's own majority
+// class when it saw training cases, otherwise the pre-resolved
+// nearest-ancestor fallback.
 type Model struct {
 	Schema *dataset.Schema
 
@@ -147,52 +149,25 @@ func Compile(t *tree.Tree) (*Model, error) {
 	return m, nil
 }
 
-// route computes the child offset of node i for a raw attribute value,
-// mirroring tree.Node.routeValue bit for bit — including the defined Go
-// semantics of an over-wide shift (a category or bin index ≥ 64 never
-// matches a mask, so it routes to child 1), which the pointer walk also
-// exhibits and which split-construction and ReadJSON validation now make
-// unreachable for well-formed models.
-func (m *Model) route(i int32, cat int32, cont float64) int32 {
-	switch m.Kind[i] {
-	case tree.CatMultiway:
-		return cat
-	case tree.CatBinary:
-		if cat >= 0 && cat < 64 && m.Mask[i]&(1<<uint(cat)) != 0 {
-			return 0
-		}
-		return 1
-	case tree.ContBinary:
-		if cont <= m.Thresh[i] {
-			return 0
-		}
-		return 1
-	case tree.ContBinned:
-		edges := m.Edges[m.EdgeBase[i] : m.EdgeBase[i]+m.EdgeLen[i]]
-		b := criteria.BinOf(edges, cont)
-		if m.Mask[i] != 0 {
-			if b < 64 && m.Mask[i]&(1<<uint(b)) != 0 {
-				return 0
-			}
-			return 1
-		}
-		return int32(b)
-	default:
-		panic("flat: routing on a leaf")
-	}
-}
-
 // Predict classifies row of d (which must share the model's schema
-// layout) by walking the flat table. Out-of-range child indexes predict
-// the current node's resolved class, exactly as the pointer walk does.
+// layout) by walking the flat table from node 0, the root of a table
+// Compile built.
+func (m *Model) Predict(d *dataset.Dataset, row int) int32 { return m.PredictFrom(d, row, 0) }
+
+// PredictFrom classifies row of d by walking the table from node root.
+// A table may hold several trees — a fused forest's merged table roots
+// member t at node t — and this is the one bounds-checked walk over all
+// of them. Out-of-range child indexes predict the current node's
+// resolved class, exactly as the pointer walk does.
 //
 // The walk is hand-specialized per split kind: the split kind statically
 // determines which column family (Cat/Cont) is read — no per-node nil
 // probe as in the pointer walk — and binary kinds need no child-range
 // check at all (the compiler laid out exactly two children). Only
-// CatMultiway can route out of range.
-func (m *Model) Predict(d *dataset.Dataset, row int) int32 {
-	i := int32(0)
+// CatMultiway can route out of range. A category or bin index ≥ 64
+// never matches a mask, so it routes to child 1, as in the pointer walk.
+func (m *Model) PredictFrom(d *dataset.Dataset, row int, root int32) int32 {
+	i := root
 	for {
 		switch m.Kind[i] {
 		case tree.Leaf:
@@ -232,25 +207,11 @@ func (m *Model) Predict(d *dataset.Dataset, row int) int32 {
 	}
 }
 
-// PredictRecord classifies a single record.
-func (m *Model) PredictRecord(r *dataset.Record) int32 {
-	i := int32(0)
-	for m.Kind[i] != tree.Leaf {
-		a := m.Attr[i]
-		c := m.route(i, r.Cat[a], r.Cont[a])
-		if c < 0 || c >= m.NumChild[i] {
-			return m.Class[i]
-		}
-		i = m.ChildBase[i] + c
-	}
-	return m.Class[i]
-}
-
 // PredictInto classifies rows [lo, hi) of d into out[lo:hi]. This is the
 // shard unit of the parallel prediction engine.
 func (m *Model) PredictInto(d *dataset.Dataset, out []int32, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		out[i] = m.Predict(d, i)
+		out[i] = m.PredictFrom(d, i, 0)
 	}
 }
 

@@ -97,15 +97,10 @@ func TestCompileMultiwayAndBinned(t *testing.T) {
 
 func assertIdentical(t *testing.T, tr *tree.Tree, m *flat.Model, d *dataset.Dataset) {
 	t.Helper()
-	rec := dataset.NewRecord(d.Schema)
 	for i := 0; i < d.Len(); i++ {
 		want := tr.ClassifyRow(d, i)
 		if got := m.Predict(d, i); got != want {
 			t.Fatalf("row %d: flat predicts %d, pointer tree %d", i, got, want)
-		}
-		d.RowInto(i, &rec)
-		if got := m.PredictRecord(&rec); got != want {
-			t.Fatalf("row %d: flat record path predicts %d, pointer tree %d", i, got, want)
 		}
 	}
 	if ta, fa := tr.Accuracy(d), m.Accuracy(d); ta != fa {
@@ -157,9 +152,10 @@ func TestCompileFallbacks(t *testing.T) {
 		{2, 20}, // empty leaf under empty internal → root fallback
 	}
 	for _, c := range cases {
-		r := dataset.Record{Cat: []int32{c.color, 0}, Cont: []float64{0, c.x}}
-		want := tr.Classify(&r)
-		if got := m.PredictRecord(&r); got != want {
+		row := dataset.New(s, 1)
+		row.Append(dataset.Record{Cat: []int32{c.color, 0}, Cont: []float64{0, c.x}})
+		want := tr.ClassifyRow(row, 0)
+		if got := m.Predict(row, 0); got != want {
 			t.Errorf("color=%d x=%g: flat %d, pointer %d", c.color, c.x, got, want)
 		}
 	}

@@ -5,16 +5,15 @@ import (
 	"math"
 	"unsafe"
 
-	"partree/internal/criteria"
 	"partree/internal/dataset"
 	"partree/internal/flat"
 	"partree/internal/tree"
 )
 
 // Fused is the compiled serving form of a forest: every member's flat
-// node table merged into one set of struct-of-arrays slices, laid out
-// level-major ACROSS trees — all roots first (member t's root is node t),
-// then every member's depth-1 nodes, and so on. The interleaving matters:
+// node table merged into one multi-root flat.Model, laid out level-major
+// ACROSS trees — all roots first (member t's root is node t), then every
+// member's depth-1 nodes, and so on. The interleaving matters:
 // batched prediction walks all trees for a tile of rows, so the active
 // working set at any moment is one cross-tree level band plus the tile's
 // column segments, not T disjoint tables. Child indexes are absolute
@@ -27,25 +26,14 @@ import (
 // bit-identical to per-tree aggregation (the differential tests'
 // contract), including float-sum order for weighted forests.
 type Fused struct {
-	Schema *dataset.Schema
+	// Model is the merged node table. Its own Predict walks member 0
+	// only; a forest's vote goes through Fused's methods.
+	flat.Model
 	// Members keeps the per-tree compiled models; PredictNaiveInto — the
 	// reference (and baseline) path — routes through them.
 	Members []*flat.Model
 	// Weights is nil for majority voting, per-member for weighted.
 	Weights []float64
-
-	Roots []int32 // fused index of member t's root (== t by layout)
-
-	Kind      []tree.SplitKind
-	Attr      []int32
-	Thresh    []float64
-	Mask      []uint64
-	ChildBase []int32 // absolute first-child index; -1 for leaves
-	NumChild  []int32
-	Class     []int32
-	EdgeBase  []int32
-	EdgeLen   []int32
-	Edges     []float64
 
 	// fast is true when stepWalkable verified the table: only leaves and
 	// binary tests (ContBinary/CatBinary), every child and attribute
@@ -98,7 +86,7 @@ type Fused struct {
 //     contributes nothing regardless of how the mask reads as a key;
 //     a clear mask bit, or a selector zeroed by an out-of-range code
 //     (Go shifts past 63 vanish exactly like the guarded test in
-//     classOf), routes right.
+//     flat.Model.PredictFrom), routes right.
 //   - Leaf: self-loop — child = own byte offset, payload = ^0, aoff =
 //     the tile's spare pair, whose key lane is zero (0 > ^0 is false
 //     unsigned) and selector lane ^0 (^0 & ^0 ≠ 0), so neither term
@@ -116,21 +104,10 @@ type stepNode struct {
 const voteTile = 256
 
 // Trees returns the member count.
-func (f *Fused) Trees() int { return len(f.Roots) }
+func (f *Fused) Trees() int { return len(f.Members) }
 
 // Nodes returns the total fused node count across members.
-func (f *Fused) Nodes() int { return len(f.Kind) }
-
-// Leaves returns the total leaf count across members.
-func (f *Fused) Leaves() int {
-	n := 0
-	for _, k := range f.Kind {
-		if k == tree.Leaf {
-			n++
-		}
-	}
-	return n
-}
+func (f *Fused) Nodes() int { return f.Len() }
 
 // Compile flattens a trained forest: each member through flat.Compile,
 // then the members through CompileFlat.
@@ -170,19 +147,20 @@ func CompileFlat(models []*flat.Model, weights []float64) (*Fused, error) {
 		total += m.Len()
 	}
 	f := &Fused{
-		Schema:    s,
-		Members:   models,
-		Weights:   weights,
-		Roots:     make([]int32, len(models)),
-		Kind:      make([]tree.SplitKind, 0, total),
-		Attr:      make([]int32, 0, total),
-		Thresh:    make([]float64, 0, total),
-		Mask:      make([]uint64, 0, total),
-		ChildBase: make([]int32, 0, total),
-		NumChild:  make([]int32, 0, total),
-		Class:     make([]int32, 0, total),
-		EdgeBase:  make([]int32, 0, total),
-		EdgeLen:   make([]int32, 0, total),
+		Model: flat.Model{
+			Schema:    s,
+			Kind:      make([]tree.SplitKind, 0, total),
+			Attr:      make([]int32, 0, total),
+			Thresh:    make([]float64, 0, total),
+			Mask:      make([]uint64, 0, total),
+			ChildBase: make([]int32, 0, total),
+			NumChild:  make([]int32, 0, total),
+			Class:     make([]int32, 0, total),
+			EdgeBase:  make([]int32, 0, total),
+			EdgeLen:   make([]int32, 0, total),
+		},
+		Members: models,
+		Weights: weights,
 	}
 
 	// Breadth-first emission over ALL trees at once: the queue starts
@@ -214,7 +192,6 @@ func CompileFlat(models []*flat.Model, weights []float64) (*Fused, error) {
 		queue = append(queue, r)
 	}
 	for t := range models {
-		f.Roots[t] = int32(len(f.Kind))
 		emit(ref{t: t, i: 0})
 		depths = append(depths, 0)
 	}
@@ -345,49 +322,6 @@ func compatibleSchemas(want, got *dataset.Schema) error {
 	return nil
 }
 
-// classOf walks row r from the fused node root to its vote, mirroring
-// flat.Model.Predict decision for decision (including the CatMultiway
-// out-of-range fallback to the current node's resolved class).
-func (f *Fused) classOf(d *dataset.Dataset, r int, i int32) int32 {
-	for {
-		switch f.Kind[i] {
-		case tree.Leaf:
-			return f.Class[i]
-		case tree.ContBinary:
-			var c int32
-			if d.Cont[f.Attr[i]][r] > f.Thresh[i] {
-				c = 1
-			}
-			i = f.ChildBase[i] + c
-		case tree.CatBinary:
-			v := d.Cat[f.Attr[i]][r]
-			c := int32(1)
-			if uint32(v) < 64 && f.Mask[i]&(1<<uint32(v)) != 0 {
-				c = 0
-			}
-			i = f.ChildBase[i] + c
-		case tree.CatMultiway:
-			c := d.Cat[f.Attr[i]][r]
-			if uint32(c) >= uint32(f.NumChild[i]) {
-				return f.Class[i]
-			}
-			i = f.ChildBase[i] + c
-		default: // ContBinned
-			edges := f.Edges[f.EdgeBase[i] : f.EdgeBase[i]+f.EdgeLen[i]]
-			b := criteria.BinOf(edges, d.Cont[f.Attr[i]][r])
-			if mask := f.Mask[i]; mask != 0 {
-				c := int32(1)
-				if b < 64 && mask&(1<<uint(b)) != 0 {
-					c = 0
-				}
-				i = f.ChildBase[i] + c
-			} else {
-				i = f.ChildBase[i] + int32(b)
-			}
-		}
-	}
-}
-
 // PredictInto classifies rows [lo, hi) of d into out[lo:hi] through the
 // fused layout — the shard unit of the forest batch engine. Rows are
 // processed in voteTile-sized tiles: all members vote on the tile, then
@@ -499,8 +433,8 @@ func (f *Fused) predictMajority(d *dataset.Dataset, out []int32, lo, hi int) {
 			fillTile(tile, d, blo, bhi, stride2)
 			nodes, class := f.steps, f.Class
 			walk := idx[:bhi-blo]
-			for t := range f.Roots {
-				root, steps := f.Roots[t]*16, int(f.Depths[t])
+			for t := range f.Members {
+				root, steps := int32(t)*16, int(f.Depths[t])
 				for k := range walk {
 					walk[k] = root
 				}
@@ -510,10 +444,9 @@ func (f *Fused) predictMajority(d *dataset.Dataset, out []int32, lo, hi int) {
 				}
 			}
 		} else {
-			for t := range f.Roots {
-				root := f.Roots[t]
+			for t := range f.Members {
 				for r := blo; r < bhi; r++ {
-					votes[(r-blo)*classes+int(f.classOf(d, r, root))]++
+					votes[(r-blo)*classes+int(f.PredictFrom(d, r, int32(t)))]++
 				}
 			}
 		}
@@ -546,8 +479,8 @@ func (f *Fused) predictWeighted(d *dataset.Dataset, out []int32, lo, hi int) {
 			fillTile(tile, d, blo, bhi, stride2)
 			nodes, class := f.steps, f.Class
 			walk := idx[:bhi-blo]
-			for t := range f.Roots {
-				root, steps, w := f.Roots[t]*16, int(f.Depths[t]), f.Weights[t]
+			for t := range f.Members {
+				root, steps, w := int32(t)*16, int(f.Depths[t]), f.Weights[t]
 				for k := range walk {
 					walk[k] = root
 				}
@@ -557,10 +490,9 @@ func (f *Fused) predictWeighted(d *dataset.Dataset, out []int32, lo, hi int) {
 				}
 			}
 		} else {
-			for t := range f.Roots {
-				root, w := f.Roots[t], f.Weights[t]
+			for t, w := range f.Weights {
 				for r := blo; r < bhi; r++ {
-					votes[(r-blo)*classes+int(f.classOf(d, r, root))] += w
+					votes[(r-blo)*classes+int(f.PredictFrom(d, r, int32(t)))] += w
 				}
 			}
 		}
@@ -607,32 +539,21 @@ func (f *Fused) PredictNaiveInto(d *dataset.Dataset, out []int32, lo, hi int) {
 }
 
 // Predict classifies a single row (convenience; batches go through
-// PredictInto).
+// PredictInto), voting in the same member order as the batch paths.
 func (f *Fused) Predict(d *dataset.Dataset, row int) int32 {
-	var out [1]int32
-	sub := out[:]
-	// Reuse the batch path on a one-row window so single-row and batch
-	// predictions cannot diverge.
-	f.predictRange(d, sub, row)
-	return sub[0]
-}
-
-// predictRange adapts PredictInto to a caller-local one-row buffer.
-func (f *Fused) predictRange(d *dataset.Dataset, out []int32, row int) {
 	classes := f.Schema.NumClasses()
 	if f.Weights == nil {
 		votes := make([]int64, classes)
-		for t := range f.Roots {
-			votes[f.classOf(d, row, f.Roots[t])]++
+		for t := range f.Members {
+			votes[f.PredictFrom(d, row, int32(t))]++
 		}
-		out[0] = argmaxInt(votes)
-		return
+		return argmaxInt(votes)
 	}
 	votes := make([]float64, classes)
-	for t := range f.Roots {
-		votes[f.classOf(d, row, f.Roots[t])] += f.Weights[t]
+	for t, w := range f.Weights {
+		votes[f.PredictFrom(d, row, int32(t))] += w
 	}
-	out[0] = argmaxFloat(votes)
+	return argmaxFloat(votes)
 }
 
 // Accuracy returns the fraction of rows of d the fused forest classifies

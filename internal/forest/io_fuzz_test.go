@@ -42,20 +42,25 @@ func FuzzReadForestJSON(f *testing.F) {
 			return
 		}
 		// Anything accepted must compile and classify a synthetic row
-		// without panicking. Zero values exercise the out-of-range
-		// fallbacks (a categorical code 0 may exceed a hostile schema's
-		// cardinality; the walk must still terminate).
+		// without panicking, and every walk must vote alike. Zero values
+		// exercise the out-of-range fallbacks (a categorical code 0 may
+		// exceed a hostile schema's cardinality; the walk must still
+		// terminate).
 		fz, err := Compile(fr)
 		if err != nil {
 			return
 		}
 		row := dataset.New(fr.Schema, 1)
 		row.Append(dataset.NewRecord(fr.Schema))
-		out := make([]int32, 1)
-		fz.PredictInto(row, out, 0, 1)
-		fz.PredictNaiveInto(row, out, 0, 1)
-		if c := fz.Predict(row, 0); c < 0 || int(c) >= fr.Schema.NumClasses() {
-			t.Fatalf("prediction %d outside class range", c)
+		fused, naive := make([]int32, 1), make([]int32, 1)
+		fz.PredictInto(row, fused, 0, 1)
+		fz.PredictNaiveInto(row, naive, 0, 1)
+		single := fz.Predict(row, 0)
+		if single < 0 || int(single) >= fr.Schema.NumClasses() {
+			t.Fatalf("prediction %d outside class range", single)
+		}
+		if fused[0] != naive[0] || single != naive[0] {
+			t.Fatalf("fused %d, single-row %d, naive %d", fused[0], single, naive[0])
 		}
 	})
 }

@@ -50,6 +50,48 @@ func TestRunPanicUnblocksPeers(t *testing.T) {
 	}
 }
 
+// A rank body that returns inside an open collective is a panic of that
+// rank naming the depth: siblings would otherwise disagree on the next
+// collective instance.
+func TestRunRejectsOpenCollectiveAtReturn(t *testing.T) {
+	w := NewWorld(2, SP2())
+	v := mustPanic(t, func() {
+		w.Run(func(c *Comm) {
+			if c.Rank() == 1 {
+				c.beginColl(CollBarrier, 0, AlgoDefault)
+			}
+		})
+	})
+	s, _ := v.(string)
+	if !strings.Contains(s, "rank 1 panicked") || !strings.Contains(s, "inside 1 open collectives") {
+		t.Fatalf("re-panic = %v, want rank 1 inside 1 open collective", v)
+	}
+	if got := w.DeadRanks(); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("DeadRanks = %v, want [1]", got)
+	}
+}
+
+// A rank body that returns with phases still pushed is a panic of that
+// rank naming the open phases.
+func TestRunRejectsOpenPhaseAtReturn(t *testing.T) {
+	w := NewWorld(2, SP2())
+	v := mustPanic(t, func() {
+		w.Run(func(c *Comm) {
+			c.BeginPhase("balanced")
+			c.EndPhase()
+			if c.Rank() == 0 {
+				c.BeginPhase("outer")
+				c.BeginPhase("inner")
+			}
+		})
+	})
+	s, _ := v.(string)
+	if !strings.Contains(s, "rank 0 panicked") || !strings.Contains(s, "inside 0 open collectives") ||
+		!strings.Contains(s, `["outer" "inner"]`) {
+		t.Fatalf("re-panic = %v, want rank 0 with phases outer, inner open", v)
+	}
+}
+
 // A peer that returns normally is as unreachable as a dead one for a
 // blocked receive — but messages it sent before finishing still arrive.
 func TestRecvFromFinishedRank(t *testing.T) {

@@ -125,11 +125,13 @@ func (w *World) SetCollConfig(cfg CollConfig) {
 }
 
 // Run executes body once per rank, each in its own goroutine, passing the
-// world communicator, and waits for all ranks to finish. A rank that
-// stops participating — genuine panic, injected crash, or normal return —
-// is registered in the world's dead/done sets, so sibling ranks blocked
-// in a receive fail with a typed *fault.Error instead of hanging and the
-// whole Run always terminates. A genuine panic on any rank is re-panicked
+// world communicator, and waits for all ranks to finish. A rank body that
+// returns inside an open collective or with phases still pushed is a
+// genuine panic of that rank. A rank that stops participating — genuine
+// panic, injected crash, or normal return — is registered in the
+// world's dead/done sets, so sibling ranks blocked in a receive fail
+// with a typed *fault.Error instead of hanging and the whole Run always
+// terminates. A genuine panic on any rank is re-panicked
 // on the caller with rank attribution (an unrecovered *fault.Error
 // likewise); injected fault.Crashed panics are expected and only reported
 // via DeadRanks. Run may be called repeatedly; clocks and counters keep
@@ -153,8 +155,12 @@ func (w *World) Run(body func(c *Comm)) {
 			defer func() {
 				e := recover()
 				if e == nil {
-					w.markDone(rank)
-					return
+					p := w.procs[rank]
+					if p.collDepth == 0 && len(p.phases) == 0 {
+						w.markDone(rank)
+						return
+					}
+					e = fmt.Sprintf("returned inside %d open collectives with open phases %q", p.collDepth, p.phases)
 				}
 				panics[rank] = e
 				switch v := e.(type) {

@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"partree/internal/dataset"
-	"partree/internal/flat"
 )
 
 // minShard is the smallest number of rows worth dispatching to a worker;
@@ -137,17 +136,9 @@ type Engine struct {
 	wallNS  atomic.Int64
 }
 
-// NewEngine returns an engine serving the compiled tree m on pool p.
-func NewEngine(p *Pool, m *flat.Model) *Engine {
-	if m == nil {
-		panic("predict: NewEngine requires a model")
-	}
-	return NewBatchEngine(p, m, m.Schema)
-}
-
 // NewBatchEngine returns an engine sharding batches over pred, which
-// classifies data laid out under schema. The forest serving path uses
-// this with a *forest.Fused predictor.
+// classifies data laid out under schema: a *flat.Model with its Schema,
+// or a *forest.Fused with its merged table's.
 func NewBatchEngine(p *Pool, pred Predictor, schema *dataset.Schema) *Engine {
 	if p == nil || pred == nil || schema == nil {
 		panic("predict: NewBatchEngine requires a pool, a predictor and a schema")

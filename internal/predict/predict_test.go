@@ -32,7 +32,7 @@ func TestPredictBatchMatchesSerial(t *testing.T) {
 	m, d := compiled(t, 6000, 9)
 	pool := predict.NewPool(4)
 	defer pool.Close()
-	eng := predict.NewEngine(pool, m)
+	eng := predict.NewBatchEngine(pool, m, m.Schema)
 	for _, n := range []int{1, 17, 255, 256, 4096, d.Len()} {
 		batch := d.Slice(0, n)
 		out := make([]int32, n)
@@ -61,7 +61,7 @@ func TestPredictBatchConcurrent(t *testing.T) {
 	m2, _ := compiled(t, 4000, 4)
 	pool := predict.NewPool(4)
 	defer pool.Close()
-	engines := []*predict.Engine{predict.NewEngine(pool, m1), predict.NewEngine(pool, m2)}
+	engines := []*predict.Engine{predict.NewBatchEngine(pool, m1, m1.Schema), predict.NewBatchEngine(pool, m2, m2.Schema)}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -89,7 +89,7 @@ func TestPredictBatchErrors(t *testing.T) {
 	m, d := compiled(t, 1000, 5)
 	pool := predict.NewPool(2)
 	defer pool.Close()
-	eng := predict.NewEngine(pool, m)
+	eng := predict.NewBatchEngine(pool, m, m.Schema)
 	if err := eng.PredictBatch(d, make([]int32, d.Len()-1)); err == nil {
 		t.Error("short output buffer accepted")
 	}

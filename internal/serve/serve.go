@@ -95,13 +95,17 @@ func (e *Entry) Kind() string {
 	return "tree"
 }
 
-// Schema returns the schema the entry routes on.
-func (e *Entry) Schema() *dataset.Schema {
+// table returns the compiled node table the entry routes on: the
+// tree's own, or the fused forest's merged multi-root one.
+func (e *Entry) table() *flat.Model {
 	if e.Forest != nil {
-		return e.Forest.Schema
+		return &e.Forest.Model
 	}
-	return e.Model.Schema
+	return e.Model
 }
+
+// Schema returns the schema the entry routes on.
+func (e *Entry) Schema() *dataset.Schema { return e.table().Schema }
 
 // Trees returns the member count (1 for a single tree).
 func (e *Entry) Trees() int {
@@ -112,20 +116,10 @@ func (e *Entry) Trees() int {
 }
 
 // Nodes returns the total compiled node count.
-func (e *Entry) Nodes() int {
-	if e.Forest != nil {
-		return e.Forest.Nodes()
-	}
-	return e.Model.Len()
-}
+func (e *Entry) Nodes() int { return e.table().Len() }
 
 // Leaves returns the total compiled leaf count.
-func (e *Entry) Leaves() int {
-	if e.Forest != nil {
-		return e.Forest.Leaves()
-	}
-	return e.Model.Leaves()
-}
+func (e *Entry) Leaves() int { return e.table().Leaves() }
 
 // breaker tracks consecutive load failures for one model name. While
 // openUntil is in the future, loads for the name are rejected immediately;
@@ -303,7 +297,7 @@ func (g *Registry) compile(name string, r io.Reader) (*Entry, error) {
 	return &Entry{
 		Name:     name,
 		Model:    m,
-		Engine:   predict.NewEngine(g.pool, m),
+		Engine:   predict.NewBatchEngine(g.pool, m, m.Schema),
 		LoadedAt: time.Now(),
 	}, nil
 }

@@ -107,8 +107,7 @@ func TestPredictEndpoint(t *testing.T) {
 	// Predictions must match the registered model evaluated directly.
 	e := srv.Registry().Get("quest")
 	for i := 0; i < 100; i++ {
-		rec := d.Row(i)
-		if want := e.Model.PredictRecord(&rec); pr.ClassIDs[i] != want {
+		if want := e.Model.Predict(d, i); pr.ClassIDs[i] != want {
 			t.Fatalf("record %d: server predicts %d, model %d", i, pr.ClassIDs[i], want)
 		}
 		if pr.Labels[i] != e.Model.Schema.Classes[pr.ClassIDs[i]] {

@@ -63,7 +63,9 @@ func FuzzReadJSON(f *testing.F) {
 		if err != nil {
 			t.Fatalf("compiling a loaded model failed: %v", err)
 		}
-		if got, want := m.PredictRecord(&rec), tr.Classify(&rec); got != want {
+		row := dataset.New(tr.Schema, 1)
+		row.Append(rec)
+		if got, want := m.Predict(row, 0), tr.ClassifyRow(row, 0); got != want {
 			t.Fatalf("flat predicts %d, pointer tree %d", got, want)
 		}
 	})

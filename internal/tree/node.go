@@ -161,37 +161,28 @@ type Tree struct {
 	Root   *Node
 }
 
-// Classify returns the predicted class of a record: the record is routed
-// from the root to a leaf; empty children (Case 3 of Hunt's method)
-// predict the most frequent class of the nearest ancestor with data.
+// Classify returns the predicted class of a record.
 func (t *Tree) Classify(r *dataset.Record) int32 {
-	n := t.Root
-	class := n.Class
-	for n != nil && !n.IsLeaf() {
-		if n.N > 0 {
-			class = n.Class
-		}
-		c := n.RouteRecord(r)
-		if c < 0 || c >= len(n.Children) {
-			return class
-		}
-		n = n.Children[c]
-	}
-	if n != nil && n.N > 0 {
-		class = n.Class
-	}
-	return class
+	return t.classify(func(n *Node) int { return n.RouteRecord(r) })
 }
 
 // ClassifyRow classifies row i of a dataset (which must share the schema).
 func (t *Tree) ClassifyRow(d *dataset.Dataset, i int) int32 {
+	return t.classify(func(n *Node) int { return n.RouteRow(d, i) })
+}
+
+// classify routes from the root to a leaf, taking at each internal node
+// the child index route returns; empty children (Case 3 of Hunt's
+// method) and out-of-range indexes predict the most frequent class of
+// the nearest ancestor with data.
+func (t *Tree) classify(route func(*Node) int) int32 {
 	n := t.Root
 	class := n.Class
 	for n != nil && !n.IsLeaf() {
 		if n.N > 0 {
 			class = n.Class
 		}
-		c := n.RouteRow(d, i)
+		c := route(n)
 		if c < 0 || c >= len(n.Children) {
 			return class
 		}
@@ -206,16 +197,8 @@ func (t *Tree) ClassifyRow(d *dataset.Dataset, i int) int32 {
 // Accuracy returns the fraction of rows of d the tree classifies
 // correctly.
 func (t *Tree) Accuracy(d *dataset.Dataset) float64 {
-	if d.Len() == 0 {
-		return 0
-	}
-	ok := 0
-	for i := 0; i < d.Len(); i++ {
-		if t.ClassifyRow(d, i) == d.Class[i] {
-			ok++
-		}
-	}
-	return float64(ok) / float64(d.Len())
+	acc, _ := t.AccuracyTable(d.Chunked(0)) // an in-RAM table never fails a read
+	return acc
 }
 
 // Stats summarizes a tree's shape.

@@ -238,25 +238,9 @@ func (n *Node) RouteChunkRow(ch *dataset.Chunk, i int) int {
 	return n.routeValue(0, ch.Cont[n.Attr][i])
 }
 
-// ClassifyChunkRow classifies row i of a decoded chunk, mirroring
-// ClassifyRow's Case 3 handling.
+// ClassifyChunkRow classifies row i of a decoded chunk.
 func (t *Tree) ClassifyChunkRow(ch *dataset.Chunk, i int) int32 {
-	n := t.Root
-	class := n.Class
-	for n != nil && !n.IsLeaf() {
-		if n.N > 0 {
-			class = n.Class
-		}
-		c := n.RouteChunkRow(ch, i)
-		if c < 0 || c >= len(n.Children) {
-			return class
-		}
-		n = n.Children[c]
-	}
-	if n != nil && n.N > 0 {
-		class = n.Class
-	}
-	return class
+	return t.classify(func(n *Node) int { return n.RouteChunkRow(ch, i) })
 }
 
 // AccuracyTable returns the fraction of the table's rows the tree
