@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"partree/internal/mp"
+	"partree/internal/sprint"
 )
 
 // sampleSort globally sorts the ranks' entries by (value, rid) and
@@ -13,9 +14,9 @@ import (
 // step, realized with the classic parallel sample sort: local sort,
 // regular sampling, shared splitter selection, splitter-partitioned
 // personalized exchange, local merge.
-func sampleSort(c *mp.Comm, local []entry, attrTag int) []entry {
+func sampleSort(c *mp.Comm, local []sprint.Entry, attrTag int) []sprint.Entry {
 	p := c.Size()
-	sortEntries(local)
+	sprint.SortEntries(local)
 	if p == 1 {
 		return local
 	}
@@ -30,7 +31,7 @@ func sampleSort(c *mp.Comm, local []entry, attrTag int) []entry {
 			continue
 		}
 		e := local[i*len(local)/p]
-		samples = append(samples, e.value, float64(e.rid))
+		samples = append(samples, e.Value, float64(e.RID))
 	}
 	all := mp.Allgatherv(c, 20+attrTag<<4, samples)
 
@@ -60,7 +61,7 @@ func sampleSort(c *mp.Comm, local []entry, attrTag int) []entry {
 	for _, e := range local {
 		for dst < p-1 {
 			sp := splitters[dst]
-			if e.value < sp.v || (e.value == sp.v && float64(e.rid) <= sp.rid) {
+			if e.Value < sp.v || (e.Value == sp.v && float64(e.RID) <= sp.rid) {
 				break
 			}
 			dst++
@@ -68,19 +69,10 @@ func sampleSort(c *mp.Comm, local []entry, attrTag int) []entry {
 		send[dst] = appendEntry(send[dst], e)
 	}
 	recv := mp.Alltoallv(c, 21+attrTag<<4, send)
-	var merged []entry
+	var merged []sprint.Entry
 	for _, blk := range recv {
 		merged = append(merged, decodeEntries(blk)...)
 	}
-	sortEntries(merged)
+	sprint.SortEntries(merged)
 	return merged
-}
-
-func sortEntries(list []entry) {
-	sort.Slice(list, func(a, b int) bool {
-		if list[a].value != list[b].value {
-			return list[a].value < list[b].value
-		}
-		return list[a].rid < list[b].rid
-	})
 }

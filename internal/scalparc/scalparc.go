@@ -32,6 +32,7 @@ import (
 	"partree/internal/dataset"
 	"partree/internal/kernel"
 	"partree/internal/mp"
+	"partree/internal/sprint"
 	"partree/internal/tree"
 )
 
@@ -78,19 +79,12 @@ type Result struct {
 	HashBytes int64
 }
 
-// entry is one attribute-list element (same shape as serial SPRINT's).
-type entry struct {
-	value float64
-	rid   int64
-	class int32
-}
-
 // nodeSlice is this rank's section of one frontier node's attribute
 // lists. Continuous sections are globally sorted: rank r's section
 // precedes rank r+1's.
 type nodeSlice struct {
 	node  *tree.Node
-	lists [][]entry
+	lists [][]sprint.Entry
 }
 
 // scalFam is one sibling family for the statistics-reuse layer
@@ -146,15 +140,25 @@ func Build(c *mp.Comm, local *dataset.Dataset, o Options) Result {
 func BuildTable(c *mp.Comm, local dataset.Table, o Options) (Result, error) {
 	o.Tree = o.Tree.WithDefaults()
 	b := &builder{c: c, s: local.Schema(), o: o, ids: tree.NewIDGen(1), p: c.Size(), rank: c.Rank()}
-	lists, err := b.presort(local)
+	// SPRINT's pre-sort: one stream over the section's chunks (its read
+	// volume charged to the disk cost class) fills every attribute's
+	// entries in row order, then the continuous attributes are parallel-
+	// sample-sorted into globally ordered sections; categorical attributes
+	// keep the local records' entries.
+	lists, err := sprint.ReadLists(local, func(nb int64) { c.ChargeDisk(int(nb)) })
 	if err != nil {
 		return Result{}, err
+	}
+	for a, attr := range b.s.Attrs {
+		if attr.Kind == dataset.Continuous {
+			lists[a] = sampleSort(c, lists[a], a)
+		}
 	}
 	return b.run(lists), nil
 }
 
 // run grows the tree from the presorted root lists.
-func (b *builder) run(lists [][]entry) Result {
+func (b *builder) run(lists [][]sprint.Entry) Result {
 	root := &tree.Node{Kind: tree.Leaf, Dist: make([]int64, b.s.NumClasses())}
 	frontier := []nodeSlice{{node: root, lists: lists}}
 	for len(frontier) > 0 {
@@ -167,45 +171,6 @@ func (b *builder) run(lists [][]entry) Result {
 		MaxHashEntries: b.maxHash,
 		HashBytes:      b.hashBytes,
 	}
-}
-
-// presort builds the root's attribute lists: one stream over the
-// section's chunks fills every attribute's entries in row order (charging
-// the read volume to the disk cost class), then the continuous attributes
-// are parallel-sample-sorted into globally ordered sections (SPRINT's
-// one-time pre-sorting step); categorical attributes keep the local
-// records' entries.
-func (b *builder) presort(local dataset.Table) ([][]entry, error) {
-	lists := make([][]entry, b.s.NumAttrs())
-	for a := range b.s.Attrs {
-		lists[a] = make([]entry, local.Len())
-	}
-	var ch dataset.Chunk
-	for k := 0; k < local.NumChunks(); k++ {
-		nb, err := local.ReadChunk(k, &ch)
-		if err != nil {
-			return nil, err
-		}
-		b.c.ChargeDisk(int(nb))
-		for a := range b.s.Attrs {
-			raw := lists[a][ch.Lo:ch.Hi]
-			if ch.Cont[a] != nil {
-				for i, v := range ch.Cont[a] {
-					raw[i] = entry{value: v, rid: ch.RID[i], class: ch.Class[i]}
-				}
-			} else {
-				for i, code := range ch.Cat[a] {
-					raw[i] = entry{value: float64(code), rid: ch.RID[i], class: ch.Class[i]}
-				}
-			}
-		}
-	}
-	for a, attr := range b.s.Attrs {
-		if attr.Kind == dataset.Continuous {
-			lists[a] = sampleSort(b.c, lists[a], a)
-		}
-	}
-	return lists, nil
 }
 
 // voteActive reports whether voted split selection applies to this
@@ -261,7 +226,7 @@ func (b *builder) level(frontier []nodeSlice) []nodeSlice {
 			continue
 		}
 		for _, e := range ns.lists[0] {
-			dists[ni*nClasses+int(e.class)]++
+			dists[ni*nClasses+int(e.Class)]++
 		}
 		ops += int64(len(ns.lists[0]))
 	}
@@ -272,13 +237,10 @@ func (b *builder) level(frontier []nodeSlice) []nodeSlice {
 	for _, f := range b.fams {
 		dni := f.members[f.der]
 		dst := dists[dni*nClasses : (dni+1)*nClasses]
-		copy(dst, f.parent.Dist)
+		kernel.DeriveFrom(dst, f.parent.Dist)
 		for _, ni := range f.members {
-			if ni == dni {
-				continue
-			}
-			for i, v := range dists[ni*nClasses : (ni+1)*nClasses] {
-				dst[i] -= v
+			if ni != dni {
+				kernel.Subtract(dst, dists[ni*nClasses:(ni+1)*nClasses])
 			}
 		}
 	}
@@ -295,25 +257,14 @@ func (b *builder) level(frontier []nodeSlice) []nodeSlice {
 	return b.splitPhase(frontier, dists, splits)
 }
 
-// candidate is one node's best test on one attribute, exchanged between
-// ranks; score is the expected impurity (lower is better), gain is
-// derived by the chooser.
-type candidate struct {
-	score  float64
-	attr   int32
-	kind   tree.SplitKind
-	thresh float64
-	mask   uint64
-	valid  bool
-}
-
 // chooseSplits evaluates every (node, attribute) pair and returns the
-// winning split per node (attr = -1 for leaves). Identical on all ranks.
-func (b *builder) chooseSplits(frontier []nodeSlice, dists []int64) []candidate {
+// winning split per node (a Leaf kind for leaves). Identical on all
+// ranks.
+func (b *builder) chooseSplits(frontier []nodeSlice, dists []int64) []tree.Split {
 	nClasses := b.s.NumClasses()
-	best := make([]candidate, len(frontier))
+	best := make([]tree.Split, len(frontier))
 	for i := range best {
-		best[i] = candidate{attr: -1}
+		best[i] = tree.Split{Gain: b.o.Tree.MinGain}
 	}
 
 	// Leaf pre-checks from the global distribution.
@@ -326,15 +277,11 @@ func (b *builder) chooseSplits(frontier []nodeSlice, dists []int64) []candidate 
 			n += v
 		}
 		totals[ni] = n
-		node := frontier[ni].node
-		if n < int64(b.o.Tree.MinSplit) || (b.o.Tree.MaxDepth > 0 && node.Depth >= b.o.Tree.MaxDepth) {
-			parent[ni] = -1 // forced leaf
-			continue
+		imp, ok := b.o.Tree.MaySplit(dist, n, frontier[ni].node.Depth)
+		if !ok {
+			imp = -1 // forced leaf
 		}
-		parent[ni] = b.o.Tree.Criterion.Impurity(dist, n)
-		if parent[ni] == 0 {
-			parent[ni] = -1
-		}
+		parent[ni] = imp
 	}
 
 	// Voted split selection: the nomination/election round restricts the
@@ -434,7 +381,7 @@ func (b *builder) voteAllow(frontier []nodeSlice, parent []float64) []bool {
 			}
 			clear(secDist)
 			for _, e := range sec {
-				secDist[e.class]++
+				secDist[e.Class]++
 			}
 			ln := int64(len(sec))
 			imp := crit.Impurity(secDist, ln)
@@ -447,7 +394,7 @@ func (b *builder) voteAllow(frontier []nodeSlice, parent []float64) []bool {
 				h := hist[:blk]
 				clear(h)
 				for _, e := range sec {
-					h[int(e.value)*nClasses+int(e.class)]++
+					h[int(e.Value)*nClasses+int(e.Class)]++
 				}
 				ops += 2*int64(len(sec)) + int64(blk)
 				_, score, ok := criteria.ScoreHist(&criteria.Hist{M: m, C: nClasses, Counts: h}, crit, b.o.Tree.Binary)
@@ -457,7 +404,7 @@ func (b *builder) voteAllow(frontier []nodeSlice, parent []float64) []bool {
 			} else {
 				sc.Reset(secDist, ln, crit)
 				for _, e := range sec {
-					sc.Add(e.value, e.class)
+					sc.Add(e.Value, e.Class)
 				}
 				sc.Finish(math.NaN(), false)
 				_, score, ok := sc.Best()
@@ -517,7 +464,7 @@ func (b *builder) voteAllow(frontier []nodeSlice, parent []float64) []bool {
 // attribute; the blocks of all other nodes are likewise withheld from
 // tabulation, reduction, and scoring (they stay zero and are never
 // consulted). allow is nil on the exact path.
-func (b *builder) scoreCategorical(frontier []nodeSlice, a int, parent []float64, best []candidate, allow []bool) {
+func (b *builder) scoreCategorical(frontier []nodeSlice, a int, parent []float64, best []tree.Split, allow []bool) {
 	nClasses := b.s.NumClasses()
 	m := b.s.Attrs[a].Cardinality()
 	blk := m * nClasses
@@ -538,7 +485,7 @@ func (b *builder) scoreCategorical(frontier []nodeSlice, a int, parent []float64
 		}
 		base := ni * blk
 		for _, e := range ns.lists[a] {
-			flat[base+int(e.value)*nClasses+int(e.class)]++
+			flat[base+int(e.Value)*nClasses+int(e.Class)]++
 		}
 		ops += int64(len(ns.lists[a]))
 		cells += int64(blk)
@@ -595,17 +542,14 @@ func (b *builder) scoreCategorical(frontier []nodeSlice, a int, parent []float64
 		// scan-amortizing t_c the tabulation above pays.
 		b.c.AdvanceClock(float64(dops) * b.c.Machine().TOp)
 	}
-	kind := tree.CatMultiway
-	if b.o.Tree.Binary {
-		kind = tree.CatBinary
-	}
 	for ni := range frontier {
 		if parent[ni] < 0 || (allow != nil && !allow[ni]) {
 			continue
 		}
 		h := &criteria.Hist{M: m, C: nClasses, Counts: flat[ni*m*nClasses : (ni+1)*m*nClasses]}
-		mask, score, ok := criteria.ScoreHist(h, b.o.Tree.Criterion, b.o.Tree.Binary)
-		considerCandidate(&best[ni], candidate{score: score, attr: int32(a), kind: kind, mask: mask, valid: ok}, parent[ni], b.o.Tree.MinGain)
+		if mask, score, ok := criteria.ScoreHist(h, b.o.Tree.Criterion, b.o.Tree.Binary); ok {
+			best[ni].Consider(tree.Split{Attr: a, Kind: b.o.Tree.CatKind(), Mask: mask}, parent[ni]-score)
+		}
 	}
 }
 
@@ -620,7 +564,7 @@ func (b *builder) scoreCategorical(frontier []nodeSlice, a int, parent []float64
 // down to the allowed nodes, shrinking all three allgathers. allow is
 // nil on the exact path, where idxs is the identity and every exchange
 // is byte-identical to the unrestricted code.
-func (b *builder) scoreContinuous(frontier []nodeSlice, a int, dists, totals []int64, parent []float64, best []candidate, allow []bool) {
+func (b *builder) scoreContinuous(frontier []nodeSlice, a int, dists, totals []int64, parent []float64, best []tree.Split, allow []bool) {
 	nClasses := b.s.NumClasses()
 	idxs := make([]int, 0, len(frontier))
 	for ni := range frontier {
@@ -641,11 +585,11 @@ func (b *builder) scoreContinuous(frontier []nodeSlice, a int, dists, totals []i
 	for i, ni := range idxs {
 		sec := frontier[ni].lists[a]
 		for _, e := range sec {
-			counts[i*nClasses+int(e.class)]++
+			counts[i*nClasses+int(e.Class)]++
 		}
 		ops += int64(len(sec))
 		if len(sec) > 0 {
-			firsts[i] = sec[0].value
+			firsts[i] = sec[0].Value
 		} else {
 			firsts[i] = math.NaN()
 		}
@@ -693,7 +637,7 @@ func (b *builder) scoreContinuous(frontier []nodeSlice, a int, dists, totals []i
 		sc.Reset(dist, total, b.o.Tree.Criterion)
 		sc.Seed(below)
 		for _, e := range sec {
-			sc.Add(e.value, e.class)
+			sc.Add(e.Value, e.Class)
 		}
 		sc.Finish(next, !math.IsNaN(next))
 		bestThresh, bestScore, found := sc.Best()
@@ -724,25 +668,7 @@ func (b *builder) scoreContinuous(frontier []nodeSlice, a int, dists, totals []i
 			}
 		}
 		if found {
-			considerCandidate(&best[ni],
-				candidate{score: bestScore, attr: int32(a), kind: tree.ContBinary, thresh: bestThresh, valid: true},
-				parent[ni], b.o.Tree.MinGain)
+			best[ni].Consider(tree.Split{Attr: a, Kind: tree.ContBinary, Thresh: bestThresh}, parent[ni]-bestScore)
 		}
-	}
-}
-
-// considerCandidate updates the running best split of a node: strictly
-// greater gain wins; attributes are visited in ascending order, matching
-// the serial builders' tie-break.
-func considerCandidate(best *candidate, cand candidate, parent, minGain float64) {
-	if !cand.valid {
-		return
-	}
-	gain := parent - cand.score
-	if gain <= minGain {
-		return
-	}
-	if best.attr < 0 || gain > parent-best.score {
-		*best = cand
 	}
 }

@@ -138,16 +138,16 @@ func TestSampleSortGlobalOrder(t *testing.T) {
 		}
 		blocks := d.BlockPartition(p)
 		w := mp.NewWorld(p, mp.SP2())
-		sections := make([][]entry, p)
+		sections := make([][]sprint.Entry, p)
 		w.Run(func(c *mp.Comm) {
 			local := blocks[c.Rank()]
-			raw := make([]entry, local.Len())
+			raw := make([]sprint.Entry, local.Len())
 			for i := range raw {
-				raw[i] = entry{value: local.Cont[quest.Age][i], rid: local.RID[i], class: local.Class[i]}
+				raw[i] = sprint.Entry{Value: local.Cont[quest.Age][i], RID: local.RID[i], Class: local.Class[i]}
 			}
 			sections[c.Rank()] = sampleSort(c, raw, 0)
 		})
-		var joined []entry
+		var joined []sprint.Entry
 		for _, sec := range sections {
 			joined = append(joined, sec...)
 		}
@@ -156,14 +156,14 @@ func TestSampleSortGlobalOrder(t *testing.T) {
 		}
 		for i := 1; i < len(joined); i++ {
 			a, b := joined[i-1], joined[i]
-			if b.value < a.value || (b.value == a.value && b.rid < a.rid) {
+			if b.Value < a.Value || (b.Value == a.Value && b.RID < a.RID) {
 				t.Fatalf("p=%d: global order broken at %d", p, i)
 			}
 		}
 		// Conservation of rids.
 		rids := make([]int64, len(joined))
 		for i, e := range joined {
-			rids[i] = e.rid
+			rids[i] = e.RID
 		}
 		sort.Slice(rids, func(a, b int) bool { return rids[a] < rids[b] })
 		for i, r := range rids {

@@ -5,13 +5,14 @@ import (
 	"math"
 
 	"partree/internal/mp"
+	"partree/internal/sprint"
 	"partree/internal/tree"
 )
 
 // splitPhase applies the chosen splits, builds the rid → child mapping
 // for every splitting node (by the selected hash strategy), partitions
 // all attribute lists among the children, and returns the next frontier.
-func (b *builder) splitPhase(frontier []nodeSlice, dists []int64, splits []candidate) []nodeSlice {
+func (b *builder) splitPhase(frontier []nodeSlice, dists []int64, splits []tree.Split) []nodeSlice {
 	nClasses := b.s.NumClasses()
 
 	// Finalize node metadata and create children (replicated).
@@ -23,40 +24,14 @@ func (b *builder) splitPhase(frontier []nodeSlice, dists []int64, splits []candi
 	sub := b.subActive()
 	for ni, ns := range frontier {
 		node := ns.node
-		dist := dists[ni*nClasses : (ni+1)*nClasses]
-		node.Dist = append(node.Dist[:0], dist...)
-		node.N = 0
-		for _, v := range dist {
-			node.N += v
-		}
-		if node.N > 0 {
-			node.Class = tree.MajorityClass(dist)
-		}
-		sp := splits[ni]
-		if sp.attr < 0 {
+		node.SetDist(dists[ni*nClasses : (ni+1)*nClasses])
+		if splits[ni].IsLeaf() {
 			node.Kind = tree.Leaf
 			node.Children = nil
 			continue
 		}
-		node.Kind = sp.kind
-		node.Attr = int(sp.attr)
-		node.Thresh = sp.thresh
-		node.Mask = sp.mask
-		k := 2
-		if sp.kind == tree.CatMultiway {
-			k = b.s.Attrs[sp.attr].Cardinality()
-		}
-		node.Children = make([]*tree.Node, k)
-		for i := range node.Children {
-			node.Children[i] = &tree.Node{
-				ID:    b.ids.Next(),
-				Kind:  tree.Leaf,
-				Class: node.Class,
-				Depth: node.Depth + 1,
-				Dist:  make([]int64, nClasses),
-			}
-		}
-		active = append(active, splitting{ni: ni, children: k})
+		splits[ni].Apply(node, b.s, b.ids.Next)
+		active = append(active, splitting{ni: ni, children: len(node.Children)})
 	}
 	if sub {
 		b.fams = nil // superseded by the families recorded below
@@ -73,7 +48,7 @@ func (b *builder) splitPhase(frontier []nodeSlice, dists []int64, splits []candi
 		ns := frontier[sp.ni]
 		node := ns.node
 		for _, e := range ns.lists[node.Attr] {
-			pairs = append(pairs, ridChild{rid: e.rid, child: int32(routeEntry(node, e.value))})
+			pairs = append(pairs, ridChild{rid: e.RID, child: int32(node.RouteValue(e.Value))})
 		}
 		ops += int64(len(ns.lists[node.Attr]))
 	}
@@ -107,7 +82,7 @@ func (b *builder) splitPhase(frontier []nodeSlice, dists []int64, splits []candi
 			sec := ns.lists[a]
 			sections = append(sections, section{ni: sp.ni, a: a, off: len(allRids), n: len(sec)})
 			for _, e := range sec {
-				allRids = append(allRids, e.rid)
+				allRids = append(allRids, e.RID)
 			}
 		}
 	}
@@ -123,7 +98,7 @@ func (b *builder) splitPhase(frontier []nodeSlice, dists []int64, splits []candi
 		node := ns.node
 		slices := make([]nodeSlice, sp.children)
 		for ci := range slices {
-			slices[ci] = nodeSlice{node: node.Children[ci], lists: make([][]entry, b.s.NumAttrs())}
+			slices[ci] = nodeSlice{node: node.Children[ci], lists: make([][]sprint.Entry, b.s.NumAttrs())}
 		}
 		childSlices[sp.ni] = slices
 	}
@@ -290,26 +265,6 @@ func (b *builder) distributedHashLookup(pairs []ridChild) func([]int64) []int32 
 	}
 }
 
-// routeEntry applies a node's test to a raw attribute-list value.
-func routeEntry(n *tree.Node, value float64) int {
-	switch n.Kind {
-	case tree.ContBinary:
-		if value <= n.Thresh {
-			return 0
-		}
-		return 1
-	case tree.CatBinary:
-		if n.Mask&(1<<uint(int32(value))) != 0 {
-			return 0
-		}
-		return 1
-	case tree.CatMultiway:
-		return int(int32(value))
-	default:
-		panic("scalparc: routing through a leaf")
-	}
-}
-
 // Pair wire helpers: rid int64 + child int32.
 
 func appendPair(buf []byte, pc ridChild) []byte {
@@ -339,19 +294,19 @@ func decodePairs(buf []byte) []ridChild {
 // Entry wire helpers for the sample sort: value float64 + rid int64 +
 // class int32.
 
-func appendEntry(buf []byte, e entry) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.value))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.rid))
-	return binary.LittleEndian.AppendUint32(buf, uint32(e.class))
+func appendEntry(buf []byte, e sprint.Entry) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Value))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.RID))
+	return binary.LittleEndian.AppendUint32(buf, uint32(e.Class))
 }
 
-func decodeEntries(buf []byte) []entry {
-	out := make([]entry, 0, len(buf)/20)
+func decodeEntries(buf []byte) []sprint.Entry {
+	out := make([]sprint.Entry, 0, len(buf)/20)
 	for off := 0; off+20 <= len(buf); off += 20 {
-		out = append(out, entry{
-			value: math.Float64frombits(binary.LittleEndian.Uint64(buf[off:])),
-			rid:   int64(binary.LittleEndian.Uint64(buf[off+8:])),
-			class: int32(binary.LittleEndian.Uint32(buf[off+16:])),
+		out = append(out, sprint.Entry{
+			Value: math.Float64frombits(binary.LittleEndian.Uint64(buf[off:])),
+			RID:   int64(binary.LittleEndian.Uint64(buf[off+8:])),
+			Class: int32(binary.LittleEndian.Uint32(buf[off+16:])),
 		})
 	}
 	return out

@@ -44,13 +44,7 @@ type classEntry struct {
 type leafState struct {
 	node *tree.Node
 
-	// Best running candidate of this level.
-	bestGain   float64
-	bestAttr   int
-	bestKind   tree.SplitKind
-	bestThresh float64
-	bestMask   uint64
-
+	best      tree.Split // running best test of this level
 	parentImp float64
 	frozen    bool // no further splitting (pure / too small / too deep)
 
@@ -164,29 +158,19 @@ func grow(s *dataset.Schema, classList []classEntry, lists [][]listEntry, o tree
 // prepareLevel computes every leaf's distribution from the class list and
 // freezes leaves that must not split.
 func prepareLevel(leaves []*leafState, classList []classEntry, nClasses int, o tree.Options) {
-	for _, ls := range leaves {
-		ls.node.Dist = make([]int64, nClasses)
-		ls.bestGain = o.MinGain
-		ls.bestAttr = -1
-	}
+	dists := make([]int64, len(leaves)*nClasses)
 	for _, ce := range classList {
 		if ce.leaf >= 0 {
-			leaves[ce.leaf].node.Dist[ce.class]++
+			dists[int(ce.leaf)*nClasses+int(ce.class)]++
 		}
 	}
 	for li, ls := range leaves {
 		n := ls.node
-		n.N = 0
-		for _, v := range n.Dist {
-			n.N += v
-		}
-		if n.N > 0 {
-			n.Class = tree.MajorityClass(n.Dist)
-		}
-		ls.parentImp = o.Criterion.Impurity(n.Dist, n.N)
-		ls.frozen = n.N < int64(o.MinSplit) ||
-			(o.MaxDepth > 0 && n.Depth >= o.MaxDepth) ||
-			ls.parentImp == 0
+		n.SetDist(dists[li*nClasses : (li+1)*nClasses])
+		var ok bool
+		ls.parentImp, ok = o.MaySplit(n.Dist, n.N, n.Depth)
+		ls.frozen = !ok
+		ls.best = tree.Split{Gain: o.MinGain}
 		ls.idx = int32(li)
 		ls.derive = false
 	}
@@ -295,17 +279,8 @@ func scanContinuousAttr(leaves []*leafState, list []listEntry, classList []class
 		if ls.frozen {
 			continue
 		}
-		thresh, score, ok := ls.scan.Best()
-		if !ok {
-			continue
-		}
-		gain := ls.parentImp - score
-		if gain > ls.bestGain {
-			ls.bestGain = gain
-			ls.bestAttr = a
-			ls.bestKind = tree.ContBinary
-			ls.bestThresh = thresh
-			ls.bestMask = 0
+		if thresh, score, ok := ls.scan.Best(); ok {
+			ls.best.Consider(tree.Split{Attr: a, Kind: tree.ContBinary, Thresh: thresh}, ls.parentImp-score)
 		}
 	}
 }
@@ -334,20 +309,13 @@ func scanCategoricalAttr(leaves []*leafState, list []listEntry, classList []clas
 			continue
 		}
 		h := criteria.GetHist(m, nClasses)
-		copy(h.Counts, ls.fam.parent.catHists[a].Counts)
+		kernel.DeriveFrom(h.Counts, ls.fam.parent.catHists[a].Counts)
 		for _, sib := range ls.fam.members {
-			if sib == ls {
-				continue
-			}
-			for i, v := range hists[sib.idx].Counts {
-				h.Counts[i] -= v
+			if sib != ls {
+				kernel.Subtract(h.Counts, hists[sib.idx].Counts)
 			}
 		}
 		hists[li] = h
-	}
-	kind := tree.CatMultiway
-	if o.Binary {
-		kind = tree.CatBinary
 	}
 	for li, ls := range leaves {
 		h := hists[li]
@@ -360,16 +328,8 @@ func scanCategoricalAttr(leaves []*leafState, list []listEntry, classList []clas
 		} else {
 			criteria.PutHist(h)
 		}
-		if !valid {
-			continue
-		}
-		gain := ls.parentImp - score
-		if gain > ls.bestGain {
-			ls.bestGain = gain
-			ls.bestAttr = a
-			ls.bestKind = kind
-			ls.bestThresh = 0
-			ls.bestMask = mask
+		if valid {
+			ls.best.Consider(tree.Split{Attr: a, Kind: o.CatKind(), Mask: mask}, ls.parentImp-score)
 		}
 	}
 }
@@ -378,8 +338,6 @@ func scanCategoricalAttr(leaves []*leafState, list []listEntry, classList []clas
 // pointers in one pass per attribute, and returns the next level's leaf
 // states.
 func applySplits(leaves []*leafState, lists [][]listEntry, classList []classEntry, s *dataset.Schema, o tree.Options, ids *tree.IDGen) []*leafState {
-	nClasses := s.NumClasses()
-
 	// Attach splits; record the next-level slot of each child.
 	type pending struct {
 		childBase int32 // index of first child in the next leaves slice
@@ -388,31 +346,16 @@ func applySplits(leaves []*leafState, lists [][]listEntry, classList []classEntr
 	var next []*leafState
 	for li, ls := range leaves {
 		n := ls.node
-		if ls.frozen || ls.bestAttr < 0 {
+		if ls.best.IsLeaf() { // frozen leaves never consider a test
 			n.Kind = tree.Leaf
 			n.Children = nil
 			pend[li] = pending{childBase: -1}
 			continue
 		}
-		n.Kind = ls.bestKind
-		n.Attr = ls.bestAttr
-		n.Thresh = ls.bestThresh
-		n.Mask = ls.bestMask
-		k := 2
-		if ls.bestKind == tree.CatMultiway {
-			k = s.Attrs[ls.bestAttr].Cardinality()
-		}
-		n.Children = make([]*tree.Node, k)
+		ls.best.Apply(n, s, ids.Next)
 		pend[li] = pending{childBase: int32(len(next))}
-		for i := range n.Children {
-			n.Children[i] = &tree.Node{
-				ID:    ids.Next(),
-				Kind:  tree.Leaf,
-				Class: n.Class,
-				Depth: n.Depth + 1,
-				Dist:  make([]int64, nClasses),
-			}
-			next = append(next, &leafState{node: n.Children[i]})
+		for _, child := range n.Children {
+			next = append(next, &leafState{node: child})
 		}
 	}
 
@@ -432,7 +375,7 @@ func applySplits(leaves []*leafState, lists [][]listEntry, classList []classEntr
 			if pend[ce.leaf].childBase < 0 || ls.node.Attr != a || ls.node.IsLeaf() {
 				continue
 			}
-			newLeaf[e.rid] = pend[ce.leaf].childBase + int32(routeValue(ls.node, e.value))
+			newLeaf[e.rid] = pend[ce.leaf].childBase + int32(ls.node.RouteValue(e.value))
 		}
 	}
 	for i := range classList {
@@ -488,24 +431,4 @@ func applySplits(leaves []*leafState, lists [][]listEntry, classList []classEntr
 		}
 	}
 	return kept
-}
-
-// routeValue applies a node's test to a raw attribute-list value.
-func routeValue(n *tree.Node, value float64) int {
-	switch n.Kind {
-	case tree.ContBinary:
-		if value <= n.Thresh {
-			return 0
-		}
-		return 1
-	case tree.CatBinary:
-		if n.Mask&(1<<uint(int32(value))) != 0 {
-			return 0
-		}
-		return 1
-	case tree.CatMultiway:
-		return int(int32(value))
-	default:
-		panic("sliq: routing through a leaf")
-	}
 }

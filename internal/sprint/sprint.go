@@ -15,7 +15,8 @@
 package sprint
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"partree/internal/criteria"
 	"partree/internal/dataset"
@@ -23,11 +24,12 @@ import (
 	"partree/internal/tree"
 )
 
-// entry is one attribute-list element.
-type entry struct {
-	value float64 // continuous value, or categorical code
-	rid   int64
-	class int32
+// Entry is one attribute-list element. ScalParC's parallel lists hold
+// the same entries.
+type Entry struct {
+	Value float64 // continuous value, or categorical code
+	RID   int64
+	Class int32
 }
 
 // nodeLists holds one node's attribute lists, index-aligned with the
@@ -35,7 +37,7 @@ type entry struct {
 // order, which is irrelevant for histograms).
 type nodeLists struct {
 	node  *tree.Node
-	lists [][]entry
+	lists [][]Entry
 }
 
 // Build grows a decision tree with the SPRINT algorithm: BuildTable over
@@ -56,165 +58,135 @@ func Build(d *dataset.Dataset, o tree.Options) *tree.Tree {
 // (rids are unique).
 func BuildTable(t dataset.Table, o tree.Options) (*tree.Tree, error) {
 	s := t.Schema()
-	rootLists := make([][]entry, s.NumAttrs())
-	for a := range s.Attrs {
-		rootLists[a] = make([]entry, t.Len())
+	lists, err := ReadLists(t, nil)
+	if err != nil {
+		return nil, err
 	}
-	var ch dataset.Chunk
-	for k := 0; k < t.NumChunks(); k++ {
-		if _, err := t.ReadChunk(k, &ch); err != nil {
-			return nil, err
-		}
-		for a := range s.Attrs {
-			list := rootLists[a][ch.Lo:ch.Hi]
-			if ch.Cont[a] != nil {
-				for i, v := range ch.Cont[a] {
-					list[i] = entry{value: v, rid: ch.RID[i], class: ch.Class[i]}
-				}
-			} else {
-				for i, code := range ch.Cat[a] {
-					list[i] = entry{value: float64(code), rid: ch.RID[i], class: ch.Class[i]}
-				}
-			}
+	for a, attr := range s.Attrs {
+		if attr.Kind == dataset.Continuous {
+			SortEntries(lists[a])
 		}
 	}
-	return grow(s, rootLists, o), nil
-}
-
-// grow is the SPRINT queue loop: continuous root lists are sorted by
-// (value, rid), then nodes expand in breadth-first order.
-func grow(s *dataset.Schema, rootLists [][]entry, o tree.Options) *tree.Tree {
 	o = o.WithDefaults()
 	root := &tree.Node{Kind: tree.Leaf, Dist: make([]int64, s.NumClasses())}
 	ids := tree.NewIDGen(1)
-	for a, attr := range s.Attrs {
-		if attr.Kind != dataset.Continuous {
-			continue
-		}
-		list := rootLists[a]
-		sort.Slice(list, func(x, y int) bool {
-			if list[x].value != list[y].value {
-				return list[x].value < list[y].value
-			}
-			return list[x].rid < list[y].rid
-		})
-	}
-
-	queue := []nodeLists{{node: root, lists: rootLists}}
+	queue := []nodeLists{{node: root, lists: lists}}
 	for len(queue) > 0 {
 		nl := queue[0]
 		queue = queue[1:]
 		queue = append(queue, expand(nl, s, o, ids)...)
 	}
-	return &tree.Tree{Schema: s, Root: root}
+	return &tree.Tree{Schema: s, Root: root}, nil
+}
+
+// ReadLists builds one attribute list per schema attribute from one
+// stream over t's chunks, with the entries in row order: the chunk-fed
+// half of SPRINT's pre-sort, shared with ScalParC. read, if not nil, is
+// called with each chunk's encoded byte count as it is read.
+func ReadLists(t dataset.Table, read func(bytes int64)) ([][]Entry, error) {
+	s := t.Schema()
+	lists := make([][]Entry, s.NumAttrs())
+	for a := range s.Attrs {
+		lists[a] = make([]Entry, t.Len())
+	}
+	var ch dataset.Chunk
+	for k := 0; k < t.NumChunks(); k++ {
+		nb, err := t.ReadChunk(k, &ch)
+		if err != nil {
+			return nil, err
+		}
+		if read != nil {
+			read(nb)
+		}
+		for a := range s.Attrs {
+			list := lists[a][ch.Lo:ch.Hi]
+			if ch.Cont[a] != nil {
+				for i, v := range ch.Cont[a] {
+					list[i] = Entry{Value: v, RID: ch.RID[i], Class: ch.Class[i]}
+				}
+			} else {
+				for i, code := range ch.Cat[a] {
+					list[i] = Entry{Value: float64(code), RID: ch.RID[i], Class: ch.Class[i]}
+				}
+			}
+		}
+	}
+	return lists, nil
+}
+
+// SortEntries sorts an attribute list by (value, rid), SPRINT's pre-sort
+// order: a total order, since rids are unique.
+func SortEntries(list []Entry) {
+	slices.SortFunc(list, func(x, y Entry) int {
+		if c := cmp.Compare(x.Value, y.Value); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.RID, y.RID)
+	})
 }
 
 // expand decides one node from its attribute lists and, if it splits,
 // partitions the lists among the children via the rid hash table.
 func expand(nl nodeLists, s *dataset.Schema, o tree.Options, ids *tree.IDGen) []nodeLists {
 	n := nl.node
-	c := s.NumClasses()
 
 	// Class distribution from any one list (all lists hold the same rids).
-	dist := make([]int64, c)
+	dist := make([]int64, s.NumClasses())
 	for _, e := range nl.lists[0] {
-		dist[e.class]++
+		dist[e.Class]++
 	}
-	n.Dist = dist
-	n.N = int64(len(nl.lists[0]))
-	if n.N > 0 {
-		n.Class = tree.MajorityClass(dist)
-	}
-	if n.N < int64(o.MinSplit) || (o.MaxDepth > 0 && n.Depth >= o.MaxDepth) {
-		return nil
-	}
-	parent := o.Criterion.Impurity(dist, n.N)
-	if parent == 0 {
+	n.SetDist(dist)
+	parent, ok := o.MaySplit(dist, n.N, n.Depth)
+	if !ok {
 		return nil
 	}
 
 	// One scan per attribute list to find the best test. The kernel
 	// scanner is shared across attributes, so the per-node scan is
 	// allocation-free apart from its first use.
-	bestGain := o.MinGain
-	bestAttr := -1
-	var bestKind tree.SplitKind
-	var bestThresh float64
-	var bestMask uint64
+	best := tree.Split{Gain: o.MinGain}
 	var sc kernel.ContScanner
 	for a, attr := range s.Attrs {
 		if attr.Kind == dataset.Continuous {
 			sc.Reset(dist, n.N, o.Criterion)
 			for _, e := range nl.lists[a] {
-				sc.Add(e.value, e.class)
+				sc.Add(e.Value, e.Class)
 			}
-			thresh, score, ok := sc.Best()
-			if !ok {
-				continue
-			}
-			if gain := parent - score; gain > bestGain {
-				bestGain, bestAttr, bestKind, bestThresh = gain, a, tree.ContBinary, thresh
-				bestMask = 0
+			if thresh, score, ok := sc.Best(); ok {
+				best.Consider(tree.Split{Attr: a, Kind: tree.ContBinary, Thresh: thresh}, parent-score)
 			}
 		} else {
-			h := criteria.GetHist(attr.Cardinality(), c)
+			h := criteria.GetHist(attr.Cardinality(), s.NumClasses())
 			for _, e := range nl.lists[a] {
-				h.Add(int32(e.value), e.class)
+				h.Add(int32(e.Value), e.Class)
 			}
 			mask, score, ok := criteria.ScoreHist(h, o.Criterion, o.Binary)
 			criteria.PutHist(h)
-			if !ok {
-				continue
-			}
-			kind := tree.CatMultiway
-			if o.Binary {
-				kind = tree.CatBinary
-			}
-			if gain := parent - score; gain > bestGain {
-				bestGain, bestAttr, bestKind, bestMask = gain, a, kind, mask
-				bestThresh = 0
+			if ok {
+				best.Consider(tree.Split{Attr: a, Kind: o.CatKind(), Mask: mask}, parent-score)
 			}
 		}
 	}
-	if bestAttr < 0 {
+	if best.IsLeaf() {
 		return nil
 	}
-
-	// Attach the split.
-	n.Kind = bestKind
-	n.Attr = bestAttr
-	n.Thresh = bestThresh
-	n.Mask = bestMask
-	numChildren := 2
-	if bestKind == tree.CatMultiway {
-		numChildren = s.Attrs[bestAttr].Cardinality()
-	}
-	n.Children = make([]*tree.Node, numChildren)
-	for i := range n.Children {
-		n.Children[i] = &tree.Node{
-			ID:    ids.Next(),
-			Kind:  tree.Leaf,
-			Class: n.Class,
-			Depth: n.Depth + 1,
-			Dist:  make([]int64, c),
-		}
-	}
+	best.Apply(n, s, ids.Next)
 
 	// The SPRINT splitting phase: route the winning attribute's list
 	// through the test, recording rid → child in the hash table, then
 	// partition every list by probing it. Order within each child is
 	// preserved, so continuous lists remain sorted with no re-sort.
-	hash := make(map[int64]int32, len(nl.lists[bestAttr]))
-	for _, e := range nl.lists[bestAttr] {
-		hash[e.rid] = int32(route(n, e.value))
+	hash := make(map[int64]int32, len(nl.lists[best.Attr]))
+	for _, e := range nl.lists[best.Attr] {
+		hash[e.RID] = int32(n.RouteValue(e.Value))
 	}
-	childLists := make([][][]entry, numChildren)
+	childLists := make([][][]Entry, len(n.Children))
 	for ci := range childLists {
-		childLists[ci] = make([][]entry, s.NumAttrs())
+		childLists[ci] = make([][]Entry, s.NumAttrs())
 	}
 	for a := range s.Attrs {
 		for _, e := range nl.lists[a] {
-			ci := hash[e.rid]
+			ci := hash[e.RID]
 			childLists[ci][a] = append(childLists[ci][a], e)
 		}
 	}
@@ -225,24 +197,4 @@ func expand(nl nodeLists, s *dataset.Schema, o tree.Options, ids *tree.IDGen) []
 		}
 	}
 	return out
-}
-
-// route applies the node's test to one raw attribute value.
-func route(n *tree.Node, value float64) int {
-	switch n.Kind {
-	case tree.ContBinary:
-		if value <= n.Thresh {
-			return 0
-		}
-		return 1
-	case tree.CatBinary:
-		if n.Mask&(1<<uint(int32(value))) != 0 {
-			return 0
-		}
-		return 1
-	case tree.CatMultiway:
-		return int(int32(value))
-	default:
-		panic("sprint: routing through a leaf")
-	}
 }

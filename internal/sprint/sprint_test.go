@@ -59,9 +59,9 @@ func TestSprintListsStaySorted(t *testing.T) {
 	s := d.Schema
 	o := tree.Options{Binary: true}.WithDefaults()
 	root := &tree.Node{Kind: tree.Leaf, Dist: make([]int64, s.NumClasses())}
-	lists := make([][]entry, s.NumAttrs())
+	lists := make([][]Entry, s.NumAttrs())
 	for a, attr := range s.Attrs {
-		list := make([]entry, d.Len())
+		list := make([]Entry, d.Len())
 		for i := range list {
 			v := 0.0
 			if attr.Kind == dataset.Continuous {
@@ -69,7 +69,7 @@ func TestSprintListsStaySorted(t *testing.T) {
 			} else {
 				v = float64(d.Cat[a][i])
 			}
-			list[i] = entry{value: v, rid: d.RID[i], class: d.Class[i]}
+			list[i] = Entry{Value: v, RID: d.RID[i], Class: d.Class[i]}
 		}
 		if attr.Kind == dataset.Continuous {
 			sortEntries(list)
@@ -87,7 +87,7 @@ func TestSprintListsStaySorted(t *testing.T) {
 			}
 			list := child.lists[a]
 			for i := 1; i < len(list); i++ {
-				if list[i].value < list[i-1].value {
+				if list[i].Value < list[i-1].Value {
 					t.Fatalf("child list for %q lost sorted order at %d", attr.Name, i)
 				}
 			}
@@ -132,25 +132,25 @@ func TestScanContinuousMatchesCriteria(t *testing.T) {
 	// criteria.BestContinuousSplit on the same ordering.
 	tr := Build(d, tree.Options{Binary: true, MaxDepth: 1})
 	_ = tr
-	list := make([]entry, d.Len())
+	list := make([]Entry, d.Len())
 	for i := range list {
-		list[i] = entry{value: d.Cont[quest.Loan][i], rid: d.RID[i], class: d.Class[i]}
+		list[i] = Entry{Value: d.Cont[quest.Loan][i], RID: d.RID[i], Class: d.Class[i]}
 	}
 	sortEntries(list)
 	values := make([]float64, len(list))
 	classes := make([]int32, len(list))
 	for i, e := range list {
-		values[i] = e.value
-		classes[i] = e.class
+		values[i] = e.Value
+		classes[i] = e.Class
 	}
 	dist := make([]int64, 2)
 	for _, e := range list {
-		dist[e.class]++
+		dist[e.Class]++
 	}
 	var sc kernel.ContScanner
 	sc.Reset(dist, int64(len(list)), criteria.Gini)
 	for _, e := range list {
-		sc.Add(e.value, e.class)
+		sc.Add(e.Value, e.Class)
 	}
 	gotThresh, gotScore, gotOK := sc.Best()
 	want, wantOK := criteria.BestContinuousSplit(values, classes, 2, criteria.Gini)
@@ -159,10 +159,10 @@ func TestScanContinuousMatchesCriteria(t *testing.T) {
 	}
 }
 
-func sortEntries(list []entry) {
+func sortEntries(list []Entry) {
 	for i := 1; i < len(list); i++ {
-		for j := i; j > 0 && (list[j].value < list[j-1].value ||
-			(list[j].value == list[j-1].value && list[j].rid < list[j-1].rid)); j-- {
+		for j := i; j > 0 && (list[j].Value < list[j-1].Value ||
+			(list[j].Value == list[j-1].Value && list[j].RID < list[j-1].RID)); j-- {
 			list[j], list[j-1] = list[j-1], list[j]
 		}
 	}

@@ -1,9 +1,6 @@
 package tree
 
-import (
-	"partree/internal/criteria"
-	"partree/internal/dataset"
-)
+import "partree/internal/dataset"
 
 // BuildHunt grows a tree depth-first with Hunt's method exactly as §2.1
 // describes the C4.5 baseline: at every node each categorical attribute is
@@ -25,94 +22,29 @@ func BuildHunt(d *dataset.Dataset, o Options) *Tree {
 func huntExpand(d *dataset.Dataset, it FrontierItem, o Options, ids *IDGen) {
 	n := it.Node
 	s := d.Schema
-	// Case 1 / leaf checks.
 	dist := make([]int64, s.NumClasses())
 	for _, i := range it.Idx {
 		dist[d.Class[i]]++
 	}
-	n.Dist = dist
-	n.N = int64(len(it.Idx))
-	if n.N > 0 {
-		n.Class = MajorityClass(dist)
-	}
-	if n.N < int64(o.MinSplit) || (o.MaxDepth > 0 && n.Depth >= o.MaxDepth) {
-		return
-	}
-	parent := o.Criterion.Impurity(dist, n.N)
-	if parent == 0 {
+	n.SetDist(dist)
+	parent, ok := o.MaySplit(dist, n.N, n.Depth)
+	if !ok {
 		return
 	}
 
 	// Case 2: choose the attribute test with the best gain (ties broken by
 	// ascending attribute index, as everywhere else).
 	best := Split{Gain: o.MinGain}
-	var bestThresh float64
-	found := false
-	for a, attr := range s.Attrs {
-		var cand Split
-		var candThresh float64
-		var score float64
-		var valid bool
-		if attr.Kind == dataset.Categorical {
-			h := criteria.GetHist(attr.Cardinality(), s.NumClasses())
-			criteria.HistInto(h, d.Cat[a], d.Class, it.Idx)
-			cand.Attr = a
-			if o.Binary {
-				cand.Kind = CatBinary
-			} else {
-				cand.Kind = CatMultiway
-			}
-			cand.Mask, score, valid = criteria.ScoreHist(h, o.Criterion, o.Binary)
-			criteria.PutHist(h)
-		} else {
-			values := make([]float64, len(it.Idx))
-			classes := make([]int32, len(it.Idx))
-			for j, i := range it.Idx {
-				values[j] = d.Cont[a][i]
-				classes[j] = d.Class[i]
-			}
-			criteria.SortPairs(values, classes)
-			cs, ok := criteria.BestContinuousSplit(values, classes, s.NumClasses(), o.Criterion)
-			if !ok {
-				continue
-			}
-			cand = Split{Attr: a, Kind: ContBinary}
-			candThresh = cs.Thresh
-			score, valid = cs.Score, true
-		}
-		if !valid {
-			continue
-		}
-		gain := parent - score
-		if gain > best.Gain {
-			cand.Gain = gain
-			best = cand
-			bestThresh = candThresh
-			found = true
+	for a := range s.Attrs {
+		if cand, score, ok := ScoreAttr(d, it.Idx, a, o); ok {
+			best.Consider(cand, parent-score)
 		}
 	}
-	if !found {
+	if best.IsLeaf() {
 		return
 	}
 	// Attach the chosen test and recurse depth-first.
-	n.Kind = best.Kind
-	n.Attr = best.Attr
-	n.Mask = best.Mask
-	if best.Kind == ContBinary {
-		n.Thresh = bestThresh
-		n.Children = make([]*Node, 2)
-	} else {
-		n.Children = make([]*Node, best.NumChildren(s))
-	}
-	for i := range n.Children {
-		n.Children[i] = &Node{
-			ID:    ids.Next(),
-			Kind:  Leaf,
-			Class: n.Class,
-			Depth: n.Depth + 1,
-			Dist:  make([]int64, s.NumClasses()),
-		}
-	}
+	best.Apply(n, s, ids.Next)
 	parts, _ := PartitionRows(n, d, it.Idx)
 	for ci, part := range parts {
 		if len(part) > 0 {

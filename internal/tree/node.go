@@ -142,6 +142,11 @@ func (n *Node) routeValue(cat int32, cont float64) int {
 	}
 }
 
+// RouteValue returns the child index that an attribute-list value
+// follows: a categorical code stored as a float64, or a continuous value.
+// The list builders (SLIQ, SPRINT, ScalParC) route their entries with it.
+func (n *Node) RouteValue(v float64) int { return n.routeValue(int32(v), v) }
+
 // RouteRow returns the child index that row i of d follows.
 func (n *Node) RouteRow(d *dataset.Dataset, i int) int {
 	if d.Cat[n.Attr] != nil {
@@ -153,6 +158,21 @@ func (n *Node) RouteRow(d *dataset.Dataset, i int) int {
 // RouteRecord returns the child index that a record follows.
 func (n *Node) RouteRecord(r *dataset.Record) int {
 	return n.routeValue(r.Cat[n.Attr], r.Cont[n.Attr])
+}
+
+// SetDist records the node's training cases: a copy of the class
+// distribution dist, the case count and, when the node holds any case,
+// the majority class (an empty node keeps the class it inherited, Case 3
+// of Hunt's method).
+func (n *Node) SetDist(dist []int64) {
+	n.Dist = append(n.Dist[:0], dist...)
+	n.N = 0
+	for _, v := range dist {
+		n.N += v
+	}
+	if n.N > 0 {
+		n.Class = MajorityClass(dist)
+	}
 }
 
 // Tree pairs a root node with its schema.

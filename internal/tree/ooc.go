@@ -61,14 +61,7 @@ func bind(sp *kernel.Spec, class []int32, cat [][]int32, cont [][]float64) {
 // advance rows. split is false when the node became a leaf.
 func ExpandNodeOOC(it FrontierItem, stats *NodeStats, s *dataset.Schema, o Options, ids *IDGen) (kids []FrontierItem, childSlot []int32, split bool) {
 	n := it.Node
-	n.Dist = append(n.Dist[:0], stats.Dist...)
-	n.N = 0
-	for _, v := range n.Dist {
-		n.N += v
-	}
-	if n.N > 0 {
-		n.Class = MajorityClass(n.Dist)
-	}
+	n.SetDist(stats.Dist)
 	sp, ok := ChooseSplit(stats, s, o, n.Depth)
 	if !ok {
 		n.Kind = Leaf

@@ -113,20 +113,59 @@ func DecodeStats(flat []int64, s *dataset.Schema, o Options) *NodeStats {
 	return ns
 }
 
-// Split is a chosen node test, produced by ChooseSplit and applied
-// identically by every processor.
+// MaySplit is the leaf pre-check every builder runs on a node of n
+// training cases with class distribution dist at depth: it returns the
+// node's impurity and whether the node may split at all. A node too small
+// (MinSplit), at MaxDepth, or pure (Case 1 of Hunt's method) may not.
+func (o Options) MaySplit(dist []int64, n int64, depth int) (parent float64, ok bool) {
+	if n < int64(o.MinSplit) || (o.MaxDepth > 0 && depth >= o.MaxDepth) {
+		return 0, false
+	}
+	parent = o.Criterion.Impurity(dist, n)
+	return parent, parent != 0
+}
+
+// CatKind is the test a categorical attribute gets: a binary subset test
+// under Binary, one child per value otherwise.
+func (o Options) CatKind() SplitKind {
+	if o.Binary {
+		return CatBinary
+	}
+	return CatMultiway
+}
+
+// Split is a chosen node test, produced by ChooseSplit and the baseline
+// builders and applied identically by every processor. The zero Kind
+// (Leaf) means no test has been chosen.
 type Split struct {
-	Attr  int
-	Kind  SplitKind
-	Mask  uint64
-	Edges []float64
-	Gain  float64
+	Attr   int
+	Kind   SplitKind
+	Thresh float64 // ContBinary threshold
+	Mask   uint64
+	Edges  []float64
+	Gain   float64
+}
+
+// IsLeaf reports whether no test has been chosen.
+func (sp Split) IsLeaf() bool { return sp.Kind == Leaf }
+
+// Consider makes cand, with gain, the running best split when gain is
+// strictly greater than the best gain so far, and reports whether it did.
+// Every builder starts from Split{Gain: MinGain} and visits attributes in
+// ascending order, so ties go to the lowest attribute index.
+func (sp *Split) Consider(cand Split, gain float64) bool {
+	if gain > sp.Gain {
+		cand.Gain = gain
+		*sp = cand
+		return true
+	}
+	return false
 }
 
 // NumChildren returns the branching factor of the split given the schema.
 func (sp Split) NumChildren(s *dataset.Schema) int {
 	switch sp.Kind {
-	case CatBinary:
+	case CatBinary, ContBinary:
 		return 2
 	case CatMultiway:
 		return s.Attrs[sp.Attr].Cardinality()
@@ -151,46 +190,57 @@ func ChooseSplit(stats *NodeStats, s *dataset.Schema, o Options, depth int) (Spl
 	for _, v := range stats.Dist {
 		n += v
 	}
-	if n < int64(o.MinSplit) || (o.MaxDepth > 0 && depth >= o.MaxDepth) {
+	parent, ok := o.MaySplit(stats.Dist, n, depth)
+	if !ok {
 		return Split{}, false
 	}
-	parent := o.Criterion.Impurity(stats.Dist, n)
-	if parent == 0 {
-		return Split{}, false // pure node, Case 1 of Hunt's method
-	}
 	best := Split{Gain: o.MinGain}
-	found := false
 	for a, attr := range s.Attrs {
 		h := stats.Hists[a]
-		var cand Split
-		var score float64
-		var valid bool
-		if attr.Kind == dataset.Categorical {
-			cand.Attr, cand.Kind = a, CatMultiway
-			if o.Binary {
-				cand.Kind = CatBinary
-			}
-			cand.Mask, score, valid = criteria.ScoreHist(h, o.Criterion, o.Binary)
-		} else {
+		cand := Split{Attr: a, Kind: o.CatKind()}
+		if attr.Kind == dataset.Continuous {
 			edges, assign := o.Binner.Edges(h, a)
 			if len(edges) == 0 {
 				continue // attribute constant at this node
 			}
-			agg := discretize.Aggregate(h, assign)
-			cand.Attr, cand.Kind, cand.Edges = a, ContBinned, edges
-			cand.Mask, score, valid = criteria.ScoreHist(agg, o.Criterion, o.Binary)
+			h = discretize.Aggregate(h, assign)
+			cand.Kind, cand.Edges = ContBinned, edges
 		}
-		if !valid {
-			continue
-		}
-		gain := parent - score
-		if gain > best.Gain {
-			cand.Gain = gain
-			best = cand
-			found = true
+		var score float64
+		var valid bool
+		cand.Mask, score, valid = criteria.ScoreHist(h, o.Criterion, o.Binary)
+		if valid {
+			best.Consider(cand, parent-score)
 		}
 	}
-	return best, found
+	return best, !best.IsLeaf()
+}
+
+// ScoreAttr scores attribute a on the rows idx of d the way Hunt's method
+// does (§2.1): a categorical attribute from its class-distribution table,
+// a continuous one by sorting the rows' values and scanning every
+// distinct binary cut, for a native "value ≤ t" test. It returns the
+// candidate test (Gain unset), its expected impurity, and ok=false when
+// the attribute offers no valid split.
+func ScoreAttr(d *dataset.Dataset, idx []int32, a int, o Options) (Split, float64, bool) {
+	s := d.Schema
+	attr := s.Attrs[a]
+	if attr.Kind == dataset.Categorical {
+		h := criteria.GetHist(attr.Cardinality(), s.NumClasses())
+		criteria.HistInto(h, d.Cat[a], d.Class, idx)
+		mask, score, ok := criteria.ScoreHist(h, o.Criterion, o.Binary)
+		criteria.PutHist(h)
+		return Split{Attr: a, Kind: o.CatKind(), Mask: mask}, score, ok
+	}
+	values := make([]float64, len(idx))
+	classes := make([]int32, len(idx))
+	for j, i := range idx {
+		values[j] = d.Cont[a][i]
+		classes[j] = d.Class[i]
+	}
+	criteria.SortPairs(values, classes)
+	cs, ok := criteria.BestContinuousSplit(values, classes, s.NumClasses(), o.Criterion)
+	return Split{Attr: a, Kind: ContBinary, Thresh: cs.Thresh}, cs.Score, ok
 }
 
 // Apply attaches the split to node n and creates its children as
@@ -200,6 +250,7 @@ func ChooseSplit(stats *NodeStats, s *dataset.Schema, o Options, depth int) (Spl
 func (sp Split) Apply(n *Node, s *dataset.Schema, nextID func() int64) {
 	n.Kind = sp.Kind
 	n.Attr = sp.Attr
+	n.Thresh = sp.Thresh
 	n.Mask = sp.Mask
 	n.Edges = sp.Edges
 	k := sp.NumChildren(s)

@@ -29,7 +29,6 @@ package vertical
 import (
 	"math"
 
-	"partree/internal/criteria"
 	"partree/internal/dataset"
 	"partree/internal/mp"
 	"partree/internal/tree"
@@ -56,11 +55,17 @@ func Build(c *mp.Comm, d *dataset.Dataset, o tree.Options) *tree.Tree {
 		var next []item
 
 		// Score phase: each rank evaluates its own attributes for every
-		// frontier node; candidates are exchanged and the decision is
-		// replicated.
+		// frontier node (every rank has the class column, so each records
+		// the node's distribution); candidates are exchanged and the
+		// decision is replicated.
 		cands := make([]float64, 0, len(frontier)*candFloats)
 		for _, it := range frontier {
-			cands = append(cands, bestLocalCandidate(c, d, it.idx, it.node.Depth, o)...)
+			dist := make([]int64, s.NumClasses())
+			for _, i := range it.idx {
+				dist[d.Class[i]]++
+			}
+			it.node.SetDist(dist)
+			cands = append(cands, bestLocalCandidate(c, d, it.idx, it.node, o)...)
 		}
 		all := cands
 		if p > 1 {
@@ -69,46 +74,19 @@ func Build(c *mp.Comm, d *dataset.Dataset, o tree.Options) *tree.Tree {
 
 		for fi, it := range frontier {
 			n := it.node
-			// Node distribution (every rank has the class column).
-			dist := make([]int64, s.NumClasses())
-			for _, i := range it.idx {
-				dist[d.Class[i]]++
-			}
-			n.Dist = dist
-			n.N = int64(len(it.idx))
-			if n.N > 0 {
-				n.Class = tree.MajorityClass(dist)
-			}
-			best, ok := selectGlobal(all, fi, len(frontier), p, o)
+			best, ok := selectGlobal(all, fi, len(frontier), p)
 			if !ok {
 				n.Kind = tree.Leaf
 				n.Children = nil
 				continue
 			}
-			n.Kind = best.kind
-			n.Attr = best.attr
-			n.Thresh = best.thresh
-			n.Mask = best.mask
-			k := 2
-			if best.kind == tree.CatMultiway {
-				k = s.Attrs[best.attr].Cardinality()
-			}
-			n.Children = make([]*tree.Node, k)
-			for i := range n.Children {
-				n.Children[i] = &tree.Node{
-					ID:    ids.Next(),
-					Kind:  tree.Leaf,
-					Class: n.Class,
-					Depth: n.Depth + 1,
-					Dist:  make([]int64, s.NumClasses()),
-				}
-			}
+			best.Apply(n, s, ids.Next)
 
 			// Routing phase: the winning attribute's owner computes the
 			// child of every record at the node and broadcasts one byte per
 			// record; other ranks cannot route (they do not own the
 			// column).
-			owner := best.attr % p
+			owner := best.Attr % p
 			var assign []byte
 			if c.Rank() == owner {
 				assign = make([]byte, len(it.idx))
@@ -122,7 +100,7 @@ func Build(c *mp.Comm, d *dataset.Dataset, o tree.Options) *tree.Tree {
 			if p > 1 {
 				mp.Bcast(c, assign, owner)
 			}
-			parts := make([][]int32, k)
+			parts := make([][]int32, len(n.Children))
 			for j, i := range it.idx {
 				parts[assign[j]] = append(parts[assign[j]], i)
 			}
@@ -141,92 +119,42 @@ func Build(c *mp.Comm, d *dataset.Dataset, o tree.Options) *tree.Tree {
 // allgather: (score, attr, kindCode, thresh, maskLo, maskHi, valid).
 const candFloats = 7
 
-type cand struct {
-	score  float64
-	attr   int
-	kind   tree.SplitKind
-	thresh float64
-	mask   uint64
-}
-
-// bestLocalCandidate scores the caller's own attributes on one node and
+// bestLocalCandidate scores the caller's own attributes on node n, whose
+// distribution is recorded, with Hunt's exact per-attribute search, and
 // returns the encoded best candidate (valid=0 when none). The modeled
 // compute cost covers only the owned columns — the point of vertical
 // partitioning.
-func bestLocalCandidate(c *mp.Comm, d *dataset.Dataset, idx []int32, depth int, o tree.Options) []float64 {
+func bestLocalCandidate(c *mp.Comm, d *dataset.Dataset, idx []int32, n *tree.Node, o tree.Options) []float64 {
 	s := d.Schema
 	p := c.Size()
-	nClasses := s.NumClasses()
-
-	dist := make([]int64, nClasses)
-	for _, i := range idx {
-		dist[d.Class[i]]++
+	parent, ok := o.MaySplit(n.Dist, n.N, n.Depth)
+	if !ok {
+		return make([]float64, candFloats)
 	}
-	var n int64 = int64(len(idx))
-	invalid := []float64{0, 0, 0, 0, 0, 0, 0}
-	if n < int64(o.MinSplit) || (o.MaxDepth > 0 && depth >= o.MaxDepth) {
-		return invalid
-	}
-	parent := o.Criterion.Impurity(dist, n)
-	if parent == 0 {
-		return invalid
-	}
-
-	best := cand{attr: -1}
-	bestGain := o.MinGain
+	best, bestScore := tree.Split{Gain: o.MinGain}, 0.0
 	for a := c.Rank(); a < s.NumAttrs(); a += p {
-		attr := s.Attrs[a]
-		var cd cand
-		var score float64
-		var valid bool
-		if attr.Kind == dataset.Categorical {
-			h := criteria.GetHist(attr.Cardinality(), nClasses)
-			criteria.HistInto(h, d.Cat[a], d.Class, idx)
-			c.Compute(float64(len(idx)) + float64(attr.Cardinality()*nClasses))
-			cd.attr = a
-			if o.Binary {
-				cd.kind = tree.CatBinary
-			} else {
-				cd.kind = tree.CatMultiway
-			}
-			cd.mask, score, valid = criteria.ScoreHist(h, o.Criterion, o.Binary)
-			criteria.PutHist(h)
+		cand, score, ok := tree.ScoreAttr(d, idx, a, o)
+		if attr := s.Attrs[a]; attr.Kind == dataset.Categorical {
+			c.Compute(float64(len(idx)) + float64(attr.Cardinality()*s.NumClasses()))
 		} else {
-			values := make([]float64, len(idx))
-			classes := make([]int32, len(idx))
-			for j, i := range idx {
-				values[j] = d.Cont[a][i]
-				classes[j] = d.Class[i]
-			}
-			criteria.SortPairs(values, classes)
 			// Per-node sort cost, as in C4.5 (vertical owners sort their
 			// own column only).
 			c.Compute(float64(len(idx)) * math.Log2(float64(len(idx)+1)))
-			cs, ok := criteria.BestContinuousSplit(values, classes, nClasses, o.Criterion)
-			if ok {
-				cd = cand{attr: a, kind: tree.ContBinary, thresh: cs.Thresh}
-				score, valid = cs.Score, true
-			}
 		}
-		if !valid {
-			continue
-		}
-		if gain := parent - score; gain > bestGain {
-			bestGain = gain
-			cd.score = score
-			best = cd
+		if ok && best.Consider(cand, parent-score) {
+			bestScore = score
 		}
 	}
-	if best.attr < 0 {
-		return invalid
+	if best.IsLeaf() {
+		return make([]float64, candFloats)
 	}
 	return []float64{
-		best.score,
-		float64(best.attr),
-		float64(best.kind),
-		best.thresh,
-		float64(uint32(best.mask)),
-		float64(best.mask >> 32),
+		bestScore,
+		float64(best.Attr),
+		float64(best.Kind),
+		best.Thresh,
+		float64(uint32(best.Mask)),
+		float64(best.Mask >> 32),
 		1,
 	}
 }
@@ -236,8 +164,8 @@ func bestLocalCandidate(c *mp.Comm, d *dataset.Dataset, idx []int32, depth int, 
 // attribute index — identical on every rank, and identical to the serial
 // builders' tie-break because attribute ownership is a partition of the
 // attribute order.
-func selectGlobal(all []float64, fi, numNodes, p int, o tree.Options) (cand, bool) {
-	best := cand{attr: -1}
+func selectGlobal(all []float64, fi, numNodes, p int) (tree.Split, bool) {
+	var best tree.Split
 	bestScore := math.Inf(1)
 	for r := 0; r < p; r++ {
 		off := (r*numNodes + fi) * candFloats
@@ -246,16 +174,15 @@ func selectGlobal(all []float64, fi, numNodes, p int, o tree.Options) (cand, boo
 		}
 		score := all[off]
 		attr := int(all[off+1])
-		if score < bestScore || (score == bestScore && best.attr >= 0 && attr < best.attr) {
+		if score < bestScore || (score == bestScore && !best.IsLeaf() && attr < best.Attr) {
 			bestScore = score
-			best = cand{
-				score:  score,
-				attr:   attr,
-				kind:   tree.SplitKind(all[off+2]),
-				thresh: all[off+3],
-				mask:   uint64(all[off+4]) | uint64(all[off+5])<<32,
+			best = tree.Split{
+				Attr:   attr,
+				Kind:   tree.SplitKind(all[off+2]),
+				Thresh: all[off+3],
+				Mask:   uint64(all[off+4]) | uint64(all[off+5])<<32,
 			}
 		}
 	}
-	return best, best.attr >= 0
+	return best, !best.IsLeaf()
 }
