@@ -383,18 +383,18 @@ type buildBenchConfig struct {
 // max_depth) configuration of the synchronous formulation measured
 // against the exact (vote_k = 0) build of the same data.
 type voteBenchPoint struct {
-	Attrs       int     `json:"attrs"`
-	VoteK       int     `json:"vote_k"` // 0 = exact
-	MaxDepth    int     `json:"max_depth"`
-	Procs       int     `json:"procs"`
-	ModeledSec  float64 `json:"modeled_sec"`
-	CommMB      float64 `json:"comm_MB"`
-	CommRatio   float64 `json:"comm_ratio_vs_exact"` // exact MB / this MB
-	TreeNodes   int     `json:"tree_nodes"`
-	TreeDepth   int     `json:"tree_depth"`
-	TestAcc     float64 `json:"test_acc"`
-	AccDeltaPP  float64 `json:"acc_delta_pp"` // voted − exact, percentage points
-	Identical   bool    `json:"identical_to_exact"`
+	Attrs      int     `json:"attrs"`
+	VoteK      int     `json:"vote_k"` // 0 = exact
+	MaxDepth   int     `json:"max_depth"`
+	Procs      int     `json:"procs"`
+	ModeledSec float64 `json:"modeled_sec"`
+	CommMB     float64 `json:"comm_MB"`
+	CommRatio  float64 `json:"comm_ratio_vs_exact"` // exact MB / this MB
+	TreeNodes  int     `json:"tree_nodes"`
+	TreeDepth  int     `json:"tree_depth"`
+	TestAcc    float64 `json:"test_acc"`
+	AccDeltaPP float64 `json:"acc_delta_pp"` // voted − exact, percentage points
+	Identical  bool    `json:"identical_to_exact"`
 }
 
 // buildBenchArtifact is the serialized BENCH_build.json: the full matrix

@@ -357,9 +357,9 @@ func (s *DiskStore) writeManifestLocked() {
 
 // The query side delegates to the reloaded/live mirror.
 
-func (s *DiskStore) Latest(rank int) *Checkpoint       { return s.mem.Latest(rank) }
-func (s *DiskStore) Effective(rank int) *Checkpoint    { return s.mem.Effective(rank) }
-func (s *DiskStore) EffectiveCut() *Checkpoint         { return s.mem.EffectiveCut() }
+func (s *DiskStore) Latest(rank int) *Checkpoint         { return s.mem.Latest(rank) }
+func (s *DiskStore) Effective(rank int) *Checkpoint      { return s.mem.Effective(rank) }
+func (s *DiskStore) EffectiveCut() *Checkpoint           { return s.mem.EffectiveCut() }
 func (s *DiskStore) Get(rank int, id string) *Checkpoint { return s.mem.Get(rank, id) }
 func (s *DiskStore) CountPrefix(rank int, prefix string) int {
 	return s.mem.CountPrefix(rank, prefix)
