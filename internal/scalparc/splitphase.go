@@ -15,12 +15,9 @@ import (
 func (b *builder) splitPhase(frontier []nodeSlice, dists []int64, splits []tree.Split) []nodeSlice {
 	nClasses := b.s.NumClasses()
 
-	// Finalize node metadata and create children (replicated).
-	type splitting struct {
-		ni       int
-		children int
-	}
-	var active []splitting
+	// Finalize node metadata and create children (replicated); active
+	// holds the frontier indexes of the splitting nodes.
+	var active []int
 	sub := b.subActive()
 	for ni, ns := range frontier {
 		node := ns.node
@@ -31,7 +28,7 @@ func (b *builder) splitPhase(frontier []nodeSlice, dists []int64, splits []tree.
 			continue
 		}
 		splits[ni].Apply(node, b.s, b.ids.Next)
-		active = append(active, splitting{ni: ni, children: len(node.Children)})
+		active = append(active, ni)
 	}
 	if sub {
 		b.fams = nil // superseded by the families recorded below
@@ -44,8 +41,8 @@ func (b *builder) splitPhase(frontier []nodeSlice, dists []int64, splits []tree.
 	// ids are globally unique across nodes, so all nodes share one table.
 	var pairs []ridChild
 	var ops int64
-	for _, sp := range active {
-		ns := frontier[sp.ni]
+	for _, ni := range active {
+		ns := frontier[ni]
 		node := ns.node
 		for _, e := range ns.lists[node.Attr] {
 			pairs = append(pairs, ridChild{rid: e.RID, child: int32(node.RouteValue(e.Value))})
@@ -76,11 +73,11 @@ func (b *builder) splitPhase(frontier []nodeSlice, dists []int64, splits []tree.
 		ni, a, off, n int
 	}
 	var sections []section
-	for _, sp := range active {
-		ns := frontier[sp.ni]
+	for _, ni := range active {
+		ns := frontier[ni]
 		for a := range b.s.Attrs {
 			sec := ns.lists[a]
-			sections = append(sections, section{ni: sp.ni, a: a, off: len(allRids), n: len(sec)})
+			sections = append(sections, section{ni: ni, a: a, off: len(allRids), n: len(sec)})
 			for _, e := range sec {
 				allRids = append(allRids, e.RID)
 			}
@@ -93,14 +90,14 @@ func (b *builder) splitPhase(frontier []nodeSlice, dists []int64, splits []tree.
 
 	next := make([]nodeSlice, 0, len(active)*2)
 	childSlices := make(map[int][]nodeSlice, len(active))
-	for _, sp := range active {
-		ns := frontier[sp.ni]
+	for _, ni := range active {
+		ns := frontier[ni]
 		node := ns.node
-		slices := make([]nodeSlice, sp.children)
+		slices := make([]nodeSlice, len(node.Children))
 		for ci := range slices {
 			slices[ci] = nodeSlice{node: node.Children[ci], lists: make([][]sprint.Entry, b.s.NumAttrs())}
 		}
-		childSlices[sp.ni] = slices
+		childSlices[ni] = slices
 	}
 	for _, sec := range sections {
 		ns := frontier[sec.ni]
@@ -114,8 +111,8 @@ func (b *builder) splitPhase(frontier []nodeSlice, dists []int64, splits []tree.
 	// Keep children that are globally non-empty (local emptiness is not
 	// enough: another rank may hold the records).
 	var childCounts []int64
-	for _, sp := range active {
-		for _, cs := range childSlices[sp.ni] {
+	for _, ni := range active {
+		for _, cs := range childSlices[ni] {
 			childCounts = append(childCounts, int64(len(cs.lists[0])))
 		}
 	}
@@ -123,10 +120,10 @@ func (b *builder) splitPhase(frontier []nodeSlice, dists []int64, splits []tree.
 		mp.AllreduceSum(b.c, childCounts, b.o.Tree.Reuse.SparseThreshold)
 	}
 	idx := 0
-	for _, sp := range active {
+	for _, ni := range active {
 		start := len(next)
 		var counts []int64
-		for _, cs := range childSlices[sp.ni] {
+		for _, cs := range childSlices[ni] {
 			if childCounts[idx] > 0 {
 				next = append(next, cs)
 				counts = append(counts, childCounts[idx])
@@ -148,7 +145,7 @@ func (b *builder) splitPhase(frontier []nodeSlice, dists []int64, splits []tree.
 				der = i
 			}
 		}
-		b.fams = append(b.fams, scalFam{parentNi: sp.ni, parent: frontier[sp.ni].node, members: members, der: der})
+		b.fams = append(b.fams, scalFam{parentNi: ni, parent: frontier[ni].node, members: members, der: der})
 	}
 	return next
 }
