@@ -13,9 +13,9 @@ import (
 // plus the local tabulation scan; the paper shows the hypercube allreduce
 // keeps parallel efficiency constant when the problem grows as
 // N = θ(P·log P). This sweep prices that per-level balance analytically
-// with mp.ModelAllreduce — exact per-rank clock recurrences, so modeled
-// ranks into the thousands cost microseconds instead of millions of real
-// messages — across topologies and collective algorithms, holding
+// with mp.ModelAllreduce — an exact fold of the live collectives' step
+// tables into per-rank clocks, so modeled ranks into the thousands cost
+// microseconds instead of millions of real messages — across topologies and collective algorithms, holding
 // N = n0·P·log₂P. On the hypercube the communication-to-computation
 // ratio stays flat (θ(P log P) is the right isoefficiency function);
 // on hop-priced rings and tori the recursive-doubling partners are no

@@ -154,8 +154,8 @@ func defaultAllreduceAlgo(p int) Algo {
 // AllreduceAlgoCost is the closed-form per-rank wall-clock model of one
 // dense allreduce of the given byte volume, assuming simultaneous entry
 // and ignoring per-hop latency and reduction arithmetic (the estimate the
-// auto selection rule and the hybrid's split trigger use; the exact
-// recurrences live in model.go):
+// auto selection rule and the hybrid's split trigger use; the exact clock
+// is ModelAllreduce's fold over the live step tables):
 //
 //	rdbl       log₂P·(t_s + t_w·B)               (power-of-two only)
 //	red+bcast  2·⌈log₂P⌉·(t_s + t_w·B)

@@ -71,7 +71,6 @@ func TestCollectiveAllocs(t *testing.T) {
 func TestScheduleAllocs(t *testing.T) {
 	for _, p := range []int{2, 3, 4, 5, 8} {
 		for r := 0; r < p; r++ {
-			c := &Comm{rank: r, ranks: make([]int, p)}
 			for _, algo := range []Algo{AlgoRecDoubling, AlgoRing, AlgoRecHalving, AlgoReduceBcast} {
 				if p&(p-1) != 0 && (algo == AlgoRecDoubling || algo == AlgoRecHalving) {
 					continue
@@ -84,10 +83,10 @@ func TestScheduleAllocs(t *testing.T) {
 							fold: func(src, tag, lo, hi int) { moves += hi - lo },
 							recv: func(src, tag, lo, hi int) { moves += hi - lo },
 						}
-						allreduce(c, algo, 100, scatterAG, w)
-						binomialReduce(c, 1, 100, w)
-						bcast(c, 1, 100, scatterAG, w)
-						ringAllgather(c, tagAllgather, r, p, w)
+						allreduceSchedule(algo, p, 100, scatterAG).run(r, w)
+						reduceSchedule(p, 1, 100).run(r, w)
+						bcastSchedule(p, 1, 100, scatterAG).run(r, w)
+						allgatherSchedule(p, tagAllgather).run(r, w)
 					})
 					if got != 0 {
 						t.Errorf("p=%d rank %d %s scatterAG=%v: %v allocations per run, want 0", p, r, algo, scatterAG, got)
@@ -96,6 +95,21 @@ func TestScheduleAllocs(t *testing.T) {
 						t.Errorf("p=%d rank %d %s: the schedules made no move", p, r, algo)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestModelAllocs: one ModelAllreduce allocates only its clock, arrival
+// and move slices, whatever the algorithm and size.
+func TestModelAllocs(t *testing.T) {
+	m := SP2().WithHopLatency(3e-6)
+	for _, p := range []int{2, 5, 64} {
+		var topo Topology = NewTorus2D(p)
+		for _, algo := range []Algo{AlgoRecDoubling, AlgoRing, AlgoRecHalving, AlgoReduceBcast} {
+			got := testing.AllocsPerRun(20, func() { ModelAllreduce(algo, topo, p, 4096, m) })
+			if got > 3 {
+				t.Errorf("p=%d %s: %v allocations per call, want ≤ 3", p, algo, got)
 			}
 		}
 	}

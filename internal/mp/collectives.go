@@ -117,7 +117,7 @@ func Allreduce[T Elem](c *Comm, x []T, op Op[T]) {
 	c.beginColl(CollAllreduce, 0, algo)
 	defer c.endColl()
 	scatterAG := algo == AlgoReduceBcast && c.bcastAlgo(bytes) == AlgoScatterAllgather
-	allreduce(c, algo, len(x), scatterAG, denseWire(c, x, op, "allreduce"))
+	allreduceSchedule(algo, p, len(x), scatterAG).run(c.rank, denseWire(c, x, op, "allreduce"))
 }
 
 // Reduce combines x element-wise onto rank root via a binomial tree; the
@@ -128,7 +128,7 @@ func Reduce[T Elem](c *Comm, x []T, op Op[T], root int) {
 	}
 	c.beginColl(CollReduce, 0, AlgoBinomial)
 	defer c.endColl()
-	binomialReduce(c, root, len(x), denseWire(c, x, op, "reduce"))
+	reduceSchedule(c.Size(), root, len(x)).run(c.rank, denseWire(c, x, op, "reduce"))
 }
 
 // Bcast distributes root's x to every rank (in place). The default
@@ -144,7 +144,7 @@ func Bcast[T Elem](c *Comm, x []T, root int) {
 	algo := c.bcastAlgo(len(x) * elemBytes[T]())
 	c.beginColl(CollBcast, 0, algo)
 	defer c.endColl()
-	bcast(c, root, len(x), algo == AlgoScatterAllgather, denseWire(c, x, nil, "bcast"))
+	bcastSchedule(p, root, len(x), algo == AlgoScatterAllgather).run(c.rank, denseWire(c, x, nil, "bcast"))
 }
 
 // Gatherv collects each rank's variable-length x at root, returned as a
@@ -182,12 +182,11 @@ func Allgatherv[T Elem](c *Comm, tag int, x []T) []T {
 	if algo == AlgoGatherBcast {
 		return allgathervGatherBcast(c, tag, x)
 	}
-	// Every block is its own message, so the ring runs over p one-block
-	// "elements": span [i, i+1) is block i.
+	// Every block is its own message: span [i, i+1) is block i.
 	p := c.Size()
 	blocks := make([][]T, p)
 	blocks[c.rank] = append([]T(nil), x...)
-	ringAllgather(c, tagAllgather^tag<<8, c.rank, p, wire{
+	allgatherSchedule(p, tagAllgather^tag<<8).run(c.rank, wire{
 		send: func(dst, tag, i, _ int, _ bool) { SendSlice(c, dst, tag, blocks[i]) },
 		recv: func(src, tag, i, _ int) { blocks[i] = RecvSlice[T](c, src, tag) },
 	})
@@ -266,7 +265,7 @@ func BcastValue(c *Comm, payload any, bytes int, root int) any {
 	}
 	c.beginColl(CollBcast, 0, AlgoBinomial)
 	defer c.endColl()
-	bcast(c, root, 0, false, wire{
+	bcastSchedule(c.Size(), root, 0, false).run(c.rank, wire{
 		send: func(dst, tag, _, _ int, _ bool) { c.Send(dst, tag, payload, bytes) },
 		recv: func(src, tag, _, _ int) {
 			msg := c.Recv(src, tag)
@@ -308,7 +307,7 @@ func (c *Comm) AllreduceClock() {
 	c.beginColl(CollBarrier, 0, algo)
 	defer c.endColl()
 	recv := func(src, _, _, _ int) { c.Recv(src, tagClock) }
-	allreduce(c, algo, 0, false, wire{
+	allreduceSchedule(algo, p, 0, false).run(c.rank, wire{
 		send: func(dst, _, _, _ int, _ bool) { c.Send(dst, tagClock, nil, 0) },
 		fold: recv,
 		recv: recv,

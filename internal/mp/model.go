@@ -1,10 +1,11 @@
 package mp
 
-// Analytic collective model. ModelAllreduce reproduces, by per-rank clock
-// recurrences, exactly the modeled completion time a World of p ranks
-// would report after one dense Allreduce — same sends in the same order,
-// same per-hop pricing under the topology, same TOp combine charges — but
-// in O(P·steps) arithmetic with no goroutines or payloads. That makes
+// Analytic collective model. ModelAllreduce folds the same step tables the
+// live collectives run (schedule.go) into per-rank clocks, reproducing
+// exactly the modeled completion time a World of p ranks would report
+// after one dense Allreduce — same sends in the same order, same per-hop
+// pricing under the topology, same TOp combine charges — but in
+// O(P·steps) arithmetic with no goroutines or payloads. That makes
 // modeled sweeps into the thousands of ranks (cmd/experiments -mode
 // isocomm) affordable: the ring algorithm alone would move O(P²) real
 // messages per allreduce. Consistency with the live substrate is pinned
@@ -16,7 +17,8 @@ package mp
 // be concrete (not auto/default — resolve first with
 // ResolveAllreduceAlgo); an algorithm infeasible for p falls back the
 // same way the live dispatch does. A nil topo models a hop-free fabric
-// (equivalently Machine.TH = 0).
+// (equivalently Machine.TH = 0). red+bcast is modeled with the binomial
+// broadcast, as AllreduceSum runs it.
 func ModelAllreduce(algo Algo, topo Topology, p, elems int, m Machine) float64 {
 	if p <= 1 {
 		return 0
@@ -24,24 +26,45 @@ func ModelAllreduce(algo Algo, topo Topology, p, elems int, m Machine) float64 {
 	if (algo == AlgoRecDoubling || algo == AlgoRecHalving) && !isPow2(p) {
 		algo = AlgoReduceBcast
 	}
-	send := func(src, dst, bytes int) float64 {
-		cost := m.SendCost(bytes)
-		if m.TH != 0 && topo != nil {
-			cost += m.TH * float64(topo.Hops(src, dst))
-		}
-		return cost
-	}
+	sc := allreduceSchedule(algo, p, elems, false)
 	clock := make([]float64, p)
-	switch algo {
-	case AlgoRecDoubling:
-		modelRD(clock, p, elems, m, send)
-	case AlgoRing:
-		modelRing(clock, p, elems, m, send)
-	case AlgoRecHalving:
-		modelRHD(clock, p, elems, m, send)
-	default:
-		modelReduce(clock, p, elems, m, send)
-		modelBcast(clock, p, 8*elems, send)
+	// arrive[r] is the arrival stamp of the one message r receives at the
+	// current step; each step's sends all come before its receives.
+	arrive := make([]float64, p)
+	moves := make([]move, p)
+	for i := 0; i < sc.nlegs; i++ {
+		for s := 0; s < sc.steps(i); s++ {
+			for r := range moves {
+				moves[r] = sc.at(i, r, s)
+			}
+			// The live substrate's additions, in its order: Send adds the
+			// message cost, Recv takes the max with the arrival, a fold
+			// adds TOp per element.
+			for r := range moves {
+				mv := &moves[r]
+				if mv.dst < 0 {
+					continue
+				}
+				cost := m.SendCost(8 * (mv.sendHi - mv.sendLo))
+				if m.TH != 0 && topo != nil {
+					cost += m.TH * float64(topo.Hops(r, mv.dst))
+				}
+				clock[r] += cost
+				arrive[mv.dst] = clock[r]
+			}
+			for r := range moves {
+				mv := &moves[r]
+				if mv.src < 0 {
+					continue
+				}
+				if arrive[r] > clock[r] {
+					clock[r] = arrive[r]
+				}
+				if mv.reduce {
+					clock[r] += float64(mv.recvHi-mv.recvLo) * m.TOp
+				}
+			}
+		}
 	}
 	max := 0.0
 	for _, c := range clock {
@@ -50,173 +73,4 @@ func ModelAllreduce(algo Algo, topo Topology, p, elems int, m Machine) float64 {
 		}
 	}
 	return max
-}
-
-// modelRD: per step every rank sends to its partner, waits for the
-// partner's send to arrive, and combines elems elements.
-func modelRD(clock []float64, p, elems int, m Machine, send func(src, dst, bytes int) float64) {
-	bytes := 8 * elems
-	top := float64(elems) * m.TOp
-	done := make([]float64, p)
-	for mask := 1; mask < p; mask <<= 1 {
-		for r := 0; r < p; r++ {
-			done[r] = clock[r] + send(r, r^mask, bytes)
-		}
-		for r := 0; r < p; r++ {
-			c := done[r]
-			if a := done[r^mask]; a > c {
-				c = a
-			}
-			clock[r] = c + top
-		}
-	}
-}
-
-// modelRing: P−1 reduce-scatter steps (send chunk, wait for the left
-// neighbour's chunk, combine it) then P−1 allgather steps (same without
-// the combine), chunk i spanning [i·n/p, (i+1)·n/p).
-func modelRing(clock []float64, p, elems int, m Machine, send func(src, dst, bytes int) float64) {
-	lo := func(i int) int { return i * elems / p }
-	chunkLen := func(i int) int { return lo(i+1) - lo(i) }
-	done := make([]float64, p)
-	for s := 0; s < p-1; s++ {
-		for r := 0; r < p; r++ {
-			sc := (r - s + p) % p
-			done[r] = clock[r] + send(r, (r+1)%p, 8*chunkLen(sc))
-		}
-		for r := 0; r < p; r++ {
-			left := (r - 1 + p) % p
-			c := done[r]
-			if done[left] > c {
-				c = done[left]
-			}
-			rc := (r - s - 1 + p) % p
-			clock[r] = c + float64(chunkLen(rc))*m.TOp
-		}
-	}
-	for s := 0; s < p-1; s++ {
-		for r := 0; r < p; r++ {
-			sc := (r + 1 - s + p) % p
-			done[r] = clock[r] + send(r, (r+1)%p, 8*chunkLen(sc))
-		}
-		for r := 0; r < p; r++ {
-			left := (r - 1 + p) % p
-			c := done[r]
-			if done[left] > c {
-				c = done[left]
-			}
-			clock[r] = c
-		}
-	}
-}
-
-// modelRHD: recursive vector halving (send the half you give away, wait,
-// combine the half you keep) then recursive doubling back up (send the
-// window you own, wait, adopt the partner's).
-func modelRHD(clock []float64, p, elems int, m Machine, send func(src, dst, bytes int) float64) {
-	los := make([]int, p)
-	his := make([]int, p)
-	for r := range his {
-		his[r] = elems
-	}
-	type win struct{ lo, mid, hi int }
-	stacks := make([][]win, p)
-	done := make([]float64, p)
-	comb := make([]int, p)
-	for mask := 1; mask < p; mask <<= 1 {
-		for r := 0; r < p; r++ {
-			lo, hi := los[r], his[r]
-			mid := lo + (hi-lo)/2
-			var sendLen int
-			if r&mask == 0 {
-				sendLen, comb[r] = hi-mid, mid-lo
-			} else {
-				sendLen, comb[r] = mid-lo, hi-mid
-			}
-			done[r] = clock[r] + send(r, r^mask, 8*sendLen)
-			stacks[r] = append(stacks[r], win{lo, mid, hi})
-			if r&mask == 0 {
-				his[r] = mid
-			} else {
-				los[r] = mid
-			}
-		}
-		for r := 0; r < p; r++ {
-			c := done[r]
-			if done[r^mask] > c {
-				c = done[r^mask]
-			}
-			clock[r] = c + float64(comb[r])*m.TOp
-		}
-	}
-	for i := len(stacks[0]) - 1; i >= 0; i-- {
-		for r := 0; r < p; r++ {
-			done[r] = clock[r] + send(r, r^(1<<i), 8*(his[r]-los[r]))
-		}
-		for r := 0; r < p; r++ {
-			c := done[r]
-			if done[r^(1<<i)] > c {
-				c = done[r^(1<<i)]
-			}
-			clock[r] = c
-			w := stacks[r][i]
-			los[r], his[r] = w.lo, w.hi
-		}
-	}
-}
-
-// modelReduce: the binomial-tree reduce onto rank 0 — at each mask, ranks
-// with the bit set send their partials down and leave; surviving ranks
-// receive and combine.
-func modelReduce(clock []float64, p, elems int, m Machine, send func(src, dst, bytes int) float64) {
-	bytes := 8 * elems
-	top := float64(elems) * m.TOp
-	arrive := make([]float64, p)
-	for mask := 1; mask < p; mask <<= 1 {
-		for r := mask; r < p; r += 2 * mask {
-			// r has exactly the masked bit as its lowest set bit here.
-			clock[r] += send(r, r-mask, bytes)
-			arrive[r-mask] = clock[r]
-		}
-		for r := 0; r < p; r += 2 * mask {
-			if r|mask < p {
-				if arrive[r] > clock[r] {
-					clock[r] = arrive[r]
-				}
-				clock[r] += top
-			}
-		}
-	}
-}
-
-// modelBcast: the binomial broadcast from rank 0 — each internal node
-// forwards to its subtree roots largest-offset first, each send advancing
-// the sender's clock; a child starts when its copy arrives.
-func modelBcast(clock []float64, p, bytes int, send func(src, dst, bytes int) float64) {
-	for r := 0; r < p; r++ {
-		var k int
-		if r == 0 {
-			k = ceilLog2(p)
-		} else {
-			k = trailingZeros(r)
-		}
-		for j := k - 1; j >= 0; j-- {
-			dst := r + 1<<j
-			if dst < p {
-				clock[r] += send(r, dst, bytes)
-				if clock[r] > clock[dst] {
-					clock[dst] = clock[r]
-				}
-			}
-		}
-	}
-}
-
-func trailingZeros(r int) int {
-	k := 0
-	for r&1 == 0 {
-		r >>= 1
-		k++
-	}
-	return k
 }

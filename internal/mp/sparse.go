@@ -277,5 +277,5 @@ func AllreduceSum(c *Comm, x []int64, threshold float64) {
 	defer c.endColl()
 	sparse := false
 	defer func() { c.me.noteEncFlush(sparse) }()
-	allreduce(c, algo, len(x), false, c.adaptiveWire(x, threshold, &sparse))
+	allreduceSchedule(algo, p, len(x), false).run(c.rank, c.adaptiveWire(x, threshold, &sparse))
 }

@@ -483,31 +483,35 @@ func TestAllreduceAlgoBreakdownLabels(t *testing.T) {
 	}
 }
 
-// TestModelAllreduceMatchesWorld: the analytic recurrences must reproduce
-// the live substrate's modeled completion time exactly — same additions
-// in the same order per rank.
+// TestModelAllreduceMatchesWorld: the fold over the step tables must
+// reproduce the live substrate's modeled completion time exactly — same
+// additions in the same order per rank — including empty chunks and
+// zero-byte sends (elems < p).
 func TestModelAllreduceMatchesWorld(t *testing.T) {
-	const elems = 37
-	for _, p := range []int{2, 3, 4, 5, 6, 8, 12, 16} {
-		for _, topoName := range []string{"hypercube", "flat", "ring", "torus", "fattree"} {
-			for _, algo := range []Algo{AlgoRecDoubling, AlgoRing, AlgoRecHalving, AlgoReduceBcast} {
-				m := SP2().WithHopLatency(3e-6)
-				topo, err := NewTopology(topoName, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				w := NewWorld(p, m)
-				w.SetTopology(topo)
-				w.SetCollConfig(CollConfig{Allreduce: algo})
-				w.Run(func(c *Comm) {
-					x := make([]int64, elems)
-					x[c.Rank()%elems] = 1
-					Allreduce(c, x, Sum)
-				})
-				resolved := ResolveAllreduceAlgo(algo, p, 8*elems, m)
-				got := ModelAllreduce(resolved, topo, p, elems, m)
-				if want := w.MaxClock(); math.Abs(got-want) > 1e-15*math.Max(1, math.Abs(want)) {
-					t.Errorf("p=%d %s %s: model %v, world %v", p, topoName, algo, got, want)
+	for _, elems := range []int{0, 1, 3, 37} {
+		for _, p := range []int{2, 3, 4, 5, 6, 8, 12, 16, 24, 32} {
+			for _, topoName := range []string{"hypercube", "flat", "ring", "torus", "fattree"} {
+				for _, algo := range []Algo{AlgoRecDoubling, AlgoRing, AlgoRecHalving, AlgoReduceBcast} {
+					m := SP2().WithHopLatency(3e-6)
+					topo, err := NewTopology(topoName, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w := NewWorld(p, m)
+					w.SetTopology(topo)
+					w.SetCollConfig(CollConfig{Allreduce: algo})
+					w.Run(func(c *Comm) {
+						x := make([]int64, elems)
+						if elems > 0 {
+							x[c.Rank()%elems] = 1
+						}
+						Allreduce(c, x, Sum)
+					})
+					resolved := ResolveAllreduceAlgo(algo, p, 8*elems, m)
+					got := ModelAllreduce(resolved, topo, p, elems, m)
+					if want := w.MaxClock(); math.Abs(got-want) > 1e-15*math.Max(1, math.Abs(want)) {
+						t.Errorf("p=%d elems=%d %s %s: model %v, world %v", p, elems, topoName, algo, got, want)
+					}
 				}
 			}
 		}
