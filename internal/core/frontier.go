@@ -114,6 +114,7 @@ func expandLevelSync(c *mp.Comm, rows tree.RowSource, frontier []tree.FrontierIt
 	var next []tree.FrontierItem
 	var units []tree.Unit
 	var kidIDs []int64
+	var view tree.NodeStats // every node's decoded statistics, in turn
 	commCost := 0.0
 	for lo := 0; lo < len(frontier); lo += o.SyncEveryNodes {
 		hi := min(lo+o.SyncEveryNodes, len(frontier))
@@ -185,7 +186,7 @@ func expandLevelSync(c *mp.Comm, rows tree.RowSource, frontier []tree.FrontierIt
 		}
 		for j, it := range chunk {
 			blk := blockOf(j)
-			kids := rows.Expand(lo+j, it, tree.DecodeStats(blk, s, o.Tree), ids, &routeOps)
+			kids := rows.Expand(lo+j, it, view.Decode(blk, s, o.Tree), ids, &routeOps)
 			if len(kids) > 0 {
 				// Cache the parent block only when the whole family will land
 				// in one flush chunk of the next level: a family straddling a

@@ -211,10 +211,11 @@ type voteRound struct {
 	o        tree.Options
 	spans    [][2]int
 	statsLen int
-	fams     []voteFam // families covering this level's frontier
-	fiStart  int       // first family not wholly behind the current chunk
-	usable   [][]int32 // per chunk member: its usable attribute set
-	next     []voteFam // families of the next frontier
+	fams     []voteFam      // families covering this level's frontier
+	fiStart  int            // first family not wholly behind the current chunk
+	usable   [][]int32      // per chunk member: its usable attribute set
+	next     []voteFam      // families of the next frontier
+	view     tree.NodeStats // the ballot's decoded statistics, node by node
 }
 
 func newVoteRound(s *dataset.Schema, o tree.Options, fams []voteFam) *voteRound {
@@ -266,7 +267,7 @@ func (v *voteRound) reduce(c *mp.Comm, frontier []tree.FrontierItem, lo, hi int,
 			if j == g.dv || slot[j] < 0 {
 				continue // only the withheld member is ever derived
 			}
-			tree.AttrGains(tree.DecodeStats(blk(j), s, o), s, o, mg)
+			tree.AttrGains(v.view.Decode(blk(j), s, o), s, o, mg)
 			for a, gv := range mg {
 				if gv > gains[a] {
 					gains[a] = gv

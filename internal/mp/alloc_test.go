@@ -1,6 +1,9 @@
 package mp
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // raceEnabled is set by race_enabled_test.go in -race builds, whose
 // instrumentation makes allocation counts vary run to run.
@@ -8,20 +11,21 @@ var raceEnabled bool
 
 // TestCollectiveAllocs gates the heap allocations of the reduction hot
 // path: a dense Allreduce and an adaptive AllreduceSum must not allocate
-// more than before the schedules were shared, so the wires' closures must
-// stay on the stack. The count is summed over all ranks of the world: a
-// world running 64 calls minus a world running none.
+// more than they do with pooled payloads and a cached instance mailbox
+// key, so the wires' closures must stay on the stack and no message may
+// go back to a fresh copy. The count is summed over all ranks of the
+// world: a world running 64 calls minus a world running none.
 //
 // The count is not fully deterministic. AllocsPerRun pins GOMAXPROCS to 1,
 // so the ranks' goroutines interleave the same way on almost every run,
 // but a preempted rank can let two messages queue up in one mailbox, and
-// queueing allocates (mailbox put and take). Measured before the change,
-// 480 runs of each case on two loaded cores gave the figure in base every
-// time but once, which was one higher. So the 64-call world is measured
-// three times and the fewest allocations count (a rare interleaving
-// cannot fail the gate alone), and the bound is that worst run plus its
-// spread: base+2. A wire that escapes costs at least three closures per
-// call and rank, ≥ 384 per 64 calls, far above the slack.
+// queueing allocates (mailbox put and take). So the 64-call world is
+// measured three times and the fewest allocations count (a rare
+// interleaving cannot fail the gate alone), and the bound is base plus a
+// slack of 2; 40 runs of each case gave exactly base every time. A copied
+// payload costs at least one allocation per message, ≥ 128 per 64 calls
+// at P = 2, and a wire that escapes costs at least three closures per
+// call and rank, ≥ 384 per 64 calls: both far above the slack.
 func TestCollectiveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -30,12 +34,12 @@ func TestCollectiveAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		p      int
 		sparse bool
-		base   float64 // allocations per 64 calls before the change
+		base   float64 // allocations per 64 calls
 	}{
-		{2, false, 920},
-		{4, false, 3696},
-		{2, true, 1054},
-		{4, true, 4220},
+		{2, false, 408},
+		{4, false, 1136},
+		{2, true, 414},
+		{4, true, 1148},
 	} {
 		allocs := func(n int) float64 {
 			return testing.AllocsPerRun(20, func() {
@@ -59,6 +63,41 @@ func TestCollectiveAllocs(t *testing.T) {
 		if got > tc.base+slack {
 			t.Errorf("p=%d sparse=%v: %.0f allocations per %d calls, want ≤ %.0f", tc.p, tc.sparse, got, calls, tc.base+slack)
 		}
+	}
+}
+
+// TestCollectiveBytes: once the payload pools are warm, a P=2 dense
+// AllreduceSum of a 4096-word buffer allocates less than one payload's
+// bytes per call, summed over both ranks — where copying every message
+// would cost two payloads (each rank sends its whole vector once). The
+// bytes are the TotalAlloc delta of a world running 64 calls minus one
+// running none, the fewest of three measurements as above; the pools are
+// warmed by a first 64-call world.
+func TestCollectiveBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	const n, calls = 4096, 64
+	payload := float64(n * 8)
+	world := func(calls int) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		w := NewWorld(2, SP2())
+		w.Run(func(c *Comm) {
+			x := make([]int64, n)
+			for i := 0; i < calls; i++ {
+				x[(c.Rank()*31+i)%n] = int64(i)
+				AllreduceSum(c, x, 0)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	world(calls)
+	got := (min(world(calls), world(calls), world(calls)) - world(0)) / calls
+	t.Logf("%.0f bytes per call (one payload is %.0f)", got, payload)
+	if got >= payload {
+		t.Errorf("%.0f bytes allocated per call, want < %.0f (one payload)", got, payload)
 	}
 }
 

@@ -82,15 +82,24 @@ func replaceExact[T Elem](c *Comm, dst, src []T, what string) {
 	copy(dst, src)
 }
 
-// denseWire is the typed wire over x: every message is a copy of its span
-// (SendSlice), folded in with op — charging TOp per element — or received
-// in place of the span, panicking on a length mismatch; what names the
-// collective in that panic.
+// denseWire is the typed wire over x: every message is a pooled copy of
+// its span (copyPayload), folded in with op — charging TOp per element —
+// or received in place of the span, panicking on a length mismatch; what
+// names the collective in that panic. The receiver releases each payload
+// once consumed (payload.go).
 func denseWire[T Elem](c *Comm, x []T, op Op[T], what string) wire {
 	return wire{
-		send: func(dst, tag, lo, hi int, _ bool) { SendSlice(c, dst, tag, x[lo:hi]) },
-		fold: func(src, tag, lo, hi int) { combine(c, x[lo:hi], RecvSlice[T](c, src, tag), op) },
-		recv: func(src, tag, lo, hi int) { replaceExact(c, x[lo:hi], RecvSlice[T](c, src, tag), what) },
+		send: func(dst, tag, lo, hi int, _ bool) { c.Send(dst, tag, copyPayload(x[lo:hi]), (hi-lo)*elemBytes[T]()) },
+		fold: func(src, tag, lo, hi int) {
+			p := recvPayload[T](c, src, tag)
+			combine(c, x[lo:hi], elems(p), op)
+			releasePayload(p)
+		},
+		recv: func(src, tag, lo, hi int) {
+			p := recvPayload[T](c, src, tag)
+			replaceExact(c, x[lo:hi], elems(p), what)
+			releasePayload(p)
+		},
 	}
 }
 

@@ -29,6 +29,10 @@ type Comm struct {
 	// peer's receive stays unmatched and surfaces as a typed error instead
 	// of silently consuming a mismatched payload.
 	inst int64
+	// instKey caches mailKey's string for collective instance keyInst, so
+	// a collective formats its key once, not once per message.
+	instKey string
+	keyInst int64
 }
 
 // mailKey is the mailbox key messages on this comm are filed under:
@@ -37,10 +41,13 @@ type Comm struct {
 // agree on the instance because ranks of a comm execute the same
 // collective sequence.
 func (c *Comm) mailKey() string {
-	if c.me.collDepth > 0 {
-		return fmt.Sprintf("%s#%d", c.id, c.inst)
+	if c.me.collDepth == 0 {
+		return c.id
 	}
-	return c.id
+	if c.instKey == "" || c.keyInst != c.inst {
+		c.instKey, c.keyInst = fmt.Sprintf("%s#%d", c.id, c.inst), c.inst
+	}
+	return c.instKey
 }
 
 // Rank returns the caller's rank within the communicator.
@@ -121,7 +128,9 @@ func (c *Comm) Rebase(gen int) *Comm {
 // t_s + t_w·bytes — plus t_h per hop between the two world ranks under
 // the world's Topology when Machine.TH > 0 — and the message arrives at
 // that time. The payload is shared by reference: the caller must not
-// mutate it after sending.
+// mutate it after sending, and ownership passes to the receiver — which
+// may recycle it (the pooled payloads of the collective wires), because a
+// duplicated delivery is rejected by sequence number before it is queued.
 func (c *Comm) Send(dst, tag int, payload any, bytes int) {
 	if dst < 0 || dst >= c.Size() {
 		panic(fmt.Sprintf("mp: send to rank %d of %d-rank comm %s", dst, c.Size(), c.id))

@@ -155,10 +155,11 @@ func EncodingTable(enc map[string]EncodingStats) string {
 // smaller given the density threshold, bills the modeled bytes of the
 // encoding actually used, and reports whether it chose sparse. reduceLeg
 // tells the accounting which leg of the collective the message belongs to.
+// Both encodings are pooled payloads that the receiver releases.
 func (c *Comm) sendSumAdaptive(dst, tag int, x []int64, threshold float64, reduceLeg bool) bool {
 	nnz := kernel.CountNonzero(x)
 	if kernel.SparseWorthwhile(nnz, len(x), threshold) {
-		sp := &sparsePairs{n: len(x), idx: make([]int32, 0, nnz), cnt: make([]int64, 0, nnz)}
+		sp := getSparse(len(x), nnz)
 		for i, v := range x {
 			if v != 0 {
 				sp.idx = append(sp.idx, int32(i))
@@ -170,9 +171,8 @@ func (c *Comm) sendSumAdaptive(dst, tag int, x []int64, threshold float64, reduc
 		c.me.noteEncoding(true, reduceLeg, bytes, kernel.DenseElemBytes*len(x))
 		return true
 	}
-	cp := append([]int64(nil), x...)
 	bytes := kernel.DenseElemBytes * len(x)
-	c.Send(dst, tag, cp, bytes)
+	c.Send(dst, tag, copyPayload(x), bytes)
 	c.me.noteEncoding(false, reduceLeg, bytes, bytes)
 	return false
 }
@@ -184,8 +184,9 @@ func (c *Comm) sendSumAdaptive(dst, tag int, x []int64, threshold float64, reduc
 func (c *Comm) recvSumCombine(src, tag int, x []int64) {
 	msg := c.Recv(src, tag)
 	switch v := msg.Payload.(type) {
-	case []int64:
-		combine(c, x, v, Sum[int64])
+	case *[]int64:
+		combine(c, x, elems(v), Sum[int64])
+		releasePayload(v)
 	case *sparsePairs:
 		if v.n != len(x) {
 			panic(fmt.Sprintf("mp: sparse reduction length mismatch %d vs %d", v.n, len(x)))
@@ -196,6 +197,7 @@ func (c *Comm) recvSumCombine(src, tag int, x []int64) {
 		d := float64(len(v.idx)) * c.world.Machine.TOp
 		c.me.clock += d
 		c.me.chargeComp(d)
+		sparsePool.Put(v)
 	default:
 		panic(fmt.Sprintf("mp: adaptive reduction got %T on comm %s tag %d", msg.Payload, c.ID(), tag))
 	}
@@ -208,11 +210,12 @@ func (c *Comm) recvSumCombine(src, tag int, x []int64) {
 func (c *Comm) recvSumReplace(src, tag int, x []int64) {
 	msg := c.Recv(src, tag)
 	switch v := msg.Payload.(type) {
-	case []int64:
-		if len(v) != len(x) {
-			panic(fmt.Sprintf("mp: adaptive broadcast length mismatch %d vs %d", len(v), len(x)))
+	case *[]int64:
+		if len(elems(v)) != len(x) {
+			panic(fmt.Sprintf("mp: adaptive broadcast length mismatch %d vs %d", len(elems(v)), len(x)))
 		}
-		copy(x, v)
+		copy(x, elems(v))
+		releasePayload(v)
 	case *sparsePairs:
 		if v.n != len(x) {
 			panic(fmt.Sprintf("mp: sparse broadcast length mismatch %d vs %d", v.n, len(x)))
@@ -221,6 +224,7 @@ func (c *Comm) recvSumReplace(src, tag int, x []int64) {
 		for i, ix := range v.idx {
 			x[ix] = v.cnt[i]
 		}
+		sparsePool.Put(v)
 	default:
 		panic(fmt.Sprintf("mp: adaptive broadcast got %T on comm %s tag %d", msg.Payload, c.ID(), tag))
 	}

@@ -182,16 +182,14 @@ func growLevels(rows RowSource, frontier []FrontierItem, o Options, ids *IDGen) 
 		rd, wr = kernel.NewReuseCache(), kernel.NewReuseCache()
 	}
 	var blocks, kidIDs []int64 // blocks: the current unit's, grown on demand
+	var view NodeStats         // every node's decoded statistics, in turn
 	block := func(i int) []int64 { return blocks[i*statsLen : (i+1)*statsLen] }
 	for len(frontier) > 0 && rows.Err() == nil {
 		rows.Begin(frontier)
 		var next []FrontierItem
 		for j := 0; j < len(frontier); {
 			u := PlanUnit(rd, frontier[j:], false)
-			if cap(blocks) < u.N*statsLen {
-				blocks = make([]int64, u.N*statsLen)
-			}
-			blocks = blocks[:u.N*statsLen]
+			blocks = grow(blocks, u.N*statsLen)
 			clear(blocks)
 			for i := 0; i < u.N; i++ {
 				if i != u.Der {
@@ -202,7 +200,7 @@ func growLevels(rows RowSource, frontier []FrontierItem, o Options, ids *IDGen) 
 				wordOps += u.Derive(block)
 			}
 			for i := 0; i < u.N; i++ {
-				kids := rows.Expand(j+i, frontier[j+i], DecodeStats(block(i), s, o), ids, &scanOps)
+				kids := rows.Expand(j+i, frontier[j+i], view.Decode(block(i), s, o), ids, &scanOps)
 				if len(kids) > 0 && wr != nil {
 					kidIDs = kidIDs[:0]
 					for _, kd := range kids {

@@ -129,7 +129,8 @@ func (sl *Slots) Err() error { return sl.err }
 // is then tabulated into its frontier node's block.
 func (sl *Slots) Begin(frontier []FrontierItem) {
 	n := len(frontier)
-	sl.blocks = append(sl.blocks[:0], make([]int64, n*sl.stride)...)
+	sl.blocks = grow(sl.blocks, n*sl.stride)
+	clear(sl.blocks)
 	for k := 0; k < sl.t.NumChunks() && sl.err == nil; k++ {
 		nb, err := sl.t.ReadChunk(k, &sl.ch)
 		if err != nil {
@@ -146,8 +147,10 @@ func (sl *Slots) Begin(frontier []FrontierItem) {
 		bind(sl.spec, sl.ch.Class, sl.ch.Cat, sl.ch.Cont)
 		kernel.TabulateAssigned(sl.blocks, sl.stride, rows, sl.spec)
 	}
-	sl.nodes = append(sl.nodes[:0], make([]*Node, n)...)
-	sl.routes = append(sl.routes[:0], make([][]int32, n)...)
+	sl.nodes = grow(sl.nodes, n)
+	clear(sl.nodes)
+	sl.routes = grow(sl.routes, n)
+	clear(sl.routes)
 	sl.kids = 0
 }
 

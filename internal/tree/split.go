@@ -2,6 +2,7 @@ package tree
 
 import (
 	"fmt"
+	"sync"
 
 	"partree/internal/criteria"
 	"partree/internal/dataset"
@@ -99,15 +100,30 @@ type NodeStats struct {
 // DecodeStats wraps a flattened statistics vector (as produced by
 // kernel.TabulateInto, possibly after reduction) in a NodeStats view.
 func DecodeStats(flat []int64, s *dataset.Schema, o Options) *NodeStats {
+	return new(NodeStats).Decode(flat, s, o)
+}
+
+// Decode re-points the view ns at flat and returns it. A view decoded
+// before under the same schema keeps its histograms, so a level loop
+// that decodes node after node into one view allocates nothing; the
+// previous decoding is gone, so nothing may hold it past its use.
+func (ns *NodeStats) Decode(flat []int64, s *dataset.Schema, o Options) *NodeStats {
 	c := s.NumClasses()
-	ns := &NodeStats{Dist: flat[:c], Hists: make([]*criteria.Hist, len(s.Attrs))}
+	ns.Dist = flat[:c]
+	if len(ns.Hists) != len(s.Attrs) {
+		hs := make([]criteria.Hist, len(s.Attrs))
+		ns.Hists = make([]*criteria.Hist, len(s.Attrs))
+		for a := range hs {
+			ns.Hists[a] = &hs[a]
+		}
+	}
 	off := c
 	for a, attr := range s.Attrs {
 		m := attr.Cardinality()
 		if attr.Kind == dataset.Continuous {
 			m = o.Binner.MicroBins
 		}
-		ns.Hists[a] = &criteria.Hist{M: m, C: c, Counts: flat[off : off+m*c]}
+		*ns.Hists[a] = criteria.Hist{M: m, C: c, Counts: flat[off : off+m*c]}
 		off += m * c
 	}
 	return ns
@@ -267,15 +283,66 @@ func (sp Split) Apply(n *Node, s *dataset.Schema, nextID func() int64) {
 }
 
 // PartitionRows distributes the rows idx of node n among its children
-// according to the attached split, returning one index slice per child.
-// Order within each child preserves the input order. The returned op
+// according to the attached split, returning one index slice per child
+// (nil for a child that receives no row). Order within each child
+// preserves the input order. The children are carved from one exact-size
+// array, each capped at its own length, so an append to one child
+// reallocates it instead of overwriting its neighbour. The returned op
 // count (one test per row) feeds the modeled computation cost.
 func PartitionRows(n *Node, d *dataset.Dataset, idx []int32) ([][]int32, int64) {
-	k := len(n.Children)
-	parts := make([][]int32, k)
-	for _, i := range idx {
+	parts := make([][]int32, len(n.Children))
+	sc := partScratchPool.Get().(*partScratch)
+	sc.counts = grow(sc.counts, len(parts))
+	clear(sc.counts)
+	if len(parts) <= 1<<8 {
+		sc.codes8 = grow(sc.codes8, len(idx))
+		partitionInto(parts, n, d, idx, sc.codes8, sc.counts)
+	} else {
+		sc.codes32 = grow(sc.codes32, len(idx))
+		partitionInto(parts, n, d, idx, sc.codes32, sc.counts)
+	}
+	partScratchPool.Put(sc)
+	return parts, int64(len(idx))
+}
+
+// partScratch is PartitionRows' per-call working memory: every row's
+// child code — one byte each when the children fit — and the per-child
+// counts.
+type partScratch struct {
+	codes8  []uint8
+	codes32 []int32
+	counts  []int
+}
+
+var partScratchPool = sync.Pool{New: func() any { return new(partScratch) }}
+
+// grow returns s resized to n, reallocating only when it is too small.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// partitionInto routes every row of idx once, recording its child in
+// codes and counting it in the zeroed counts, then carves the children
+// of parts from one backing array and fills them in input order.
+func partitionInto[C uint8 | int32](parts [][]int32, n *Node, d *dataset.Dataset, idx []int32, codes []C, counts []int) {
+	for j, i := range idx {
 		c := n.RouteRow(d, int(i))
+		codes[j] = C(c)
+		counts[c]++
+	}
+	all := make([]int32, len(idx))
+	off := 0
+	for c, m := range counts {
+		if m > 0 {
+			parts[c] = all[off : off : off+m]
+			off += m
+		}
+	}
+	for j, i := range idx {
+		c := codes[j]
 		parts[c] = append(parts[c], i)
 	}
-	return parts, int64(len(idx))
 }
