@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 
 	"partree/internal/kernel"
 	"partree/internal/mp"
@@ -245,25 +247,23 @@ func ceilLog2(p int) int {
 // group index), and every group is guaranteed at least one item when
 // len(weights) ≥ ngroups. Deterministic. Returns group of each item.
 // This is both the frontier split of the hybrid (ngroups=2) and the node
-// grouping of the partitioned formulation's Case 1.
+// grouping of the partitioned formulation's Case 1. Cost: O(n log n) for
+// the ordering plus O(n·ngroups) for the placement — the hybrid's
+// frontier at its split holds tens of thousands of nodes.
 func balanceGroups(weights []int64, ngroups int) []int {
 	n := len(weights)
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	// insertion sort by descending weight, ties by ascending index — n is
-	// small (frontier nodes), determinism matters more than asymptotics.
-	for i := 1; i < n; i++ {
-		for j := i; j > 0; j-- {
-			a, b := order[j-1], order[j]
-			if weights[b] > weights[a] || (weights[b] == weights[a] && b < a) {
-				order[j-1], order[j] = b, a
-			} else {
-				break
-			}
+	// Descending weight, ties by ascending index: a total order, so the
+	// unstable sort is deterministic.
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(weights[b], weights[a]); c != 0 {
+			return c
 		}
-	}
+		return cmp.Compare(a, b)
+	})
 	group := make([]int, n)
 	load := make([]int64, ngroups)
 	// Emptiness is tracked explicitly rather than inferred from load==0: a

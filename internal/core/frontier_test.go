@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -213,4 +215,102 @@ func TestBalanceGroupsZeroWeightOccupancy(t *testing.T) {
 	if g[1] != g[0] || g[2] != g[0] {
 		t.Fatalf("zero-weight items not on the lighter (7) side: %v", g)
 	}
+}
+
+// insertionOrder orders items by descending weight, ties by ascending
+// index, with an insertion sort: quadratic, but simple enough to serve
+// as the oracle for TestBalanceGroupsMatchesReference.
+func insertionOrder(weights []int64) []int {
+	order := make([]int, len(weights))
+	for i := range order {
+		order[i] = i
+	}
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0; j-- {
+			a, b := order[j-1], order[j]
+			if weights[b] > weights[a] || (weights[b] == weights[a] && b < a) {
+				order[j-1], order[j] = b, a
+			} else {
+				break
+			}
+		}
+	}
+	return order
+}
+
+// referencePlace is balanceGroups' greedy placement, written out
+// separately over a given order.
+func referencePlace(weights []int64, order []int, ngroups int) []int {
+	n := len(weights)
+	group := make([]int, n)
+	load := make([]int64, ngroups)
+	used := make([]bool, ngroups)
+	filled := 0
+	for pos, i := range order {
+		g := -1
+		if ngroups-filled >= n-pos {
+			for j := 0; j < ngroups; j++ {
+				if !used[j] {
+					g = j
+					break
+				}
+			}
+		}
+		if g < 0 {
+			g = 0
+			for j := 1; j < ngroups; j++ {
+				if load[j] < load[g] {
+					g = j
+				}
+			}
+		}
+		if !used[g] {
+			used[g] = true
+			filled++
+		}
+		group[i] = g
+		load[g] += weights[i]
+	}
+	return group
+}
+
+// TestBalanceGroupsMatchesReference: the comparison sort must give every
+// item the group the insertion sort gave it, for the hybrid's two halves
+// and the partitioned formulation's Case 1 alike. Weights draw from a few
+// values with many zeros, so ties (broken by index) decide most of the
+// order; the 31 625-item case is the hybrid_wide frontier at its split
+// with every weight equal.
+func TestBalanceGroupsMatchesReference(t *testing.T) {
+	check := func(name string, weights []int64) {
+		t.Helper()
+		order := insertionOrder(weights)
+		for ngroups := 2; ngroups <= 8; ngroups++ {
+			want := referencePlace(weights, order, ngroups)
+			got := balanceGroups(weights, ngroups)
+			if !slices.Equal(got, want) {
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s ngroups=%d: item %d (weight %d) in group %d, reference %d",
+							name, ngroups, i, weights[i], got[i], want[i])
+					}
+				}
+				t.Fatalf("%s ngroups=%d: %d groups, reference %d", name, ngroups, len(got), len(want))
+			}
+		}
+	}
+	rng := rand.New(rand.NewPCG(45, 2))
+	for _, n := range []int{0, 1, 2, 7, 1000, 40000} {
+		weights := make([]int64, n)
+		for i := range weights {
+			if rng.IntN(3) > 0 {
+				weights[i] = int64(rng.IntN(6)) * 17
+			}
+		}
+		check(fmt.Sprintf("n=%d", n), weights)
+	}
+	same := make([]int64, 31625)
+	for i := range same {
+		same[i] = 32
+	}
+	check("n=31625 equal", same)
 }

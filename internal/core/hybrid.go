@@ -79,28 +79,23 @@ func hybridGrow(c *mp.Comm, d *dataset.Dataset, frontier []tree.FrontierItem, o 
 		// Split: divide frontier nodes into two halves with balanced
 		// training-case totals, move records, and recurse asynchronously.
 		weights := make([]int64, len(frontier))
-		keys := make([]int, len(frontier))
-		rows := make(map[int][]int32, len(frontier))
+		rows := make([][]int32, len(frontier))
 		for ki, it := range frontier {
 			weights[ki] = it.GlobalN
-			keys[ki] = ki
 			rows[ki] = it.Idx
 		}
 		group := balanceGroups(weights, 2)
 		half := c.Size() / 2
-		groupRanks := [2][]int{}
-		for r := 0; r < c.Size(); r++ {
-			g := 0
-			if r >= half {
-				g = 1
-			}
-			groupRanks[g] = append(groupRanks[g], r)
+		ranks := make([]int, c.Size())
+		for r := range ranks {
+			ranks[r] = r
 		}
-		targets := make(map[int][]int, len(frontier))
+		groupRanks := [2][]int{ranks[:half], ranks[half:]}
+		targets := make([][]int, len(frontier))
 		for ki := range frontier {
 			targets[ki] = groupRanks[group[ki]]
 		}
-		newD, perKey := redistribute(c, d, keys, rows, targets)
+		newD, perKey := redistribute(c, d, rows, targets)
 
 		myGroup := 0
 		if c.Rank() >= half {
@@ -109,7 +104,13 @@ func hybridGrow(c *mp.Comm, d *dataset.Dataset, frontier []tree.FrontierItem, o 
 		c.BeginPhase(PhaseLoadBalance)
 		sub := c.Split(myGroup, c.Rank())
 		c.EndPhase()
-		var mine []tree.FrontierItem
+		nmine := 0
+		for _, g := range group {
+			if g == myGroup {
+				nmine++
+			}
+		}
+		mine := make([]tree.FrontierItem, 0, nmine)
 		for ki, it := range frontier {
 			if group[ki] == myGroup {
 				mine = append(mine, tree.FrontierItem{Node: it.Node, Idx: perKey[ki], GlobalN: it.GlobalN})

@@ -61,22 +61,24 @@ func ptcExpand(c *mp.Comm, d *dataset.Dataset, it tree.FrontierItem, o Options, 
 	// Step 2: partition successors and processors.
 	p := c.Size()
 	weights := make([]int64, len(children))
-	keys := make([]int, len(children))
-	rows := make(map[int][]int32, len(children))
+	rows := make([][]int32, len(children))
 	for ki, ch := range children {
 		weights[ki] = ch.GlobalN
-		keys[ki] = ki
 		rows[ki] = ch.Idx
 	}
+	ranks := make([]int, p)
+	for r := range ranks {
+		ranks[r] = r
+	}
+	targets := make([][]int, len(children))
 
 	if len(children) > p {
 		// Case 1: group the successor nodes, one group per processor.
 		group := balanceGroups(weights, p)
-		targets := make(map[int][]int, len(children))
-		for ki := range children {
-			targets[ki] = []int{group[ki]}
+		for ki, g := range group {
+			targets[ki] = ranks[g : g+1]
 		}
-		newD, perKey := redistribute(c, d, keys, rows, targets)
+		newD, perKey := redistribute(c, d, rows, targets)
 		var mine []tree.FrontierItem
 		for ki, ch := range children {
 			if group[ki] == c.Rank() {
@@ -117,13 +119,8 @@ func ptcExpand(c *mp.Comm, d *dataset.Dataset, it tree.FrontierItem, o Options, 
 	for ki, n := range procs {
 		starts[ki+1] = starts[ki] + n
 	}
-	targets := make(map[int][]int, len(children))
 	for ki := range children {
-		sub := make([]int, procs[ki])
-		for j := range sub {
-			sub[j] = starts[ki] + j
-		}
-		targets[ki] = sub
+		targets[ki] = ranks[starts[ki]:starts[ki+1]]
 	}
 	myKi := 0
 	for ki := range children {
@@ -132,7 +129,7 @@ func ptcExpand(c *mp.Comm, d *dataset.Dataset, it tree.FrontierItem, o Options, 
 			break
 		}
 	}
-	newD, perKey := redistribute(c, d, keys, rows, targets)
+	newD, perKey := redistribute(c, d, rows, targets)
 	c.BeginPhase(PhaseLoadBalance)
 	sub := c.Split(myKi, c.Rank())
 	c.EndPhase()

@@ -217,7 +217,7 @@ func adoptLevelRows(d *dataset.Dataset, frontier []tree.FrontierItem, data []byt
 	if err != nil {
 		return err
 	}
-	perKey := make(map[int][]int32, len(frontier))
+	perKey := make([][]int32, len(frontier))
 	if err := decodeFrames(d, perKey, d.Schema, lk.rows); err != nil {
 		return err
 	}

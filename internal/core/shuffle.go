@@ -10,10 +10,10 @@ import (
 
 // redistribute is the record-shuffling primitive behind the partitioned
 // formulation's Case 1/Case 2 data movement and the hybrid's moving +
-// load-balancing phases. Each key identifies a frontier (or child) node;
-// rows[k] are the caller's local rows belonging to key k, and targets[k]
-// the ordered comm ranks that must end up holding key k's records, spread
-// evenly.
+// load-balancing phases. Keys are the dense indexes 0..len(rows)-1 of
+// frontier (or child) nodes; rows[k] are the caller's local rows
+// belonging to key k, and targets[k] the ordered comm ranks that must end
+// up holding key k's records, spread evenly.
 //
 // The global order of key k's records — concatenation over sender ranks of
 // their local row order — is preserved: target j of |T| receives global
@@ -21,74 +21,104 @@ import (
 // one allgather of the per-rank key counts, so the outcome (and the
 // modeled cost) is deterministic. Records travel through one personalized
 // all-to-all exchange as length-framed binary blocks, so the t_w·bytes
-// charge is exact.
+// charge is exact. The plan also fixes every size in advance: the frames
+// bound for each destination, the records this rank receives and each
+// key's share of them, so the send buffers, the received dataset and the
+// per-key row lists are each allocated once at their final size.
 //
 // Returns a fresh local dataset holding every received record and, per
-// key, the row indices of that key (in global order).
-func redistribute(c *mp.Comm, d *dataset.Dataset, keys []int, rows map[int][]int32, targets map[int][]int) (*dataset.Dataset, map[int][]int32) {
-	p := c.Size()
+// key, the row indices of that key (in global order; empty, never nil,
+// for a key this rank receives nothing of).
+func redistribute(c *mp.Comm, d *dataset.Dataset, rows [][]int32, targets [][]int) (*dataset.Dataset, [][]int32) {
+	p, me, nk := c.Size(), c.Rank(), len(rows)
+	rb := d.Schema.RecordBytes()
 
 	// 1. Share per-(rank, key) counts. Planning is the load-balancing
 	// phase: the count exchange is what lets every rank compute the same
 	// balanced placement.
 	c.BeginPhase(PhaseLoadBalance)
-	myCounts := make([]int64, len(keys))
-	for ki, k := range keys {
-		myCounts[ki] = int64(len(rows[k]))
+	myCounts := make([]int64, nk)
+	for k, r := range rows {
+		myCounts[k] = int64(len(r))
 	}
 	all := mp.Allgatherv(c, 1, myCounts) // [rank][key] flattened
-	if len(all) != p*len(keys) {
-		panic(fmt.Sprintf("core: redistribute count matrix %d != %d ranks × %d keys", len(all), p, len(keys)))
+	if len(all) != p*nk {
+		panic(fmt.Sprintf("core: redistribute count matrix %d != %d ranks × %d keys", len(all), p, nk))
 	}
 
-	// 2. Build the send plan: frames (key, rows) per destination.
-	send := make([][]byte, p)
-	for ki, k := range keys {
-		var total, prefix int64
+	// 2. Size the plan: per key, its records on lower ranks (prefix) and in
+	// all (total); per destination, the bytes of its frames; per key, the
+	// records this rank receives.
+	prefix, total := make([]int64, nk), make([]int64, nk)
+	size, arrive := make([]int, p), make([]int, nk)
+	for k, t := range targets {
 		for r := 0; r < p; r++ {
-			n := all[r*len(keys)+ki]
-			if r < c.Rank() {
-				prefix += n
+			n := all[r*nk+k]
+			if r < me {
+				prefix[k] += n
 			}
-			total += n
-		}
-		t := targets[k]
-		mine := rows[k]
-		if len(mine) == 0 || total == 0 {
-			continue
+			total[k] += n
 		}
 		for j, dst := range t {
-			tlo := total * int64(j) / int64(len(t))
-			thi := total * int64(j+1) / int64(len(t))
-			lo := max64(tlo, prefix) - prefix
-			hi := min64(thi, prefix+int64(len(mine))) - prefix
-			if lo >= hi {
-				continue
+			lo, hi := span(total[k], j, len(t))
+			if dst == me {
+				arrive[k] += int(hi - lo)
 			}
-			send[dst] = appendFrame(send[dst], d, int64(k), mine[lo:hi])
+			if a, b := max(lo, prefix[k]), min(hi, prefix[k]+myCounts[k]); a < b {
+				size[dst] += 16 + int(b-a)*rb
+			}
+		}
+	}
+
+	// 3. Encode the frames (key, rows) per destination into buffers carved
+	// from one allocation.
+	var sendBytes int
+	for _, n := range size {
+		sendBytes += n
+	}
+	buf := make([]byte, sendBytes)
+	send := make([][]byte, p)
+	for dst, n := range size {
+		send[dst], buf = buf[:0:n], buf[n:]
+	}
+	for k, t := range targets {
+		for j, dst := range t {
+			lo, hi := span(total[k], j, len(t))
+			if a, b := max(lo, prefix[k]), min(hi, prefix[k]+myCounts[k]); a < b {
+				send[dst] = appendFrame(send[dst], d, int64(k), rows[k][a-prefix[k]:b-prefix[k]])
+			}
 		}
 	}
 	c.EndPhase()
 
-	// 3. Exchange and decode in sender-rank order — the moving phase.
+	// 4. Exchange and decode in sender-rank order — the moving phase. Each
+	// key's row list is carved from one exact-size array, so decoding
+	// appends within capacity.
 	c.BeginPhase(PhaseMoving)
 	recv := mp.Alltoallv(c, 2, send)
-	out := dataset.New(d.Schema, 0)
-	perKey := make(map[int][]int32, len(keys))
+	var nrecv int
+	for _, n := range arrive {
+		nrecv += n
+	}
+	out := dataset.New(d.Schema, nrecv)
+	idx := make([]int32, nrecv)
+	perKey := make([][]int32, nk)
+	for k, n := range arrive {
+		perKey[k], idx = idx[:0:n], idx[n:]
+	}
 	for src := 0; src < p; src++ {
 		if err := decodeFrames(out, perKey, d.Schema, recv[src]); err != nil {
 			panic(fmt.Sprintf("core: redistribute decoding from rank %d: %v", src, err))
 		}
 	}
 	c.EndPhase()
-	// Materialize every requested key, so a key with zero records (an
-	// empty child node) yields an empty — never nil — row set downstream.
-	for _, k := range keys {
-		if _, ok := perKey[k]; !ok {
-			perKey[k] = []int32{}
-		}
-	}
 	return out, perKey
+}
+
+// span returns the global positions [lo, hi) of a key's total records
+// that target j of n receives.
+func span(total int64, j, n int) (lo, hi int64) {
+	return total * int64(j) / int64(n), total * int64(j+1) / int64(n)
 }
 
 // appendFrame appends one (key, count, records...) frame.
@@ -99,8 +129,9 @@ func appendFrame(buf []byte, d *dataset.Dataset, key int64, idx []int32) []byte 
 }
 
 // decodeFrames parses a concatenation of frames, appending the records to
-// out and recording their new row indices under their key.
-func decodeFrames(out *dataset.Dataset, perKey map[int][]int32, s *dataset.Schema, buf []byte) error {
+// out and their new row indices to perKey[key]; a key outside perKey is
+// an error.
+func decodeFrames(out *dataset.Dataset, perKey [][]int32, s *dataset.Schema, buf []byte) error {
 	rb := s.RecordBytes()
 	for len(buf) > 0 {
 		if len(buf) < 16 {
@@ -109,6 +140,9 @@ func decodeFrames(out *dataset.Dataset, perKey map[int][]int32, s *dataset.Schem
 		key := int64(binary.LittleEndian.Uint64(buf))
 		count := int64(binary.LittleEndian.Uint64(buf[8:]))
 		buf = buf[16:]
+		if key < 0 || key >= int64(len(perKey)) {
+			return fmt.Errorf("frame key %d outside %d keys", key, len(perKey))
+		}
 		need := int(count) * rb
 		if need < 0 || len(buf) < need {
 			return fmt.Errorf("frame key %d wants %d bytes, have %d", key, need, len(buf))
@@ -118,23 +152,9 @@ func decodeFrames(out *dataset.Dataset, perKey map[int][]int32, s *dataset.Schem
 			return err
 		}
 		for i := start; i < out.Len(); i++ {
-			perKey[int(key)] = append(perKey[int(key)], int32(i))
+			perKey[key] = append(perKey[key], int32(i))
 		}
 		buf = buf[need:]
 	}
 	return nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -31,7 +31,7 @@ func TestRedistributeConservesAndGroups(t *testing.T) {
 		for trial := 0; trial < 3; trial++ {
 			rng := rand.New(rand.NewPCG(uint64(p), uint64(trial)))
 			keys := []int{0, 1, 2, 3}
-			targets := map[int][]int{}
+			targets := make([][]int, len(keys))
 			for _, k := range keys {
 				// Random non-empty target subset.
 				var tg []int
@@ -70,16 +70,16 @@ func TestRedistributeConservesAndGroups(t *testing.T) {
 			}
 
 			outData := make([]*dataset.Dataset, p)
-			outKeys := make([]map[int][]int32, p)
+			outKeys := make([][][]int32, p)
 			w := mp.NewWorld(p, mp.SP2())
 			w.Run(func(c *mp.Comm) {
 				d := locals[c.Rank()]
-				rows := map[int][]int32{}
+				rows := make([][]int32, len(keys))
 				for i := 0; i < d.Len(); i++ {
 					k := int(d.Cat[0][i])
 					rows[k] = append(rows[k], int32(i))
 				}
-				nd, perKey := redistribute(c, d, keys, rows, targets)
+				nd, perKey := redistribute(c, d, rows, targets)
 				outData[c.Rank()] = nd
 				outKeys[c.Rank()] = perKey
 			})
@@ -177,11 +177,11 @@ func TestRedistributeDeterministicClocks(t *testing.T) {
 				rec.RID = int64(c.Rank()*100 + i)
 				d.Append(rec)
 			}
-			rows := map[int][]int32{}
+			rows := make([][]int32, 2)
 			for i := 0; i < d.Len(); i++ {
 				rows[int(d.Cat[0][i])] = append(rows[int(d.Cat[0][i])], int32(i))
 			}
-			redistribute(c, d, []int{0, 1}, rows, map[int][]int{0: {0, 1}, 1: {2, 3}})
+			redistribute(c, d, rows, [][]int{{0, 1}, {2, 3}})
 		})
 		out := make([]float64, p)
 		for r := range out {
@@ -207,8 +207,8 @@ func TestRedistributeEmptyKey(t *testing.T) {
 	s := shuffleSchema()
 	for _, p := range []int{2, 3, 4} {
 		keys := []int{0, 1, 2, 3}
-		targets := map[int][]int{0: {0}, 1: {p - 1}, 2: {0, p - 1}, 3: {0}}
-		outKeys := make([]map[int][]int32, p)
+		targets := [][]int{{0}, {p - 1}, {0, p - 1}, {0}}
+		outKeys := make([][][]int32, p)
 		w := mp.NewWorld(p, mp.SP2())
 		w.Run(func(c *mp.Comm) {
 			// Keys 2 and 3 have zero records globally.
@@ -219,19 +219,19 @@ func TestRedistributeEmptyKey(t *testing.T) {
 				rec.RID = int64(c.Rank()*100 + i)
 				d.Append(rec)
 			}
-			rows := map[int][]int32{}
+			rows := make([][]int32, len(keys))
 			for i := 0; i < d.Len(); i++ {
 				rows[int(d.Cat[0][i])] = append(rows[int(d.Cat[0][i])], int32(i))
 			}
-			_, perKey := redistribute(c, d, keys, rows, targets)
+			_, perKey := redistribute(c, d, rows, targets)
 			outKeys[c.Rank()] = perKey
 		})
 		for r := 0; r < p; r++ {
 			for _, k := range keys {
-				rows, ok := outKeys[r][k]
-				if !ok {
+				if k >= len(outKeys[r]) {
 					t.Fatalf("p=%d rank %d: requested key %d has no perKey entry", p, r, k)
 				}
+				rows := outKeys[r][k]
 				if rows == nil {
 					t.Fatalf("p=%d rank %d: key %d entry is nil, want empty slice", p, r, k)
 				}
@@ -243,5 +243,97 @@ func TestRedistributeEmptyKey(t *testing.T) {
 				t.Fatalf("p=%d rank %d: globally-empty key 3 has %d rows", p, r, n)
 			}
 		}
+	}
+}
+
+// raceEnabled is set by race_enabled_test.go in -race builds, whose
+// instrumentation makes allocation counts vary run to run.
+var raceEnabled bool
+
+// splitFrontier is a P=2 shuffle input: per rank, rowsPerRank rows of
+// shuffleSchema cut into nk keys of equal size, and targets cycling over
+// rank 0, rank 1 and both ranks, as the hybrid's halves and the
+// partitioned Case 2's subsets place them.
+func splitFrontier(rowsPerRank, nk int) (locals []*dataset.Dataset, rows [][][]int32, targets [][]int) {
+	s := shuffleSchema()
+	const p = 2
+	locals = make([]*dataset.Dataset, p)
+	rows = make([][][]int32, p)
+	for r := 0; r < p; r++ {
+		d := dataset.New(s, rowsPerRank)
+		rec := dataset.NewRecord(s)
+		for i := 0; i < rowsPerRank; i++ {
+			rec.Cat[0] = int32(i % 4)
+			rec.Cont[1] = float64(i)
+			rec.Class = int32(i % 2)
+			rec.RID = int64(r*rowsPerRank + i)
+			d.Append(rec)
+		}
+		locals[r] = d
+		all := d.AllIndex()
+		rows[r] = make([][]int32, nk)
+		for k := range rows[r] {
+			rows[r][k] = all[k*rowsPerRank/nk : (k+1)*rowsPerRank/nk]
+		}
+	}
+	pick := [][]int{{0}, {1}, {0, 1}}
+	targets = make([][]int, nk)
+	for k := range targets {
+		targets[k] = pick[k%len(pick)]
+	}
+	return locals, rows, targets
+}
+
+// TestRedistributeAllocs: the shuffle's plan sizes every buffer up
+// front, so on a warm P=2 world a redistribute of 20 000 keys allocates
+// as many objects as one of 200 keys over the same 40 000 rows per rank.
+// Anything allocated per key — a map entry, a row list grown by append —
+// shows up as thousands of extra objects. The fewest of
+// three measurements counts: goroutine timing can queue two messages in
+// one mailbox now and then, which allocates.
+func TestRedistributeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	const rowsPerRank, slack = 40000, 2
+	w := mp.NewWorld(2, mp.SP2())
+	allocs := func(nk int) float64 {
+		locals, rows, targets := splitFrontier(rowsPerRank, nk)
+		run := func() {
+			w.Run(func(c *mp.Comm) { redistribute(c, locals[c.Rank()], rows[c.Rank()], targets) })
+		}
+		run() // warm the world
+		return min(testing.AllocsPerRun(5, run), testing.AllocsPerRun(5, run), testing.AllocsPerRun(5, run))
+	}
+	few, many := allocs(200), allocs(20000)
+	t.Logf("redistribute on P=2: %.0f allocations for 200 keys, %.0f for 20 000", few, many)
+	if many > few+slack {
+		t.Errorf("20 000 keys allocate %.0f objects, 200 keys %.0f: want at most %d more", many, few, slack)
+	}
+}
+
+// BenchmarkHybridSplit is the hybrid's split on a 32 768-node frontier at
+// P=2: balanceGroups over the nodes' weights, then the redistribute that
+// moves every record to its half.
+func BenchmarkHybridSplit(b *testing.B) {
+	const rowsPerRank, nk = 65536, 32768
+	locals, rows, _ := splitFrontier(rowsPerRank, nk)
+	weights := make([]int64, nk)
+	for k := range weights {
+		weights[k] = int64(len(rows[0][k]) + len(rows[1][k]) + k%5)
+	}
+	halves := [][]int{{0}, {1}}
+	w := mp.NewWorld(2, mp.SP2())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Run(func(c *mp.Comm) {
+			group := balanceGroups(weights, 2)
+			targets := make([][]int, nk)
+			for k, g := range group {
+				targets[k] = halves[g]
+			}
+			redistribute(c, locals[c.Rank()], rows[c.Rank()], targets)
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // The binary codec serializes records for the shuffle phases of the
@@ -37,36 +38,54 @@ func EncodeAll(buf []byte, d *Dataset) []byte {
 }
 
 // Decode parses buf (a whole number of records under schema s) and appends
-// the records to dst. It returns an error if buf is malformed.
+// the records to dst, growing each column once for the whole buffer. It
+// returns an error if buf is malformed; the records before the first bad
+// one stay appended.
 func Decode(dst *Dataset, s *Schema, buf []byte) error {
 	rb := s.RecordBytes()
 	if len(buf)%rb != 0 {
 		return fmt.Errorf("dataset: decode buffer of %d bytes is not a multiple of record size %d", len(buf), rb)
 	}
-	r := NewRecord(s)
+	n := len(buf) / rb
+	dst.RID = slices.Grow(dst.RID, n)
+	dst.Class = slices.Grow(dst.Class, n)
+	for a, attr := range s.Attrs {
+		if attr.Kind == Categorical {
+			dst.Cat[a] = slices.Grow(dst.Cat[a], n)
+		} else {
+			dst.Cont[a] = slices.Grow(dst.Cont[a], n)
+		}
+	}
 	for off := 0; off < len(buf); off += rb {
 		p := buf[off:]
-		r.RID = int64(binary.LittleEndian.Uint64(p))
-		p = p[8:]
-		r.Class = int32(binary.LittleEndian.Uint32(p))
-		p = p[4:]
-		if r.Class < 0 || int(r.Class) >= s.NumClasses() {
-			return fmt.Errorf("dataset: decode: class code %d out of range", r.Class)
+		class := int32(binary.LittleEndian.Uint32(p[8:]))
+		if class < 0 || int(class) >= s.NumClasses() {
+			return fmt.Errorf("dataset: decode: class code %d out of range", class)
 		}
+		// Check the whole record before appending any of it.
+		q := p[12:]
+		for _, attr := range s.Attrs {
+			if attr.Kind != Categorical {
+				q = q[8:]
+				continue
+			}
+			if v := int32(binary.LittleEndian.Uint32(q)); v < 0 || int(v) >= attr.Cardinality() {
+				return fmt.Errorf("dataset: decode: attribute %q value code %d out of range", attr.Name, v)
+			}
+			q = q[4:]
+		}
+		dst.RID = append(dst.RID, int64(binary.LittleEndian.Uint64(p)))
+		dst.Class = append(dst.Class, class)
+		p = p[12:]
 		for a, attr := range s.Attrs {
 			if attr.Kind == Categorical {
-				v := int32(binary.LittleEndian.Uint32(p))
+				dst.Cat[a] = append(dst.Cat[a], int32(binary.LittleEndian.Uint32(p)))
 				p = p[4:]
-				if v < 0 || int(v) >= attr.Cardinality() {
-					return fmt.Errorf("dataset: decode: attribute %q value code %d out of range", attr.Name, v)
-				}
-				r.Cat[a] = v
 			} else {
-				r.Cont[a] = math.Float64frombits(binary.LittleEndian.Uint64(p))
+				dst.Cont[a] = append(dst.Cont[a], math.Float64frombits(binary.LittleEndian.Uint64(p)))
 				p = p[8:]
 			}
 		}
-		dst.Append(r)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand/v2"
 	"reflect"
 	"strings"
@@ -191,6 +192,48 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 	bad[8] = 0xFF
 	if err := Decode(New(s, 0), s, bad); err == nil {
 		t.Error("corrupt class code accepted")
+	}
+}
+
+// TestDecodeMalformedMidBuffer: a bad class code or a bad category code
+// in the middle of a buffer is an error, and the records before it stay
+// appended — whole, in every column — after the rows dst already held.
+func TestDecodeMalformedMidBuffer(t *testing.T) {
+	s := testSchema()
+	rng := rand.New(rand.NewPCG(7, 1))
+	d := randomDataset(rng, s, 10)
+	buf := EncodeAll(nil, d)
+	rb := s.RecordBytes()
+	const bad = 6 // records 0..5 decode, record 6 is corrupt
+	for _, tc := range []struct {
+		name string
+		off  int // byte offset inside the record
+		want string
+	}{
+		{"class", 8, "class code"},
+		{"category", 12 + 4 + 8, `attribute "shape"`}, // RID, class, color, size
+	} {
+		corrupt := append([]byte(nil), buf...)
+		binary.LittleEndian.PutUint32(corrupt[bad*rb+tc.off:], 99)
+		out := New(s, 0)
+		out.AppendFrom(d, 9)
+		err := Decode(out, s, corrupt)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: error %v, want one naming %s", tc.name, err, tc.want)
+		}
+		want := New(s, 0)
+		want.AppendFrom(d, 9)
+		for i := 0; i < bad; i++ {
+			want.AppendFrom(d, i)
+		}
+		if !datasetEqual(want, out) {
+			t.Fatalf("%s: %d rows after the error, want row 9 then rows 0..%d", tc.name, out.Len(), bad-1)
+		}
+		for a := range s.Attrs {
+			if n := len(out.Cat[a]) + len(out.Cont[a]); n != out.Len() {
+				t.Fatalf("%s: attribute %d holds %d rows, dataset %d", tc.name, a, n, out.Len())
+			}
+		}
 	}
 }
 

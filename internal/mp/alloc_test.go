@@ -19,10 +19,10 @@ var raceEnabled bool
 // The count is not fully deterministic. AllocsPerRun pins GOMAXPROCS to 1,
 // so the ranks' goroutines interleave the same way on almost every run,
 // but a preempted rank can let two messages queue up in one mailbox, and
-// queueing allocates (mailbox put and take). So the 64-call world is
-// measured three times and the fewest allocations count (a rare
-// interleaving cannot fail the gate alone), and the bound is base plus a
-// slack of 2; 40 runs of each case gave exactly base every time. A copied
+// a queue longer than any on the mailbox's free list allocates. So the
+// 64-call world is measured three times and the fewest allocations count
+// (a rare interleaving cannot fail the gate alone), and the bound is base
+// plus a slack of 2; 30 runs of each case gave exactly base every time. A copied
 // payload costs at least one allocation per message, ≥ 128 per 64 calls
 // at P = 2, and a wire that escapes costs at least three closures per
 // call and rank, ≥ 384 per 64 calls: both far above the slack.
@@ -36,10 +36,10 @@ func TestCollectiveAllocs(t *testing.T) {
 		sparse bool
 		base   float64 // allocations per 64 calls
 	}{
-		{2, false, 408},
-		{4, false, 1136},
-		{2, true, 414},
-		{4, true, 1148},
+		{2, false, 270},
+		{4, false, 538},
+		{2, true, 276},
+		{4, true, 550},
 	} {
 		allocs := func(n int) float64 {
 			return testing.AllocsPerRun(20, func() {

@@ -41,10 +41,15 @@ type dupKey struct {
 // receives block until a matching message exists, the waited-on rank is
 // unreachable, a recovery epoch starts, or the optional real-time
 // deadline expires.
+//
+// A queue that empties leaves queues, so the per-instance keys of
+// collectives (comm#inst) do not pile up; its zeroed backing array goes
+// on free, where put finds it for the next new key.
 type mailbox struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
 	queues    map[qkey][]Msg
+	free      [][]Msg          // emptied queues, length 0, at most maxFreeQueues
 	lastSeq   map[dupKey]int64 // highest accepted Seq per stream (nil until sequenced traffic)
 	lastTaken map[dupKey]int64 // highest consumed Seq per stream, for gap (drop) detection
 }
@@ -72,7 +77,12 @@ func (m *mailbox) put(comm string, msg Msg) bool {
 		m.lastSeq[dk] = msg.Seq
 	}
 	k := qkey{comm, msg.Tag}
-	m.queues[k] = append(m.queues[k], msg)
+	q := m.queues[k]
+	if q == nil && len(m.free) > 0 {
+		q = m.free[len(m.free)-1]
+		m.free = m.free[:len(m.free)-1]
+	}
+	m.queues[k] = append(q, msg)
 	m.mu.Unlock()
 	m.cond.Broadcast()
 	return true
@@ -113,7 +123,7 @@ func (m *mailbox) take(comm string, src, tag int, wt *waiter) (Msg, error) {
 					}
 					m.lastTaken[dk] = msg.Seq
 				}
-				m.queues[k] = append(q[:i:i], q[i+1:]...)
+				m.removeLocked(k, q, i)
 				return msg, nil
 			}
 		}
@@ -144,11 +154,32 @@ func (m *mailbox) tryTake(comm string, src, tag int) (Msg, bool) {
 					m.lastTaken[dk] = msg.Seq
 				}
 			}
-			m.queues[k] = append(q[:i:i], q[i+1:]...)
+			m.removeLocked(k, q, i)
 			return msg, true
 		}
 	}
 	return Msg{}, false
+}
+
+// maxFreeQueues bounds a mailbox's free list: a rank waits on one
+// receive at a time, so only a few queues are ever live at once.
+const maxFreeQueues = 8
+
+// removeLocked removes q[i], the queue of k, in place, zeroing the
+// vacated slot so the mailbox keeps no payload alive. An emptied queue
+// leaves the map and its array goes on the free list. Caller holds mu.
+func (m *mailbox) removeLocked(k qkey, q []Msg, i int) {
+	copy(q[i:], q[i+1:])
+	q[len(q)-1] = Msg{}
+	q = q[:len(q)-1]
+	if len(q) > 0 {
+		m.queues[k] = q
+		return
+	}
+	delete(m.queues, k)
+	if len(m.free) < maxFreeQueues {
+		m.free = append(m.free, q)
+	}
 }
 
 // lastTakenLocked reads (allocating on first use) the consumed-Seq high

@@ -409,3 +409,39 @@ func TestAllreduceEquationTwoCost(t *testing.T) {
 		}
 	})
 }
+
+// TestMailboxQueuesBounded: collectives file their messages under a key
+// per instance (comm#inst), so a mailbox that kept every emptied queue
+// would hold one map entry per collective ever run. Over 1 000 instances
+// of four collectives, no rank's mailbox may hold more than a handful of
+// queues at any receive, and none once the run is over.
+func TestMailboxQueuesBounded(t *testing.T) {
+	const p, instances, bound = 4, 1000, 16
+	queues := func(m *mailbox) int {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return len(m.queues)
+	}
+	w := NewWorld(p, SP2())
+	peak := make([]int, p)
+	w.Run(func(c *Comm) {
+		x := make([]int64, 64)
+		send := make([][]int32, p)
+		for i := 0; i < instances/4; i++ {
+			x[i%64] = int64(c.Rank())
+			Allreduce(c, x, Sum)
+			Bcast(c, x, i%p)
+			Allgatherv(c, 0, x[:c.Rank()+1])
+			Alltoallv(c, 0, send)
+			peak[c.Rank()] = max(peak[c.Rank()], queues(c.me.mailbox))
+		}
+	})
+	for r := 0; r < p; r++ {
+		if peak[r] > bound {
+			t.Errorf("rank %d: mailbox held %d queues, want ≤ %d", r, peak[r], bound)
+		}
+		if n := queues(w.procs[r].mailbox); n != 0 {
+			t.Errorf("rank %d: %d queues left after the run, want 0", r, n)
+		}
+	}
+}
