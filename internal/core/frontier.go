@@ -78,9 +78,10 @@ func chargeWordOps(c *mp.Comm, ops int64) {
 // of this level's reductions, the Σ(Comm Cost) the hybrid's splitting
 // criterion accumulates: per flush, Comm.AllreduceCostEstimate of the
 // dense reduction volume — under the default collective configuration
-// exactly (t_s + t_w·bytes)·⌈log₂P⌉, Equation 2 of the paper, and the
-// configured algorithm's closed-form cost otherwise, so the split
-// trigger tracks the network the build actually runs on.
+// exactly (t_s + t_w·bytes)·⌈log₂P⌉, Equation 2 of the paper, and
+// otherwise the fold of the configured algorithm's schedule — the clock
+// the live collective is billed on — so the split trigger tracks the
+// network the build actually runs on.
 //
 // With sibling subtraction (ls.rd non-nil), each flush tabulates and
 // reduces only the packed blocks of non-derived nodes; every family whose

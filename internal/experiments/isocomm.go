@@ -84,7 +84,7 @@ func IsoCommSweep(maxP int, m mp.Machine, n0, statsElems, attrs int, topologies 
 				}
 				logP := math.Log2(float64(p))
 				records := int(float64(n0) * float64(p) * logP)
-				resolved := mp.ResolveAllreduceAlgo(algo, p, 8*statsElems, m)
+				resolved := mp.ResolveAllreduceAlgo(algo, topo, p, statsElems, m)
 				allr := mp.ModelAllreduce(resolved, topo, p, statsElems, m)
 				comp := float64(records) / float64(p) * float64(attrs) * m.TC
 				art.Rows = append(art.Rows, IsoCommRow{

@@ -2,6 +2,7 @@ package mp
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"strings"
 )
@@ -10,10 +11,11 @@ import (
 // default algorithm (the historic hypercube formulation — recursive
 // doubling for power-of-two allreduce, binomial reduce+bcast otherwise,
 // binomial broadcast, ring allgather) plus selectable alternatives, chosen
-// per world through CollConfig: explicitly, or automatically from the
-// message size and the machine's t_s/t_w via the closed-form cost models
-// below. The default configuration reproduces the historic behavior
-// bit for bit — same messages, same order, same modeled clocks.
+// per world through CollConfig: explicitly, or automatically as the
+// cheapest fold of the candidates' step tables (schedule.cost) — the
+// clock the live collective is billed on, with its reduction arithmetic
+// and per-hop latency. The default configuration reproduces the historic
+// behavior bit for bit — same messages, same order, same modeled clocks.
 
 // Algo names one collective algorithm (or a selection policy).
 type Algo string
@@ -21,8 +23,8 @@ type Algo string
 const (
 	// AlgoDefault keeps the historic algorithm of each collective.
 	AlgoDefault Algo = "default"
-	// AlgoAuto picks the cheapest algorithm per call from the closed-form
-	// cost model (message size, P, t_s/t_w).
+	// AlgoAuto picks the cheapest algorithm per call under the fold of
+	// its schedule (message size, P, machine, topology).
 	AlgoAuto Algo = "auto"
 
 	// Allreduce algorithms.
@@ -151,106 +153,58 @@ func defaultAllreduceAlgo(p int) Algo {
 	return AlgoReduceBcast
 }
 
-// AllreduceAlgoCost is the closed-form per-rank wall-clock model of one
-// dense allreduce of the given byte volume, assuming simultaneous entry
-// and ignoring per-hop latency and reduction arithmetic (the estimate the
-// auto selection rule and the hybrid's split trigger use; the exact clock
-// is ModelAllreduce's fold over the live step tables):
-//
-//	rdbl       log₂P·(t_s + t_w·B)               (power-of-two only)
-//	red+bcast  2·⌈log₂P⌉·(t_s + t_w·B)
-//	ring       2(P−1)·t_s + 2·t_w·B·(P−1)/P
-//	rhd        2·log₂P·t_s + 2·t_w·B·(P−1)/P     (power-of-two only)
-//
-// Infinite for an algorithm the world size cannot run.
-func AllreduceAlgoCost(algo Algo, p, bytes int, m Machine) float64 {
-	if p <= 1 {
-		return 0
+// runnable is the algorithm a p-rank world runs when a is configured:
+// rdbl and rhd need a power-of-two world and fall back to red+bcast.
+func runnable(a Algo, p int) Algo {
+	if (a == AlgoRecDoubling || a == AlgoRecHalving) && !isPow2(p) {
+		return AlgoReduceBcast
 	}
-	l := float64(ceilLog2(p))
-	b := float64(bytes)
-	frac := float64(p-1) / float64(p)
-	switch algo {
-	case AlgoRecDoubling:
-		if !isPow2(p) {
-			return inf
-		}
-		return l * (m.TS + m.TW*b)
-	case AlgoReduceBcast:
-		return 2 * l * (m.TS + m.TW*b)
-	case AlgoRing:
-		return 2*float64(p-1)*m.TS + 2*m.TW*b*frac
-	case AlgoRecHalving:
-		if !isPow2(p) {
-			return inf
-		}
-		return 2*l*m.TS + 2*m.TW*b*frac
-	default:
-		return inf
-	}
+	return a
 }
 
-const inf = 1e300
-
-// autoAllreduceAlgo picks the cheapest allreduce algorithm under the
-// closed-form model. Deterministic in (p, bytes, machine), so every rank
-// of a collective resolves the same algorithm. Ties break toward the
-// earlier entry (latency-optimal first).
-func autoAllreduceAlgo(p, bytes int, m Machine) Algo {
-	best, bestCost := AlgoReduceBcast, inf
-	for _, a := range []Algo{AlgoRecDoubling, AlgoRecHalving, AlgoRing, AlgoReduceBcast} {
-		if c := AllreduceAlgoCost(a, p, bytes, m); c < bestCost {
-			best, bestCost = a, c
-		}
-	}
-	return best
-}
-
-// ResolveAllreduceAlgo turns a configured allreduce selection into the
-// concrete algorithm a p-rank world runs for a message of the given dense
-// byte volume.
-func ResolveAllreduceAlgo(cfg Algo, p, bytes int, m Machine) Algo {
+// resolveAllreduce turns a configured allreduce selection into the
+// concrete algorithm p ranks run for an n-element vector of eb-byte
+// elements. auto takes the cheapest feasible algorithm under the fold of
+// its schedule (schedule.cost, with hops between the schedule's ranks),
+// red+bcast priced with the binomial broadcast; ties break toward the
+// earlier entry (latency-optimal first). Deterministic in its arguments,
+// so every rank of a collective resolves the same algorithm.
+func resolveAllreduce(cfg Algo, p, n, eb int, hops func(a, b int) int, m Machine) Algo {
 	switch cfg {
 	case "", AlgoDefault:
 		return defaultAllreduceAlgo(p)
 	case AlgoAuto:
-		return autoAllreduceAlgo(p, bytes, m)
-	case AlgoRecDoubling, AlgoRecHalving:
-		if !isPow2(p) {
-			return AlgoReduceBcast
+		best, bestCost := AlgoReduceBcast, math.Inf(1)
+		for _, a := range [...]Algo{AlgoRecDoubling, AlgoRecHalving, AlgoRing, AlgoReduceBcast} {
+			if runnable(a, p) != a {
+				continue
+			}
+			if c := allreduceSchedule(a, p, n, false).cost(eb, hops, m); c < bestCost {
+				best, bestCost = a, c
+			}
 		}
-		return cfg
+		return best
 	default:
-		return cfg
+		return runnable(cfg, p)
 	}
 }
 
-// BcastAlgoCost is the closed-form model of one broadcast of B bytes:
-// binomial ⌈log₂P⌉·(t_s+t_w·B); scatter-ag (⌈log₂P⌉+P−1)·t_s +
-// 2·t_w·B·(P−1)/P.
-func BcastAlgoCost(algo Algo, p, bytes int, m Machine) float64 {
-	if p <= 1 {
-		return 0
-	}
-	l := float64(ceilLog2(p))
-	b := float64(bytes)
-	frac := float64(p-1) / float64(p)
-	switch algo {
-	case AlgoBinomial:
-		return l * (m.TS + m.TW*b)
-	case AlgoScatterAllgather:
-		return (l+float64(p-1))*m.TS + 2*m.TW*b*frac
-	default:
-		return inf
-	}
+// ResolveAllreduceAlgo turns a configured allreduce selection into the
+// concrete algorithm a p-rank world wired by topo (nil: hop-free) runs
+// for an allreduce of elems 8-byte elements.
+func ResolveAllreduceAlgo(cfg Algo, topo Topology, p, elems int, m Machine) Algo {
+	return resolveAllreduce(cfg, p, elems, 8, topoHops(topo), m)
 }
 
-func resolveBcastAlgo(cfg Algo, p, bytes int, m Machine) Algo {
+// resolveBcastAlgo is resolveAllreduce's counterpart for a broadcast of
+// an n-element vector from root: auto takes the cheaper fold of the
+// binomial and the scatter-ag schedule.
+func resolveBcastAlgo(cfg Algo, p, root, n, eb int, hops func(a, b int) int, m Machine) Algo {
 	switch cfg {
 	case "", AlgoDefault:
 		return AlgoBinomial
 	case AlgoAuto:
-		if BcastAlgoCost(AlgoScatterAllgather, p, bytes, m) < BcastAlgoCost(AlgoBinomial, p, bytes, m) {
+		if bcastSchedule(p, root, n, true).cost(eb, hops, m) < bcastSchedule(p, root, n, false).cost(eb, hops, m) {
 			return AlgoScatterAllgather
 		}
 		return AlgoBinomial
@@ -270,31 +224,34 @@ func resolveAllgatherAlgo(cfg Algo) Algo {
 
 // --- per-comm resolution (reads the world's CollConfig) ---
 
-func (c *Comm) allreduceAlgo(bytes int) Algo {
-	return ResolveAllreduceAlgo(c.world.coll.Allreduce, c.Size(), bytes, c.world.Machine)
+// hops is the hop distance between comm ranks a and b: the distance
+// between their world ranks, which is what Send pays per message.
+func (c *Comm) hops(a, b int) int { return c.world.topo.Hops(c.ranks[a], c.ranks[b]) }
+
+func (c *Comm) allreduceAlgo(n, eb int) Algo {
+	return resolveAllreduce(c.world.coll.Allreduce, c.Size(), n, eb, c.hops, c.world.Machine)
 }
 
-func (c *Comm) bcastAlgo(bytes int) Algo {
-	return resolveBcastAlgo(c.world.coll.Bcast, c.Size(), bytes, c.world.Machine)
+func (c *Comm) bcastAlgo(root, n, eb int) Algo {
+	return resolveBcastAlgo(c.world.coll.Bcast, c.Size(), root, n, eb, c.hops, c.world.Machine)
 }
 
 func (c *Comm) allgatherAlgo() Algo {
 	return resolveAllgatherAlgo(c.world.coll.Allgather)
 }
 
-// AllreduceCostEstimate returns the closed-form modeled cost of one dense
-// allreduce of the given byte volume on this communicator under the
-// world's configured algorithm selection — the estimate the hybrid
+// AllreduceCostEstimate returns the modeled cost of one dense allreduce of
+// the given byte volume on this communicator — the estimate the hybrid
 // formulation's split trigger accumulates without running a collective.
-// Under the default configuration it is exactly
-// SendCost(bytes)·⌈log₂P⌉, the paper's Equation 2 estimate (also for
-// non-power-of-two worlds, where the historic trigger used the same
-// formula even though the fallback algorithm pays more).
+// Under the default configuration it is SendCost(bytes)·⌈log₂P⌉, the
+// paper's Equation 2 (also for non-power-of-two worlds, where the
+// fallback algorithm pays more). Under a configured algorithm it is the
+// fold of the resolved schedule over ⌈bytes/8⌉ words, priced on this
+// communicator's world ranks.
 func (c *Comm) AllreduceCostEstimate(bytes int) float64 {
-	cfg := c.world.coll.Allreduce
-	if cfg == "" || cfg == AlgoDefault {
+	if cfg := c.world.coll.Allreduce; cfg == "" || cfg == AlgoDefault {
 		return c.world.Machine.SendCost(bytes) * float64(ceilLog2(c.Size()))
 	}
-	algo := c.allreduceAlgo(bytes)
-	return AllreduceAlgoCost(algo, c.Size(), bytes, c.world.Machine)
+	n := (bytes + 7) / 8
+	return allreduceSchedule(c.allreduceAlgo(n, 8), c.Size(), n, false).cost(8, c.hops, c.world.Machine)
 }

@@ -109,23 +109,25 @@ func denseWire[T Elem](c *Comm, x []T, op Op[T], what string) wire {
 // sizes — log₂P steps of (t_s + t_w·m), the paper's Equation 2 cost — and
 // a binomial-tree reduce followed by a broadcast otherwise. Ring
 // (reduce-scatter + allgather) and recursive halving/doubling trade
-// latency for bandwidth on large messages; "auto" picks per call from the
-// closed-form cost model. Every algorithm produces identical values.
+// latency for bandwidth on large messages; "auto" picks per call the
+// algorithm whose schedule folds to the cheapest modeled clock
+// (schedule.cost, on this communicator's world ranks). Every algorithm
+// produces identical values.
 //
 // The broadcast half of red+bcast runs the world's Bcast algorithm, so
 // under Bcast: scatter-ag (or auto resolving to it) it is a binomial
-// scatter + ring allgather. AllreduceSum's red+bcast and ModelAllreduce
-// both use the binomial broadcast regardless.
+// scatter + ring allgather. AllreduceSum's red+bcast, ModelAllreduce and
+// the auto rule's fold of red+bcast use the binomial broadcast regardless.
 func Allreduce[T Elem](c *Comm, x []T, op Op[T]) {
 	p := c.Size()
 	if p == 1 {
 		return
 	}
-	bytes := len(x) * elemBytes[T]()
-	algo := c.allreduceAlgo(bytes)
+	eb := elemBytes[T]()
+	algo := c.allreduceAlgo(len(x), eb)
 	c.beginColl(CollAllreduce, 0, algo)
 	defer c.endColl()
-	scatterAG := algo == AlgoReduceBcast && c.bcastAlgo(bytes) == AlgoScatterAllgather
+	scatterAG := algo == AlgoReduceBcast && c.bcastAlgo(0, len(x), eb) == AlgoScatterAllgather
 	allreduceSchedule(algo, p, len(x), scatterAG).run(c.rank, denseWire(c, x, op, "allreduce"))
 }
 
@@ -150,7 +152,7 @@ func Bcast[T Elem](c *Comm, x []T, root int) {
 	if p == 1 {
 		return
 	}
-	algo := c.bcastAlgo(len(x) * elemBytes[T]())
+	algo := c.bcastAlgo(root, len(x), elemBytes[T]())
 	c.beginColl(CollBcast, 0, algo)
 	defer c.endColl()
 	bcastSchedule(p, root, len(x), algo == AlgoScatterAllgather).run(c.rank, denseWire(c, x, nil, "bcast"))
@@ -291,7 +293,7 @@ func (c *Comm) Barrier() {
 	if c.Size() == 1 {
 		return
 	}
-	c.beginColl(CollBarrier, 0, c.allreduceAlgo(8))
+	c.beginColl(CollBarrier, 0, c.allreduceAlgo(1, 8))
 	defer c.endColl()
 	x := []int64{0}
 	Allreduce(c, x, Max)

@@ -1,37 +1,52 @@
 package mp
 
-// Analytic collective model. ModelAllreduce folds the same step tables the
+// Analytic collective model. schedule.cost folds the same step tables the
 // live collectives run (schedule.go) into per-rank clocks, reproducing
 // exactly the modeled completion time a World of p ranks would report
-// after one dense Allreduce — same sends in the same order, same per-hop
+// after the collective — same sends in the same order, same per-hop
 // pricing under the topology, same TOp combine charges — but in
-// O(P·steps) arithmetic with no goroutines or payloads. That makes
-// modeled sweeps into the thousands of ranks (cmd/experiments -mode
-// isocomm) affordable: the ring algorithm alone would move O(P²) real
-// messages per allreduce. Consistency with the live substrate is pinned
-// by TestModelAllreduceMatchesWorld at small P.
+// O(P·steps) arithmetic with no goroutines or payloads. It is the one
+// collective cost model of the package: the auto selection rule, the
+// split-trigger estimate under a configured algorithm and ModelAllreduce
+// all fold it. That makes modeled sweeps into the thousands of ranks
+// (cmd/experiments isocomm) affordable: the ring algorithm alone would
+// move O(P²) real messages per allreduce. Consistency with the live
+// substrate is pinned by TestModelAllreduceMatchesWorld at small P.
 
 // ModelAllreduce returns the modeled wall-clock (max over ranks, all
 // ranks entering at clock 0) of one dense allreduce of elems 8-byte
-// elements on p ranks connected by topo, under algorithm algo. algo must
-// be concrete (not auto/default — resolve first with
-// ResolveAllreduceAlgo); an algorithm infeasible for p falls back the
-// same way the live dispatch does. A nil topo models a hop-free fabric
-// (equivalently Machine.TH = 0). red+bcast is modeled with the binomial
-// broadcast, as AllreduceSum runs it.
+// elements on p ranks connected by topo, under the allreduce selection
+// algo, resolved as ResolveAllreduceAlgo does (an algorithm infeasible
+// for p falls back the way the live dispatch does). A nil topo models a
+// hop-free fabric (equivalently Machine.TH = 0). red+bcast is modeled
+// with the binomial broadcast, as AllreduceSum runs it.
 func ModelAllreduce(algo Algo, topo Topology, p, elems int, m Machine) float64 {
-	if p <= 1 {
+	hops := topoHops(topo)
+	algo = resolveAllreduce(algo, p, elems, 8, hops, m)
+	return allreduceSchedule(algo, p, elems, false).cost(8, hops, m)
+}
+
+// topoHops is topo's hop distance, or nil for a nil topo.
+func topoHops(topo Topology) func(a, b int) int {
+	if topo == nil {
+		return nil
+	}
+	return topo.Hops
+}
+
+// cost folds the schedule into the modeled wall-clock (max over ranks,
+// all ranks entering at clock 0) of one run over elements of eb bytes;
+// hops(a, b) is the hop distance between schedule ranks a and b (nil:
+// hop-free).
+func (sc schedule) cost(eb int, hops func(a, b int) int, m Machine) float64 {
+	if sc.p <= 1 {
 		return 0
 	}
-	if (algo == AlgoRecDoubling || algo == AlgoRecHalving) && !isPow2(p) {
-		algo = AlgoReduceBcast
-	}
-	sc := allreduceSchedule(algo, p, elems, false)
-	clock := make([]float64, p)
+	clock := make([]float64, sc.p)
 	// arrive[r] is the arrival stamp of the one message r receives at the
 	// current step; each step's sends all come before its receives.
-	arrive := make([]float64, p)
-	moves := make([]move, p)
+	arrive := make([]float64, sc.p)
+	moves := make([]move, sc.p)
 	for i := 0; i < sc.nlegs; i++ {
 		for s := 0; s < sc.steps(i); s++ {
 			for r := range moves {
@@ -45,9 +60,9 @@ func ModelAllreduce(algo Algo, topo Topology, p, elems int, m Machine) float64 {
 				if mv.dst < 0 {
 					continue
 				}
-				cost := m.SendCost(8 * (mv.sendHi - mv.sendLo))
-				if m.TH != 0 && topo != nil {
-					cost += m.TH * float64(topo.Hops(r, mv.dst))
+				cost := m.SendCost(eb * (mv.sendHi - mv.sendLo))
+				if m.TH != 0 && hops != nil {
+					cost += m.TH * float64(hops(r, mv.dst))
 				}
 				clock[r] += cost
 				arrive[mv.dst] = clock[r]

@@ -276,7 +276,7 @@ func AllreduceSum(c *Comm, x []int64, threshold float64) {
 	if p == 1 {
 		return
 	}
-	algo := c.allreduceAlgo(kernel.DenseElemBytes * len(x))
+	algo := c.allreduceAlgo(len(x), kernel.DenseElemBytes)
 	c.beginColl(CollAllreduce, 0, algo)
 	defer c.endColl()
 	sparse := false

@@ -269,31 +269,71 @@ func TestAllreduceSumLegAttribution(t *testing.T) {
 
 func TestResolveAllreduceAlgo(t *testing.T) {
 	m := SP2()
-	if a := ResolveAllreduceAlgo(AlgoDefault, 8, 64, m); a != AlgoRecDoubling {
+	if a := ResolveAllreduceAlgo(AlgoDefault, nil, 8, 8, m); a != AlgoRecDoubling {
 		t.Errorf("default at pow2 = %s", a)
 	}
-	if a := ResolveAllreduceAlgo("", 6, 64, m); a != AlgoReduceBcast {
+	if a := ResolveAllreduceAlgo("", nil, 6, 8, m); a != AlgoReduceBcast {
 		t.Errorf("default at p=6 = %s", a)
 	}
 	for _, cfg := range []Algo{AlgoRecDoubling, AlgoRecHalving} {
-		if a := ResolveAllreduceAlgo(cfg, 6, 64, m); a != AlgoReduceBcast {
+		if a := ResolveAllreduceAlgo(cfg, nil, 6, 8, m); a != AlgoReduceBcast {
 			t.Errorf("%s at p=6 must fall back to red+bcast, got %s", cfg, a)
 		}
 	}
 	// Auto: tiny messages are latency-bound → recursive doubling; huge
 	// messages are bandwidth-bound → halving/doubling on pow2, ring wins
 	// only when rhd is infeasible and P·t_s stays small.
-	if a := ResolveAllreduceAlgo(AlgoAuto, 8, 8, m); a != AlgoRecDoubling {
+	if a := ResolveAllreduceAlgo(AlgoAuto, nil, 8, 1, m); a != AlgoRecDoubling {
 		t.Errorf("auto small message = %s, want rdbl", a)
 	}
-	if a := ResolveAllreduceAlgo(AlgoAuto, 8, 1<<20, m); a != AlgoRecHalving {
+	if a := ResolveAllreduceAlgo(AlgoAuto, nil, 8, 1<<17, m); a != AlgoRecHalving {
 		t.Errorf("auto 1MB pow2 = %s, want rhd", a)
 	}
-	if a := ResolveAllreduceAlgo(AlgoAuto, 6, 1<<22, m); a != AlgoRing {
+	if a := ResolveAllreduceAlgo(AlgoAuto, nil, 6, 1<<19, m); a != AlgoRing {
 		t.Errorf("auto 4MB p=6 = %s, want ring", a)
 	}
-	if a := ResolveAllreduceAlgo(AlgoAuto, 6, 8, m); a != AlgoReduceBcast {
+	if a := ResolveAllreduceAlgo(AlgoAuto, nil, 6, 1, m); a != AlgoReduceBcast {
 		t.Errorf("auto small message p=6 = %s, want red+bcast", a)
+	}
+}
+
+// TestAutoPicksCheapest: auto resolves to an algorithm whose fold — the
+// clock the live collective is billed on, reduction arithmetic and hops
+// included — is no dearer than any feasible explicit algorithm's, for the
+// allreduce and for the broadcast from root 0 and from a non-zero root.
+func TestAutoPicksCheapest(t *testing.T) {
+	for _, m := range []Machine{SP2(), SP2().WithHopLatency(1e-5)} {
+		for _, name := range TopologyNames() {
+			for _, p := range []int{2, 3, 4, 5, 6, 8, 12, 64} {
+				topo, err := NewTopology(name, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, n := range []int{1, 4096, 1 << 19} {
+					got := ResolveAllreduceAlgo(AlgoAuto, topo, p, n, m)
+					auto := ModelAllreduce(got, topo, p, n, m)
+					for _, a := range []Algo{AlgoRecDoubling, AlgoRing, AlgoRecHalving, AlgoReduceBcast} {
+						if runnable(a, p) != a {
+							continue
+						}
+						if c := ModelAllreduce(a, topo, p, n, m); auto > c {
+							t.Errorf("t_h=%g %s p=%d n=%d: allreduce auto picks %s (%g s), %s costs %g s",
+								m.TH, name, p, n, got, auto, a, c)
+						}
+					}
+					for _, root := range []int{0, p - 1} {
+						got := resolveBcastAlgo(AlgoAuto, p, root, n, 8, topo.Hops, m)
+						auto := bcastSchedule(p, root, n, got == AlgoScatterAllgather).cost(8, topo.Hops, m)
+						for _, scatterAG := range []bool{false, true} {
+							if c := bcastSchedule(p, root, n, scatterAG).cost(8, topo.Hops, m); auto > c {
+								t.Errorf("t_h=%g %s p=%d n=%d root %d: bcast auto picks %s (%g s), scatterAG=%v costs %g s",
+									m.TH, name, p, n, root, got, auto, scatterAG, c)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -313,7 +353,7 @@ func TestAllreduceCostEstimateDefault(t *testing.T) {
 	w := NewWorld(6, SP2())
 	w.SetCollConfig(CollConfig{Allreduce: AlgoRing})
 	w.Run(func(c *Comm) {
-		want := AllreduceAlgoCost(AlgoRing, 6, 800, c.Machine())
+		want := ModelAllreduce(AlgoRing, NewHypercube(6), 6, 100, c.Machine())
 		if got := c.AllreduceCostEstimate(800); got != want {
 			t.Errorf("ring estimate %v, want %v", got, want)
 		}
@@ -507,7 +547,7 @@ func TestModelAllreduceMatchesWorld(t *testing.T) {
 						}
 						Allreduce(c, x, Sum)
 					})
-					resolved := ResolveAllreduceAlgo(algo, p, 8*elems, m)
+					resolved := ResolveAllreduceAlgo(algo, topo, p, elems, m)
 					got := ModelAllreduce(resolved, topo, p, elems, m)
 					if want := w.MaxClock(); math.Abs(got-want) > 1e-15*math.Max(1, math.Abs(want)) {
 						t.Errorf("p=%d elems=%d %s %s: model %v, world %v", p, elems, topoName, algo, got, want)
