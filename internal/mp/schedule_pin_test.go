@@ -130,13 +130,13 @@ func hashWorld(h hash.Hash, w *World) {
 func TestCollectiveSchedulePin(t *testing.T) {
 	want := map[string]string{
 		"hypercube/default":   "6cfd4a9e3dfd8bfdc81ecd7568dfa01d3fdc4a4e71ce7e481e83274025512b0f",
-		"hypercube/auto":      "0ec2a1ea6a4d3b8f65d7b0176752f424f89d168d81c0e7a02f2138cb500dccfc",
+		"hypercube/auto":      "6cfd4a9e3dfd8bfdc81ecd7568dfa01d3fdc4a4e71ce7e481e83274025512b0f",
 		"hypercube/rdbl":      "6cfd4a9e3dfd8bfdc81ecd7568dfa01d3fdc4a4e71ce7e481e83274025512b0f",
 		"hypercube/ring":      "658a7330868ea19000fb147c5304d0839a98d1e8d66e6475346b9a20ef992ab1",
 		"hypercube/rhd":       "cb661fc783d964689e1d5ae5b778585451b7d174b17ffcedd006ffbeac8da640",
 		"hypercube/red+bcast": "ec10ff3e01321cc515e7b9ba40a59627c96181e2d0b932c835d0e13caf932a9a",
 		"torus/default":       "14d6704bc9c9647c78711af6e184edc6c5b34f5492151e4d5ff7548a54df0793",
-		"torus/auto":          "9a77c0799f4037ca5d26cf86d338ab42df2f68e0096c57cb328d4176e4944f1e",
+		"torus/auto":          "14d6704bc9c9647c78711af6e184edc6c5b34f5492151e4d5ff7548a54df0793",
 		"torus/rdbl":          "14d6704bc9c9647c78711af6e184edc6c5b34f5492151e4d5ff7548a54df0793",
 		"torus/ring":          "5f7b71dae9a5e78b9ba9a82650c12f94b61647a72baf96a8ceb1686e72c9ac93",
 		"torus/rhd":           "2c112130f8353a74065c833c925a43981a7cdc533e1bc86e31557cbf733ce948",
