@@ -150,22 +150,16 @@ func decodeLevelCkpt(data []byte) (*levelCkpt, error) {
 	lk := &levelCkpt{}
 	lk.level = int(cur.u32())
 	lk.idsNext = int64(cur.u64())
-	nr := int(cur.u32())
-	if cur.err == nil && nr > 1<<20 {
-		return nil, fmt.Errorf("%w: %d ranges", errLevelCkpt, nr)
-	}
+	nr := cur.count(16, "ranges")
 	for i := 0; i < nr && cur.err == nil; i++ {
 		lk.ranges = append(lk.ranges, [2]float64{
 			math.Float64frombits(cur.u64()), math.Float64frombits(cur.u64())})
 	}
 	lk.treeJS = cur.bytes(int(cur.u32()))
-	ni := int(cur.u32())
-	if cur.err == nil && ni > 1<<24 {
-		return nil, fmt.Errorf("%w: %d frontier items", errLevelCkpt, ni)
-	}
+	ni := cur.count(20, "frontier items")
 	for i := 0; i < ni && cur.err == nil; i++ {
 		it := levelItem{id: int64(cur.u64()), globalN: int64(cur.u64())}
-		np := int(cur.u32())
+		np := cur.count(4, "path steps")
 		if cur.err == nil && np > tree.MaxModelDepth {
 			return nil, fmt.Errorf("%w: path of %d steps", errLevelCkpt, np)
 		}
@@ -176,23 +170,17 @@ func decodeLevelCkpt(data []byte) (*levelCkpt, error) {
 	}
 	lk.rows = cur.bytes(int(cur.u32()))
 	if version >= 2 {
-		nf := int(cur.u32())
-		if cur.err == nil && nf > 1<<24 {
-			return nil, fmt.Errorf("%w: %d vote families", errLevelCkpt, nf)
-		}
+		nf := cur.count(16, "vote families")
 		if cur.err == nil && nf > 0 {
 			lk.vote = make([]voteFam, 0, nf)
 		}
 		for i := 0; i < nf && cur.err == nil; i++ {
 			f := voteFam{lo: int(cur.u32()), n: int(cur.u32())}
 			f.root = cur.u32()&1 != 0
-			na := cur.u32()
-			if na != voteAttrsNil {
-				if cur.err == nil && na > 1<<20 {
-					return nil, fmt.Errorf("%w: %d vote attrs", errLevelCkpt, na)
-				}
-				f.pAttrs = make([]int32, 0, na)
-				for j := uint32(0); j < na && cur.err == nil; j++ {
+			if na := cur.u32(); na != voteAttrsNil {
+				n := cur.fits(na, 4, "vote attrs")
+				f.pAttrs = make([]int32, 0, n)
+				for j := 0; j < n && cur.err == nil; j++ {
 					f.pAttrs = append(f.pAttrs, int32(cur.u32()))
 				}
 			}
@@ -259,6 +247,26 @@ func (c *ckptCursor) u64() uint64 {
 	v := binary.LittleEndian.Uint64(c.b[c.off:])
 	c.off += 8
 	return v
+}
+
+// count reads an element count and checks it with fits.
+func (c *ckptCursor) count(size int, what string) int {
+	return c.fits(c.u32(), size, what)
+}
+
+// fits returns n if n elements of at least size encoded bytes each fit
+// in the unread payload, and latches a typed error and returns 0
+// otherwise — so no count read from the payload can presize a slice or
+// run a loop past what the payload holds.
+func (c *ckptCursor) fits(n uint32, size int, what string) int {
+	if c.err != nil {
+		return 0
+	}
+	if uint64(n)*uint64(size) > uint64(len(c.b)-c.off) {
+		c.err = fmt.Errorf("%w: %d %s at offset %d overrun the payload", errLevelCkpt, n, what, c.off)
+		return 0
+	}
+	return int(n)
 }
 
 func (c *ckptCursor) bytes(n int) []byte {
