@@ -9,6 +9,7 @@ package tree
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"partree/internal/criteria"
@@ -308,30 +309,15 @@ func nodeEqual(a, b *Node) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	if a.Kind != b.Kind || a.N != b.N || a.Class != b.Class || a.Depth != b.Depth {
+	if a.Kind != b.Kind || a.N != b.N || a.Class != b.Class || a.Depth != b.Depth || !slices.Equal(a.Dist, b.Dist) {
 		return false
-	}
-	if len(a.Dist) != len(b.Dist) {
-		return false
-	}
-	for i := range a.Dist {
-		if a.Dist[i] != b.Dist[i] {
-			return false
-		}
 	}
 	if a.Kind == Leaf {
 		return true
 	}
-	if a.Attr != b.Attr || a.Thresh != b.Thresh || a.Mask != b.Mask {
+	if a.Attr != b.Attr || a.Thresh != b.Thresh || a.Mask != b.Mask ||
+		!slices.Equal(a.Edges, b.Edges) || len(a.Children) != len(b.Children) {
 		return false
-	}
-	if len(a.Edges) != len(b.Edges) || len(a.Children) != len(b.Children) {
-		return false
-	}
-	for i := range a.Edges {
-		if a.Edges[i] != b.Edges[i] {
-			return false
-		}
 	}
 	for i := range a.Children {
 		if !nodeEqual(a.Children[i], b.Children[i]) {
@@ -358,21 +344,24 @@ func nodeDiff(a, b *Node, path string) string {
 		return fmt.Sprintf("%s: N %d vs %d", path, a.N, b.N)
 	case a.Class != b.Class:
 		return fmt.Sprintf("%s: class %d vs %d", path, a.Class, b.Class)
+	case a.Depth != b.Depth:
+		return fmt.Sprintf("%s: depth %d vs %d", path, a.Depth, b.Depth)
+	case !slices.Equal(a.Dist, b.Dist):
+		return fmt.Sprintf("%s: dist %v vs %v", path, a.Dist, b.Dist)
+	case a.Kind == Leaf:
+		return ""
+	case a.Attr != b.Attr:
+		return fmt.Sprintf("%s: attr %d vs %d", path, a.Attr, b.Attr)
+	case a.Thresh != b.Thresh || a.Mask != b.Mask:
+		return fmt.Sprintf("%s: test params differ (thresh %g vs %g, mask %x vs %x)", path, a.Thresh, b.Thresh, a.Mask, b.Mask)
+	case !slices.Equal(a.Edges, b.Edges):
+		return fmt.Sprintf("%s: edges %v vs %v", path, a.Edges, b.Edges)
+	case len(a.Children) != len(b.Children):
+		return fmt.Sprintf("%s: %d vs %d children", path, len(a.Children), len(b.Children))
 	}
-	if a.Kind != Leaf {
-		if a.Attr != b.Attr {
-			return fmt.Sprintf("%s: attr %d vs %d", path, a.Attr, b.Attr)
-		}
-		if a.Thresh != b.Thresh || a.Mask != b.Mask {
-			return fmt.Sprintf("%s: test params differ (thresh %g vs %g, mask %x vs %x)", path, a.Thresh, b.Thresh, a.Mask, b.Mask)
-		}
-		if len(a.Children) != len(b.Children) {
-			return fmt.Sprintf("%s: %d vs %d children", path, len(a.Children), len(b.Children))
-		}
-		for i := range a.Children {
-			if d := nodeDiff(a.Children[i], b.Children[i], fmt.Sprintf("%s.%d", path, i)); d != "" {
-				return d
-			}
+	for i := range a.Children {
+		if d := nodeDiff(a.Children[i], b.Children[i], fmt.Sprintf("%s.%d", path, i)); d != "" {
+			return d
 		}
 	}
 	return ""

@@ -71,6 +71,13 @@ func ExpandNodeOOC(it FrontierItem, stats *NodeStats, s *dataset.Schema, o Optio
 	sp.Apply(n, s, ids.Next)
 	global := GlobalChildCounts(sp, stats, s, o)
 	childSlot = make([]int32, len(n.Children))
+	nonEmpty := 0
+	for ci := range n.Children {
+		if global[ci] > 0 {
+			nonEmpty++
+		}
+	}
+	kids = make([]FrontierItem, 0, nonEmpty)
 	for ci := range n.Children {
 		if global[ci] > 0 {
 			childSlot[ci] = int32(len(kids))

@@ -209,6 +209,110 @@ func TestEqualAndDiff(t *testing.T) {
 	}
 }
 
+// TestDiffAgreesWithEqual: Diff reports a difference exactly when Equal
+// reports inequality, over random trees of every split kind and
+// single-field mutations of them — every field Equal compares (Depth,
+// Dist and Edges included), one it ignores (ID), and Attr on leaves,
+// which it ignores too.
+func TestDiffAgreesWithEqual(t *testing.T) {
+	r := rand.New(rand.NewPCG(7, 46))
+	var gen func(depth int) *Node
+	gen = func(depth int) *Node {
+		n := &Node{ID: r.Int64N(100), N: r.Int64N(50), Class: r.Int32N(3), Depth: depth, Dist: make([]int64, 1+r.IntN(3))}
+		for i := range n.Dist {
+			n.Dist[i] = r.Int64N(20)
+		}
+		if depth >= 3 || r.IntN(3) == 0 {
+			return n
+		}
+		n.Kind = SplitKind(1 + r.IntN(4))
+		n.Attr, n.Thresh, n.Mask = r.IntN(5), r.Float64(), r.Uint64()
+		kids := 2
+		switch n.Kind {
+		case CatMultiway:
+			kids = 1 + r.IntN(4)
+		case ContBinned:
+			n.Edges = make([]float64, 1+r.IntN(3))
+			for i := range n.Edges {
+				n.Edges[i] = float64(i) + r.Float64()
+			}
+		}
+		n.Children = make([]*Node, kids)
+		for i := range n.Children {
+			if r.IntN(5) > 0 {
+				n.Children[i] = gen(depth + 1)
+			}
+		}
+		return n
+	}
+	var clone func(n *Node) *Node
+	clone = func(n *Node) *Node {
+		if n == nil {
+			return nil
+		}
+		c := *n
+		c.Dist = append([]int64(nil), n.Dist...)
+		c.Edges = append([]float64(nil), n.Edges...)
+		c.Children = make([]*Node, len(n.Children))
+		for i, ch := range n.Children {
+			c.Children[i] = clone(ch)
+		}
+		return &c
+	}
+	mutations := []func(n *Node){
+		func(n *Node) { n.Kind = SplitKind((int(n.Kind) + 1) % 5) },
+		func(n *Node) { n.N++ },
+		func(n *Node) { n.Class++ },
+		func(n *Node) { n.Depth++ },
+		func(n *Node) { n.Dist[r.IntN(len(n.Dist))]++ },
+		func(n *Node) { n.Dist = append(n.Dist, 0) },
+		func(n *Node) { n.Attr++ },
+		func(n *Node) { n.Thresh += 0.5 },
+		func(n *Node) { n.Mask ^= 1 << r.IntN(64) },
+		func(n *Node) {
+			if len(n.Edges) > 0 {
+				n.Edges[r.IntN(len(n.Edges))] += 0.25
+			}
+		},
+		func(n *Node) { n.Edges = append(n.Edges, 9) },
+		func(n *Node) { n.Children = append(n.Children, nil) },
+		func(n *Node) {
+			if len(n.Children) > 0 {
+				i := r.IntN(len(n.Children))
+				if n.Children[i] == nil {
+					n.Children[i] = &Node{}
+				} else {
+					n.Children[i] = nil
+				}
+			}
+		},
+		func(n *Node) { n.ID++ },
+	}
+	for trial := 0; trial < 2000; trial++ {
+		a := &Tree{Root: gen(0)}
+		b := &Tree{Root: clone(a.Root)}
+		if !Equal(a, b) || Diff(a, b) != "" {
+			t.Fatalf("trial %d: a tree differs from its clone: %s", trial, Diff(a, b))
+		}
+		var nodes []*Node
+		var walk func(n *Node)
+		walk = func(n *Node) {
+			if n != nil {
+				nodes = append(nodes, n)
+				for _, ch := range n.Children {
+					walk(ch)
+				}
+			}
+		}
+		walk(b.Root)
+		mi := r.IntN(len(mutations))
+		mutations[mi](nodes[r.IntN(len(nodes))])
+		if eq, diff := Equal(a, b), Diff(a, b); eq != (diff == "") {
+			t.Fatalf("trial %d mutation %d: Equal = %v but Diff = %q", trial, mi, eq, diff)
+		}
+	}
+}
+
 func TestPruneRemovesNoiseSplits(t *testing.T) {
 	// Labels depend only on attribute a; everything else the tree learns
 	// is noise and should be pruned away.
