@@ -6,13 +6,14 @@ import (
 	"runtime"
 	"testing"
 
+	"partree/internal/dataset"
 	"partree/internal/tree"
 )
 
 // levelCkptSeeds returns encoder output for an exact level (a one-level
 // partial tree whose children hold the rows) and for the same level with
-// vote families.
-func levelCkptSeeds(t testing.TB) (exact, voted []byte) {
+// vote families, and the schema of their rows.
+func levelCkptSeeds(t testing.TB) (exact, voted []byte, s *dataset.Schema) {
 	d := genDiscrete(t, 300, 2, 5)
 	o := Options{Tree: tree.Options{Binary: true, MaxDepth: 1}}
 	root := tree.BuildBFS(d, o.SerialOptions(d)).Root
@@ -36,7 +37,7 @@ func levelCkptSeeds(t testing.TB) (exact, voted []byte) {
 		{lo: 0, n: 1, root: true},
 		{lo: 1, n: len(frontier) - 1, pAttrs: []int32{0, 2, 5}},
 	})
-	return exact, voted
+	return exact, voted, d.Schema
 }
 
 // tamperedLevelCkpt is a 40-byte version-2 checkpoint with empty
@@ -85,7 +86,7 @@ func TestDecodeLevelCkptTamperedCount(t *testing.T) {
 		t.Fatalf("decoding 40 bytes allocated %d bytes", alloc)
 	}
 	// The same holds for every other count of the encoder's output.
-	exact, voted := levelCkptSeeds(t)
+	exact, voted, _ := levelCkptSeeds(t)
 	for _, seed := range [][]byte{exact, voted} {
 		for off := len(levelCkptMagic) + 4; off+4 <= len(seed); off += 4 {
 			bad := append([]byte(nil), seed...)
@@ -100,9 +101,10 @@ func TestDecodeLevelCkptTamperedCount(t *testing.T) {
 // FuzzDecodeLevelCkpt feeds hostile bytes to the level-checkpoint
 // decoder: it must never panic, every failure must be a typed
 // errLevelCkpt, and no input may make it allocate more than a small
-// multiple of its own size.
+// multiple of its own size. An accepted checkpoint's rows go on through
+// adoptLevelRows' frame decoder, which must not panic either.
 func FuzzDecodeLevelCkpt(f *testing.F) {
-	exact, voted := levelCkptSeeds(f)
+	exact, voted, schema := levelCkptSeeds(f)
 	f.Add(exact)
 	f.Add(voted)
 	f.Add(tamperedLevelCkpt())
@@ -128,5 +130,6 @@ func FuzzDecodeLevelCkpt(f *testing.F) {
 				t.Fatalf("accepted a path of %d steps", len(it.path))
 			}
 		}
+		_ = adoptLevelRows(dataset.New(schema, 0), make([]tree.FrontierItem, len(lk.items)), b)
 	})
 }
