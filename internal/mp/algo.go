@@ -252,6 +252,5 @@ func (c *Comm) AllreduceCostEstimate(bytes int) float64 {
 	if cfg := c.world.coll.Allreduce; cfg == "" || cfg == AlgoDefault {
 		return c.world.Machine.SendCost(bytes) * float64(ceilLog2(c.Size()))
 	}
-	n := (bytes + 7) / 8
-	return allreduceSchedule(c.allreduceAlgo(n, 8), c.Size(), n, false).cost(8, c.hops, c.world.Machine)
+	return modelAllreduce(c.world.coll.Allreduce, c.Size(), (bytes+7)/8, c.hops, c.world.Machine)
 }

@@ -21,9 +21,13 @@ package mp
 // hop-free fabric (equivalently Machine.TH = 0). red+bcast is modeled
 // with the binomial broadcast, as AllreduceSum runs it.
 func ModelAllreduce(algo Algo, topo Topology, p, elems int, m Machine) float64 {
-	hops := topoHops(topo)
-	algo = resolveAllreduce(algo, p, elems, 8, hops, m)
-	return allreduceSchedule(algo, p, elems, false).cost(8, hops, m)
+	return modelAllreduce(algo, p, elems, topoHops(topo), m)
+}
+
+// modelAllreduce folds the schedule the allreduce selection cfg resolves
+// to for p ranks and n 8-byte elements, with hops between schedule ranks.
+func modelAllreduce(cfg Algo, p, n int, hops func(a, b int) int, m Machine) float64 {
+	return allreduceSchedule(resolveAllreduce(cfg, p, n, 8, hops, m), p, n, false).cost(8, hops, m)
 }
 
 // topoHops is topo's hop distance, or nil for a nil topo.

@@ -353,7 +353,7 @@ func TestAllreduceCostEstimateDefault(t *testing.T) {
 	w := NewWorld(6, SP2())
 	w.SetCollConfig(CollConfig{Allreduce: AlgoRing})
 	w.Run(func(c *Comm) {
-		want := ModelAllreduce(AlgoRing, NewHypercube(6), 6, 100, c.Machine())
+		want := ModelAllreduce(AlgoRing, nil, 6, 100, c.Machine())
 		if got := c.AllreduceCostEstimate(800); got != want {
 			t.Errorf("ring estimate %v, want %v", got, want)
 		}
