@@ -55,6 +55,60 @@ func tamperedLevelCkpt() []byte {
 	return b
 }
 
+// overflowFrame is one record frame of key 0 that claims 2^60+1 records
+// and carries one: at a 48-byte record, count·48 wraps to 48.
+func overflowFrame(s *dataset.Schema) []byte {
+	d := dataset.New(s, 1)
+	d.Append(dataset.NewRecord(s))
+	b := binary.LittleEndian.AppendUint64(nil, 0)
+	b = binary.LittleEndian.AppendUint64(b, 1<<60+1)
+	return dataset.EncodeRows(b, d, []int32{0})
+}
+
+// overflowLevelCkpt is the exact level seed with its rows section
+// replaced by overflowFrame: the checkpoint decodes, its rows must not.
+func overflowLevelCkpt(t testing.TB) []byte {
+	exact, _, s := levelCkptSeeds(t)
+	lk, err := decodeLevelCkpt(exact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The exact seed ends with its rows (length-prefixed) and a zero
+	// vote-family count.
+	b := append([]byte(nil), exact[:len(exact)-len(lk.rows)-8]...)
+	frame := overflowFrame(s)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(frame)))
+	b = append(b, frame...)
+	return binary.LittleEndian.AppendUint32(b, 0)
+}
+
+// TestDecodeFramesCountOverflow: a frame whose record count wraps when
+// multiplied by the record size is a typed error, not a frame of the
+// wrong length; the same holds through a level checkpoint's rows.
+func TestDecodeFramesCountOverflow(t *testing.T) {
+	_, _, s := levelCkptSeeds(t)
+	if rb := s.RecordBytes(); rb != 48 {
+		t.Fatalf("schema records are %d bytes, the wrap needs 48", rb)
+	}
+	out := dataset.New(s, 0)
+	err := decodeFrames(out, make([][]int32, 1), s, overflowFrame(s))
+	if !errors.Is(err, errFrame) {
+		t.Fatalf("err = %v after decoding %d rows, want errFrame", err, out.Len())
+	}
+	if out.Len() != 0 {
+		t.Fatalf("decoded %d rows from a rejected frame", out.Len())
+	}
+	b := overflowLevelCkpt(t)
+	lk, err := decodeLevelCkpt(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = adoptLevelRows(dataset.New(s, 0), make([]tree.FrontierItem, len(lk.items)), b)
+	if !errors.Is(err, errFrame) {
+		t.Fatalf("adopting the checkpoint's rows: err = %v, want errFrame", err)
+	}
+}
+
 // decodeLevelCkptAlloc decodes b and returns the bytes the decode
 // allocated.
 func decodeLevelCkptAlloc(b []byte) (*levelCkpt, uint64, error) {
@@ -102,12 +156,14 @@ func TestDecodeLevelCkptTamperedCount(t *testing.T) {
 // decoder: it must never panic, every failure must be a typed
 // errLevelCkpt, and no input may make it allocate more than a small
 // multiple of its own size. An accepted checkpoint's rows go on through
-// adoptLevelRows' frame decoder, which must not panic either.
+// adoptLevelRows' frame decoder, which must not panic either and fails
+// only with a typed errFrame.
 func FuzzDecodeLevelCkpt(f *testing.F) {
 	exact, voted, schema := levelCkptSeeds(f)
 	f.Add(exact)
 	f.Add(voted)
 	f.Add(tamperedLevelCkpt())
+	f.Add(overflowLevelCkpt(f))
 	f.Add(voted[:len(voted)/2])
 	f.Add([]byte(levelCkptMagic))
 	f.Add([]byte{})
@@ -130,6 +186,9 @@ func FuzzDecodeLevelCkpt(f *testing.F) {
 				t.Fatalf("accepted a path of %d steps", len(it.path))
 			}
 		}
-		_ = adoptLevelRows(dataset.New(schema, 0), make([]tree.FrontierItem, len(lk.items)), b)
+		err = adoptLevelRows(dataset.New(schema, 0), make([]tree.FrontierItem, len(lk.items)), b)
+		if err != nil && !errors.Is(err, errFrame) {
+			t.Fatalf("untyped frame error %v", err)
+		}
 	})
 }

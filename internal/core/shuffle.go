@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"partree/internal/dataset"
@@ -128,28 +129,32 @@ func appendFrame(buf []byte, d *dataset.Dataset, key int64, idx []int32) []byte 
 	return dataset.EncodeRows(buf, d, idx)
 }
 
+// errFrame types every decodeFrames failure.
+var errFrame = errors.New("core: malformed record frame")
+
 // decodeFrames parses a concatenation of frames, appending the records to
-// out and their new row indices to perKey[key]; a key outside perKey is
-// an error.
+// out and their new row indices to perKey[key]; a key outside perKey, or
+// a record count the bytes left cannot hold, is an errFrame.
 func decodeFrames(out *dataset.Dataset, perKey [][]int32, s *dataset.Schema, buf []byte) error {
 	rb := s.RecordBytes()
 	for len(buf) > 0 {
 		if len(buf) < 16 {
-			return fmt.Errorf("truncated frame header (%d bytes)", len(buf))
+			return fmt.Errorf("%w: truncated header (%d bytes)", errFrame, len(buf))
 		}
 		key := int64(binary.LittleEndian.Uint64(buf))
 		count := int64(binary.LittleEndian.Uint64(buf[8:]))
 		buf = buf[16:]
 		if key < 0 || key >= int64(len(perKey)) {
-			return fmt.Errorf("frame key %d outside %d keys", key, len(perKey))
+			return fmt.Errorf("%w: key %d outside %d keys", errFrame, key, len(perKey))
+		}
+		// Checked before multiplying: count·rb can wrap to a small need.
+		if count < 0 || count > int64(len(buf)/rb) {
+			return fmt.Errorf("%w: key %d claims %d records of %d bytes, have %d bytes", errFrame, key, count, rb, len(buf))
 		}
 		need := int(count) * rb
-		if need < 0 || len(buf) < need {
-			return fmt.Errorf("frame key %d wants %d bytes, have %d", key, need, len(buf))
-		}
 		start := out.Len()
 		if err := dataset.Decode(out, s, buf[:need]); err != nil {
-			return err
+			return fmt.Errorf("%w: %w", errFrame, err)
 		}
 		for i := start; i < out.Len(); i++ {
 			perKey[key] = append(perKey[key], int32(i))
