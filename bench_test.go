@@ -333,7 +333,7 @@ func BenchmarkInference(b *testing.B) {
 	b.Run("flat-per-row", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for r := 0; r < d.Len(); r++ {
-				out[r] = m.Predict(d, r)
+				out[r] = m.PredictFrom(d, r, 0)
 			}
 		}
 		report(b)

@@ -45,7 +45,6 @@ import (
 	"partree/internal/dataset"
 	"partree/internal/discretize"
 	"partree/internal/fault"
-	"partree/internal/flat"
 	"partree/internal/forest"
 	"partree/internal/kernel"
 	"partree/internal/mp"
@@ -460,17 +459,18 @@ func report(o options, w *mp.World, ooc bool) {
 
 func accuracyOn(t *tree.Tree, d *dataset.Dataset) float64 { return t.Accuracy(recode(t.Schema, d)) }
 
-// flatEvaluator compiles the tree once and returns an accuracy function
-// that routes every dataset through the batched parallel engine (the
-// serving path), printing the compiled shape and per-batch throughput.
+// flatEvaluator compiles the tree once, as the one-member fused table
+// dtserve serves it from, and returns an accuracy function that routes
+// every dataset through the batched parallel engine (the serving path),
+// printing the compiled shape and per-batch throughput.
 func flatEvaluator(t *tree.Tree) func(*tree.Tree, *dataset.Dataset) float64 {
-	m, err := flat.Compile(t)
+	fz, err := forest.Compile(&forest.Forest{Schema: t.Schema, Trees: []*tree.Tree{t}})
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("flat tree      %d nodes compiled (%d leaves)\n", m.Len(), m.Leaves())
+	fmt.Printf("flat tree      %d nodes compiled (%d leaves)\n", fz.Nodes(), fz.Leaves())
 	pool := predict.NewPool(0)
-	eng := predict.NewBatchEngine(pool, m, m.Schema)
+	eng := predict.NewBatchEngine(pool, fz, fz.Schema)
 	return func(_ *tree.Tree, d *dataset.Dataset) float64 {
 		d = recode(t.Schema, d)
 		out := make([]int32, d.Len())

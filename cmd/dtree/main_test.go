@@ -6,14 +6,17 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"partree/internal/build"
 	"partree/internal/dataset"
 	"partree/internal/discretize"
 	"partree/internal/fault"
+	"partree/internal/flat"
 	"partree/internal/kernel"
 	"partree/internal/quest"
+	"partree/internal/tree"
 )
 
 // TestParseFlags pins the flag → build.Spec translation, including the
@@ -180,6 +183,40 @@ func TestLoadReportsFurthestError(t *testing.T) {
 		var ce *dataset.ColumnCountError
 		if !errors.As(err, &ce) || ce.Line != 6 {
 			t.Fatalf("%d continuous: error %v, want a column count error on line 6", d.Schema.NumContinuous(), err)
+		}
+	}
+}
+
+// TestFlatEvaluator: -flat's accuracy, through the one-member fused
+// table and the batch engine, equals the pointer tree's on a multiway
+// tree over discretized rows (the bounds-checked walk) and a binary tree
+// over raw rows (the step walk). Raw test rows are recoded for the
+// discretized model as the CLI does.
+func TestFlatEvaluator(t *testing.T) {
+	raw, err := quest.Generate(quest.Config{Function: 2, Seed: 9}, 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, test := raw.Slice(0, 1000), raw.Slice(1000, 1500)
+	for _, c := range []struct {
+		name string
+		tr   *tree.Tree
+	}{
+		{"multiway", tree.BuildHunt(uniform(train), tree.Options{MaxDepth: 6})},
+		{"binary", tree.BuildHunt(train, tree.Options{Binary: true, MaxDepth: 8})},
+	} {
+		m, err := flat.Compile(c.tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if multiway := slices.Contains(m.Kind, tree.CatMultiway); multiway != (c.name == "multiway") {
+			t.Fatalf("%s tree has CatMultiway nodes: %v", c.name, multiway)
+		}
+		eval := flatEvaluator(c.tr)
+		for _, d := range []*dataset.Dataset{train, test} {
+			if got, want := eval(c.tr, d), accuracyOn(c.tr, d); got != want {
+				t.Fatalf("%s: -flat accuracy %v, pointer tree %v", c.name, got, want)
+			}
 		}
 	}
 }

@@ -1,9 +1,9 @@
 // Command dtserve serves trained decision-tree and forest models over
-// HTTP. It loads tree-JSON model files written by dtree -save (compiled
-// into the flat struct-of-arrays form, internal/flat) and forest-JSON
-// ensembles written by dtree -forest N -save (compiled into the fused
-// interleaved layout, internal/forest), and answers batched prediction
-// requests through the parallel engine (internal/predict). Models can be
+// HTTP. It loads tree-JSON model files written by dtree -save and
+// forest-JSON ensembles written by dtree -forest N -save, compiles both
+// into the fused interleaved layout (internal/forest; a tree is a
+// one-member table), and answers batched prediction requests through the
+// parallel engine (internal/predict). Models can be
 // hot-swapped under live traffic with PUT /v1/models/NAME;
 // SIGINT/SIGTERM drain in-flight requests before exit.
 //

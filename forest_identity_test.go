@@ -201,8 +201,8 @@ func TestForestSingleMultiwayTreeMatchesFlat(t *testing.T) {
 		if fused[r] != want[r] {
 			t.Fatalf("row %d: fused=%d flat=%d", r, fused[r], want[r])
 		}
-		if got := fz.Predict(test, r); got != want[r] {
-			t.Fatalf("row %d: fused single-row=%d flat=%d", r, got, want[r])
+		if got := fz.PredictFrom(test, r, 0); got != want[r] {
+			t.Fatalf("row %d: fused table walk=%d flat=%d", r, got, want[r])
 		}
 	}
 }

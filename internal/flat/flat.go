@@ -12,7 +12,8 @@
 //
 // The contract, checked by the differential tests, is bit-identical
 // agreement with the pointer tree: for every dataset row,
-// Model.Predict(d, i) == Tree.ClassifyRow(d, i).
+// Model.PredictFrom(d, i, 0) == Tree.ClassifyRow(d, i). Serving walks the
+// same table as a one-member forest.Fused, which embeds it.
 package flat
 
 import (
@@ -74,7 +75,7 @@ type compileNode struct {
 // Compile flattens t into a Model. Nil children (empty partitions, Case 3
 // of Hunt's method) are materialized as leaves carrying the parent's
 // effective class; every node's Class slot is the fully resolved
-// prediction so Predict never consults ancestors.
+// prediction so the walk never consults ancestors.
 func Compile(t *tree.Tree) (*Model, error) {
 	if t == nil || t.Root == nil {
 		return nil, fmt.Errorf("flat: nil tree")
@@ -149,16 +150,13 @@ func Compile(t *tree.Tree) (*Model, error) {
 	return m, nil
 }
 
-// Predict classifies row of d (which must share the model's schema
-// layout) by walking the flat table from node 0, the root of a table
-// Compile built.
-func (m *Model) Predict(d *dataset.Dataset, row int) int32 { return m.PredictFrom(d, row, 0) }
-
-// PredictFrom classifies row of d by walking the table from node root.
-// A table may hold several trees — a fused forest's merged table roots
-// member t at node t — and this is the one bounds-checked walk over all
-// of them. Out-of-range child indexes predict the current node's
-// resolved class, exactly as the pointer walk does.
+// PredictFrom classifies row of d (which must share the model's schema
+// layout) by walking the table from node root; a table Compile built
+// roots its tree at node 0. A table may hold several trees — a fused
+// forest's merged table roots member t at node t — and this is the one
+// bounds-checked walk over all of them. Out-of-range child indexes
+// predict the current node's resolved class, exactly as the pointer walk
+// does.
 //
 // The walk is hand-specialized per split kind: the split kind statically
 // determines which column family (Cat/Cont) is read — no per-node nil
@@ -207,25 +205,12 @@ func (m *Model) PredictFrom(d *dataset.Dataset, row int, root int32) int32 {
 	}
 }
 
-// PredictInto classifies rows [lo, hi) of d into out[lo:hi]. This is the
-// shard unit of the parallel prediction engine.
+// PredictInto classifies rows [lo, hi) of d into out[lo:hi], one
+// PredictFrom walk per row. It is the per-tree baseline the fused walk is
+// measured against (dtload -selfbench's single-tree column); serving
+// goes through forest.Fused.
 func (m *Model) PredictInto(d *dataset.Dataset, out []int32, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		out[i] = m.PredictFrom(d, i, 0)
 	}
-}
-
-// Accuracy returns the fraction of rows of d the compiled model
-// classifies correctly (the flat counterpart of Tree.Accuracy).
-func (m *Model) Accuracy(d *dataset.Dataset) float64 {
-	if d.Len() == 0 {
-		return 0
-	}
-	ok := 0
-	for i := 0; i < d.Len(); i++ {
-		if m.Predict(d, i) == d.Class[i] {
-			ok++
-		}
-	}
-	return float64(ok) / float64(d.Len())
 }

@@ -97,14 +97,16 @@ func TestCompileMultiwayAndBinned(t *testing.T) {
 
 func assertIdentical(t *testing.T, tr *tree.Tree, m *flat.Model, d *dataset.Dataset) {
 	t.Helper()
+	out := make([]int32, d.Len())
+	m.PredictInto(d, out, 0, d.Len())
 	for i := 0; i < d.Len(); i++ {
 		want := tr.ClassifyRow(d, i)
-		if got := m.Predict(d, i); got != want {
+		if got := m.PredictFrom(d, i, 0); got != want {
 			t.Fatalf("row %d: flat predicts %d, pointer tree %d", i, got, want)
 		}
-	}
-	if ta, fa := tr.Accuracy(d), m.Accuracy(d); ta != fa {
-		t.Fatalf("accuracy diverges: pointer %v, flat %v", ta, fa)
+		if out[i] != want {
+			t.Fatalf("row %d: flat batch predicts %d, pointer tree %d", i, out[i], want)
+		}
 	}
 }
 
@@ -155,7 +157,7 @@ func TestCompileFallbacks(t *testing.T) {
 		row := dataset.New(s, 1)
 		row.Append(dataset.Record{Cat: []int32{c.color, 0}, Cont: []float64{0, c.x}})
 		want := tr.ClassifyRow(row, 0)
-		if got := m.Predict(row, 0); got != want {
+		if got := m.PredictFrom(row, 0, 0); got != want {
 			t.Errorf("color=%d x=%g: flat %d, pointer %d", c.color, c.x, got, want)
 		}
 	}

@@ -271,25 +271,3 @@ func trainMember(d *dataset.Dataset, cfg Config, m int) (*tree.Tree, error) {
 	t.Schema = d.Schema
 	return t, nil
 }
-
-// Accuracy returns the fraction of rows the forest classifies correctly
-// through per-tree vote aggregation (the reference path; serving goes
-// through the fused layout, which is differentially pinned to agree).
-func (f *Forest) Accuracy(d *dataset.Dataset) float64 {
-	if d.Len() == 0 {
-		return 0
-	}
-	fz, err := Compile(f)
-	if err != nil {
-		return 0
-	}
-	out := make([]int32, d.Len())
-	fz.PredictNaiveInto(d, out, 0, d.Len())
-	ok := 0
-	for i, c := range out {
-		if c == d.Class[i] {
-			ok++
-		}
-	}
-	return float64(ok) / float64(d.Len())
-}

@@ -200,10 +200,11 @@ func TestFusedMatchesNaive(t *testing.T) {
 				t.Fatalf("%v: row %d fused=%d naive=%d", mode, r, fused[r], naive[r])
 			}
 		}
-		// Single-row path agrees with the batch paths.
+		// A one-row shard agrees with the full batch, tile edges included.
+		one := make([]int32, test.Len())
 		for _, r := range []int{0, 1, 255, 256, 257, test.Len() - 1} {
-			if got := fz.Predict(test, r); got != fused[r] {
-				t.Fatalf("%v: row %d Predict=%d batch=%d", mode, r, got, fused[r])
+			if fz.PredictInto(test, one, r, r+1); one[r] != fused[r] {
+				t.Fatalf("%v: row %d one-row shard=%d batch=%d", mode, r, one[r], fused[r])
 			}
 		}
 	}
@@ -232,7 +233,7 @@ func TestSingleMemberFusedMatchesFlat(t *testing.T) {
 	out := make([]int32, d.Len())
 	fz.PredictInto(d, out, 0, d.Len())
 	for r := 0; r < d.Len(); r++ {
-		if want := m.Predict(d, r); out[r] != want {
+		if want := m.PredictFrom(d, r, 0); out[r] != want {
 			t.Fatalf("row %d: fused=%d flat=%d", r, out[r], want)
 		}
 	}

@@ -21,13 +21,18 @@ import (
 // ChildBase -1, so the walk needs no per-tree base register and leaf
 // detection is one sign test instead of a kind switch.
 //
+// A single tree serves as a one-member Fused: its table is flat.Compile's
+// with the same node and leaf counts, and a binary tree takes the step
+// walk below like any forest.
+//
 // Votes accumulate per row in ascending member order in every path —
 // fused, naive, integer or weighted — so fused prediction is
 // bit-identical to per-tree aggregation (the differential tests'
 // contract), including float-sum order for weighted forests.
 type Fused struct {
-	// Model is the merged node table. Its own Predict walks member 0
-	// only; a forest's vote goes through Fused's methods.
+	// Model is the merged node table. Its PredictFrom walks one member
+	// from that member's root; a forest's vote goes through Fused's
+	// methods.
 	flat.Model
 	// Members keeps the per-tree compiled models; PredictNaiveInto — the
 	// reference (and baseline) path — routes through them.
@@ -518,7 +523,7 @@ func (f *Fused) PredictNaiveInto(d *dataset.Dataset, out []int32, lo, hi int) {
 		votes := make([]int64, n*classes)
 		for _, m := range f.Members {
 			for r := lo; r < hi; r++ {
-				votes[(r-lo)*classes+int(m.Predict(d, r))]++
+				votes[(r-lo)*classes+int(m.PredictFrom(d, r, 0))]++
 			}
 		}
 		for r := lo; r < hi; r++ {
@@ -530,30 +535,12 @@ func (f *Fused) PredictNaiveInto(d *dataset.Dataset, out []int32, lo, hi int) {
 	for t, m := range f.Members {
 		w := f.Weights[t]
 		for r := lo; r < hi; r++ {
-			votes[(r-lo)*classes+int(m.Predict(d, r))] += w
+			votes[(r-lo)*classes+int(m.PredictFrom(d, r, 0))] += w
 		}
 	}
 	for r := lo; r < hi; r++ {
 		out[r] = argmaxFloat(votes[(r-lo)*classes : (r-lo+1)*classes])
 	}
-}
-
-// Predict classifies a single row (convenience; batches go through
-// PredictInto), voting in the same member order as the batch paths.
-func (f *Fused) Predict(d *dataset.Dataset, row int) int32 {
-	classes := f.Schema.NumClasses()
-	if f.Weights == nil {
-		votes := make([]int64, classes)
-		for t := range f.Members {
-			votes[f.PredictFrom(d, row, int32(t))]++
-		}
-		return argmaxInt(votes)
-	}
-	votes := make([]float64, classes)
-	for t, w := range f.Weights {
-		votes[f.PredictFrom(d, row, int32(t))] += w
-	}
-	return argmaxFloat(votes)
 }
 
 // Accuracy returns the fraction of rows of d the fused forest classifies

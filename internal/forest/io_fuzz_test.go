@@ -42,7 +42,8 @@ func FuzzReadForestJSON(f *testing.F) {
 			return
 		}
 		// Anything accepted must compile and classify a synthetic row
-		// without panicking, and every walk must vote alike. Zero values
+		// without panicking, and the fused and naive walks must vote
+		// alike. Zero values
 		// exercise the out-of-range fallbacks (a categorical code 0 may
 		// exceed a hostile schema's cardinality; the walk must still
 		// terminate).
@@ -55,12 +56,11 @@ func FuzzReadForestJSON(f *testing.F) {
 		fused, naive := make([]int32, 1), make([]int32, 1)
 		fz.PredictInto(row, fused, 0, 1)
 		fz.PredictNaiveInto(row, naive, 0, 1)
-		single := fz.Predict(row, 0)
-		if single < 0 || int(single) >= fr.Schema.NumClasses() {
-			t.Fatalf("prediction %d outside class range", single)
+		if fused[0] < 0 || int(fused[0]) >= fr.Schema.NumClasses() {
+			t.Fatalf("prediction %d outside class range", fused[0])
 		}
-		if fused[0] != naive[0] || single != naive[0] {
-			t.Fatalf("fused %d, single-row %d, naive %d", fused[0], single, naive[0])
+		if fused[0] != naive[0] {
+			t.Fatalf("fused %d, naive %d", fused[0], naive[0])
 		}
 	})
 }

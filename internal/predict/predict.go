@@ -1,9 +1,9 @@
-// Package predict is the batched inference engine over compiled models —
-// single flat trees (internal/flat) and fused forests (internal/forest),
-// abstracted as Predictors. A Pool owns a fixed set of worker goroutines —
-// one per available CPU by default — that serve row shards; an Engine
-// binds a Pool to one Predictor and exposes PredictBatch, which shards a
-// columnar batch across the workers. Pools are model-agnostic and
+// Package predict is the batched inference engine over compiled models,
+// abstracted as Predictors: served models are fused tables
+// (internal/forest; a single tree is a one-member one). A Pool owns a
+// fixed set of worker goroutines — one per available CPU by default —
+// that serve row shards; an Engine binds a Pool to one Predictor and
+// exposes PredictBatch, which shards a columnar batch across the workers. Pools are model-agnostic and
 // long-lived, so hot-swapping a model (the serving registry does this)
 // creates a fresh Engine without tearing down or leaking worker
 // goroutines.
@@ -29,8 +29,9 @@ import (
 const minShard = 256
 
 // Predictor is anything that classifies a contiguous row range of a
-// columnar batch — a single compiled tree (*flat.Model) or a fused forest
-// (*forest.Fused). The engine shards batches over Predictors without
+// columnar batch. Serving and dtree -flat hand it a *forest.Fused, one
+// member for a tree and many for a forest; a per-tree *flat.Model
+// satisfies it too. The engine shards batches over Predictors without
 // knowing which; PredictInto must be safe for concurrent calls on
 // disjoint [lo, hi) ranges.
 type Predictor interface {
@@ -123,9 +124,9 @@ func (p *Pool) Stats() Stats {
 	}
 }
 
-// Engine binds a Pool to one Predictor — a compiled tree or a fused
-// forest. Engines are cheap: a hot-swap builds a new Engine on the shared
-// Pool. Safe for concurrent PredictBatch calls.
+// Engine binds a Pool to one Predictor, such as a fused table. Engines
+// are cheap: a hot-swap builds a new Engine on the shared Pool. Safe for
+// concurrent PredictBatch calls.
 type Engine struct {
 	pool   *Pool
 	pred   Predictor
@@ -137,8 +138,8 @@ type Engine struct {
 }
 
 // NewBatchEngine returns an engine sharding batches over pred, which
-// classifies data laid out under schema: a *flat.Model with its Schema,
-// or a *forest.Fused with its merged table's.
+// classifies data laid out under schema: a *forest.Fused with its merged
+// table's, or a *flat.Model with its Schema.
 func NewBatchEngine(p *Pool, pred Predictor, schema *dataset.Schema) *Engine {
 	if p == nil || pred == nil || schema == nil {
 		panic("predict: NewBatchEngine requires a pool, a predictor and a schema")

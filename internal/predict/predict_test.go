@@ -40,7 +40,7 @@ func TestPredictBatchMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
-			if want := m.Predict(batch, i); out[i] != want {
+			if want := m.PredictFrom(batch, i, 0); out[i] != want {
 				t.Fatalf("n=%d row %d: batch %d, serial %d", n, i, out[i], want)
 			}
 		}

@@ -51,7 +51,7 @@ func TestServeForestModel(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	e := srv.Registry().Get("grove")
-	if e.Kind() != "forest" || e.Trees() != 5 || e.Forest == nil || e.Model != nil {
+	if e.Kind() != "forest" || e.Trees() != 5 || e.Model == nil {
 		t.Fatalf("forest entry malformed: kind=%s trees=%d", e.Kind(), e.Trees())
 	}
 
@@ -78,9 +78,11 @@ func TestServeForestModel(t *testing.T) {
 	}
 	// Server answers must equal the fused forest evaluated directly on the
 	// same rows (decode round trip: records went name->value->name).
+	want := make([]int32, 200)
+	e.Model.PredictInto(d, want, 0, 200)
 	for i := 0; i < 200; i++ {
-		if want := e.Forest.Predict(d, i); pr.ClassIDs[i] != want {
-			t.Fatalf("record %d: server predicts %d, fused forest %d", i, pr.ClassIDs[i], want)
+		if pr.ClassIDs[i] != want[i] {
+			t.Fatalf("record %d: server predicts %d, fused forest %d", i, pr.ClassIDs[i], want[i])
 		}
 	}
 

@@ -4,9 +4,10 @@
 // reproduction into the north-star serving system — load a tree-JSON
 // model trained by cmd/dtree or a forest-JSON ensemble, POST record
 // batches at it, swap in a retrained model under live traffic without
-// dropping a request. Uploaded bodies are routed on their "format" field:
-// tree files compile to a *flat.Model, forest files to the fused
-// *forest.Fused layout, and both serve through the same engine.
+// dropping a request. Uploaded bodies are routed on their "format" field
+// to the tree or forest reader; tree files compile to a one-member fused
+// table, forest files to the merged *forest.Fused layout, and both serve
+// through the same engine and the same walk.
 //
 // Endpoints (cmd/dtserve wires them to a listener):
 //
@@ -36,7 +37,6 @@ import (
 	"time"
 
 	"partree/internal/dataset"
-	"partree/internal/flat"
 	"partree/internal/forest"
 	"partree/internal/predict"
 	"partree/internal/tree"
@@ -73,53 +73,35 @@ func (e *BreakerOpenError) Is(target error) bool { return target == ErrBreakerOp
 // force-closed. The server is fully stopped when Serve returns this.
 var ErrDrainTimeout = errors.New("serve: shutdown drain timed out; remaining connections force-closed")
 
-// Entry is one registered model: the compiled form plus the engine
-// serving it. Exactly one of Model (a single tree) and Forest (a fused
-// ensemble) is non-nil. Entries are immutable after registration; a
-// hot-swap replaces the whole entry, so in-flight requests holding the
-// old one finish against a consistent model.
+// Entry is one registered model: the compiled fused table plus the
+// engine serving it. A tree file compiles to a one-member table, a forest
+// file to its members' merged one. Entries are immutable after
+// registration; a hot-swap replaces the whole entry, so in-flight
+// requests holding the old one finish against a consistent model.
 type Entry struct {
 	Name       string
-	Model      *flat.Model   // single compiled tree, or nil
-	Forest     *forest.Fused // fused forest, or nil
+	Model      *forest.Fused
 	Engine     *predict.Engine
 	Generation int // 1 on first load, +1 per swap
 	LoadedAt   time.Time
+
+	kind string // the model file's format: "tree" or "forest"
 }
 
-// Kind returns "tree" or "forest".
-func (e *Entry) Kind() string {
-	if e.Forest != nil {
-		return "forest"
-	}
-	return "tree"
-}
-
-// table returns the compiled node table the entry routes on: the
-// tree's own, or the fused forest's merged multi-root one.
-func (e *Entry) table() *flat.Model {
-	if e.Forest != nil {
-		return &e.Forest.Model
-	}
-	return e.Model
-}
+// Kind returns "tree" or "forest", the format of the loaded file.
+func (e *Entry) Kind() string { return e.kind }
 
 // Schema returns the schema the entry routes on.
-func (e *Entry) Schema() *dataset.Schema { return e.table().Schema }
+func (e *Entry) Schema() *dataset.Schema { return e.Model.Schema }
 
 // Trees returns the member count (1 for a single tree).
-func (e *Entry) Trees() int {
-	if e.Forest != nil {
-		return e.Forest.Trees()
-	}
-	return 1
-}
+func (e *Entry) Trees() int { return e.Model.Trees() }
 
 // Nodes returns the total compiled node count.
-func (e *Entry) Nodes() int { return e.table().Len() }
+func (e *Entry) Nodes() int { return e.Model.Nodes() }
 
 // Leaves returns the total compiled leaf count.
-func (e *Entry) Leaves() int { return e.table().Leaves() }
+func (e *Entry) Leaves() int { return e.Model.Leaves() }
 
 // breaker tracks consecutive load failures for one model name. While
 // openUntil is in the future, loads for the name are rejected immediately;
@@ -258,7 +240,8 @@ func (g *Registry) beginLoad(name string) error {
 
 // compile does the expensive parse+compile work outside the registry
 // lock. The body is buffered once to sniff its "format" envelope field,
-// then handed to the matching hardened reader.
+// then handed to the matching hardened reader; a tree becomes a
+// one-member forest, so both kinds compile to one fused table.
 func (g *Registry) compile(name string, r io.Reader) (*Entry, error) {
 	body, err := io.ReadAll(r)
 	if err != nil {
@@ -270,35 +253,29 @@ func (g *Registry) compile(name string, r io.Reader) (*Entry, error) {
 	// A sniff failure falls through with Format "" — the tree reader then
 	// reports the malformed document with its own diagnostics.
 	_ = json.Unmarshal(body, &env)
+	kind, f := "forest", (*forest.Forest)(nil)
 	if env.Format == forest.ModelFormat {
-		fr, err := forest.ReadJSON(bytes.NewReader(body))
-		if err != nil {
-			return nil, fmt.Errorf("serve: loading model %q: %w", name, err)
+		f, err = forest.ReadJSON(bytes.NewReader(body))
+	} else {
+		kind = "tree"
+		var t *tree.Tree
+		if t, err = tree.ReadJSON(bytes.NewReader(body)); err == nil {
+			f = &forest.Forest{Schema: t.Schema, Trees: []*tree.Tree{t}}
 		}
-		fz, err := forest.Compile(fr)
-		if err != nil {
-			return nil, fmt.Errorf("serve: compiling model %q: %w", name, err)
-		}
-		return &Entry{
-			Name:     name,
-			Forest:   fz,
-			Engine:   predict.NewBatchEngine(g.pool, fz, fz.Schema),
-			LoadedAt: time.Now(),
-		}, nil
 	}
-	t, err := tree.ReadJSON(bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("serve: loading model %q: %w", name, err)
 	}
-	m, err := flat.Compile(t)
+	fz, err := forest.Compile(f)
 	if err != nil {
 		return nil, fmt.Errorf("serve: compiling model %q: %w", name, err)
 	}
 	return &Entry{
 		Name:     name,
-		Model:    m,
-		Engine:   predict.NewBatchEngine(g.pool, m, m.Schema),
+		Model:    fz,
+		Engine:   predict.NewBatchEngine(g.pool, fz, fz.Schema),
 		LoadedAt: time.Now(),
+		kind:     kind,
 	}, nil
 }
 

@@ -9,12 +9,15 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"partree/internal/core"
 	"partree/internal/dataset"
+	"partree/internal/flat"
 	"partree/internal/quest"
 	"partree/internal/serve"
 	"partree/internal/tree"
@@ -23,11 +26,21 @@ import (
 // modelJSON trains a small tree on function-2 data and serializes it.
 func modelJSON(t testing.TB, seed uint64) []byte {
 	t.Helper()
+	return treeJSON(t, modelTree(t, seed))
+}
+
+// modelTree trains the binary tree modelJSON serializes.
+func modelTree(t testing.TB, seed uint64) *tree.Tree {
+	t.Helper()
 	d, err := quest.Generate(quest.Config{Function: 2, Seed: seed}, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := tree.BuildHunt(d, tree.Options{Binary: true, MaxDepth: 8})
+	return tree.BuildHunt(d, tree.Options{Binary: true, MaxDepth: 8})
+}
+
+func treeJSON(t testing.TB, tr *tree.Tree) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := tree.WriteJSON(&buf, tr); err != nil {
 		t.Fatal(err)
@@ -85,33 +98,95 @@ func newTestServer(t *testing.T) (*serve.Server, *httptest.Server, *dataset.Data
 	return srv, ts, d
 }
 
+// TestPredictEndpoint: tree files serve as one-member fused tables. A
+// binary tree takes the step walk, a tree with per-node binned
+// continuous tests the bounds-checked walk; both answer exactly what the
+// pointer tree does, and the listing reports flat.Compile's shape.
 func TestPredictEndpoint(t *testing.T) {
 	srv, ts, d := newTestServer(t)
-	resp, err := http.Post(ts.URL+"/v1/predict", "application/json",
-		predictBody(t, "quest", recordsJSON(d, 0, 100)))
+	train, err := quest.Generate(quest.Config{Function: 2, Seed: 1}, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := core.Options{Tree: tree.Options{Binary: true, MaxDepth: 8}}
+	binned := tree.BuildBFS(train, o.SerialOptions(train))
+	if _, err := srv.Registry().Load("binned", bytes.NewReader(treeJSON(t, binned))); err != nil {
+		t.Fatal(err)
+	}
+	stepWalkable := func(k tree.SplitKind) bool {
+		return k == tree.Leaf || k == tree.ContBinary || k == tree.CatBinary
+	}
+	for _, c := range []struct {
+		model string
+		tr    *tree.Tree
+		step  bool // every node kind is one the step walk takes
+	}{
+		{"quest", modelTree(t, 1), true},
+		{"binned", binned, false},
+	} {
+		e := srv.Registry().Get(c.model)
+		if got := !slices.ContainsFunc(e.Model.Kind, func(k tree.SplitKind) bool { return !stepWalkable(k) }); got != c.step {
+			t.Fatalf("%s: step-walkable kinds %v, want %v", c.model, got, c.step)
+		}
+		resp, err := http.Post(ts.URL+"/v1/predict", "application/json",
+			predictBody(t, c.model, recordsJSON(d, 0, 100)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			t.Fatalf("%s: status %d: %s", c.model, resp.StatusCode, body)
+		}
+		var pr predictReply
+		err = json.NewDecoder(resp.Body).Decode(&pr)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pr.N != 100 || len(pr.Labels) != 100 || len(pr.ClassIDs) != 100 {
+			t.Fatalf("%s: malformed reply: %+v", c.model, pr)
+		}
+		// Predictions must match the pointer tree the file was written from.
+		for i := 0; i < 100; i++ {
+			if want := c.tr.ClassifyRow(d, i); pr.ClassIDs[i] != want {
+				t.Fatalf("%s: record %d: server predicts %d, tree %d", c.model, i, pr.ClassIDs[i], want)
+			}
+			if pr.Labels[i] != e.Schema().Classes[pr.ClassIDs[i]] {
+				t.Fatalf("%s: record %d: label %q does not match class id %d", c.model, i, pr.Labels[i], pr.ClassIDs[i])
+			}
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/models")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	var list struct {
+		Models []struct {
+			Name   string `json:"name"`
+			Kind   string `json:"kind"`
+			Trees  int    `json:"trees"`
+			Nodes  int    `json:"nodes"`
+			Leaves int    `json:"leaves"`
+		} `json:"models"`
 	}
-	var pr predictReply
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		t.Fatal(err)
 	}
-	if pr.N != 100 || len(pr.Labels) != 100 || len(pr.ClassIDs) != 100 {
-		t.Fatalf("malformed reply: %+v", pr)
+	trees := map[string]*tree.Tree{"quest": modelTree(t, 1), "binned": binned}
+	if len(list.Models) != len(trees) {
+		t.Fatalf("listing has %d models, want %d", len(list.Models), len(trees))
 	}
-	// Predictions must match the registered model evaluated directly.
-	e := srv.Registry().Get("quest")
-	for i := 0; i < 100; i++ {
-		if want := e.Model.Predict(d, i); pr.ClassIDs[i] != want {
-			t.Fatalf("record %d: server predicts %d, model %d", i, pr.ClassIDs[i], want)
+	for _, got := range list.Models {
+		m, err := flat.Compile(trees[got.Name])
+		if err != nil {
+			t.Fatal(err)
 		}
-		if pr.Labels[i] != e.Model.Schema.Classes[pr.ClassIDs[i]] {
-			t.Fatalf("record %d: label %q does not match class id %d", i, pr.Labels[i], pr.ClassIDs[i])
+		if got.Kind != "tree" || got.Trees != 1 || got.Nodes != m.Len() || got.Leaves != m.Leaves() {
+			t.Fatalf("%s listed as kind=%q trees=%d nodes=%d leaves=%d, want tree/1/%d/%d",
+				got.Name, got.Kind, got.Trees, got.Nodes, got.Leaves, m.Len(), m.Leaves())
 		}
 	}
 }

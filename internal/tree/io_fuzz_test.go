@@ -65,7 +65,7 @@ func FuzzReadJSON(f *testing.F) {
 		}
 		row := dataset.New(tr.Schema, 1)
 		row.Append(rec)
-		if got, want := m.Predict(row, 0), tr.ClassifyRow(row, 0); got != want {
+		if got, want := m.PredictFrom(row, 0, 0), tr.ClassifyRow(row, 0); got != want {
 			t.Fatalf("flat predicts %d, pointer tree %d", got, want)
 		}
 	})
