@@ -11,7 +11,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"partree/internal/core"
 	"partree/internal/dataset"
@@ -20,15 +22,18 @@ import (
 	"partree/internal/tree"
 )
 
-const (
-	records = 30000
-	procs   = 16
-)
-
 func main() {
+	if err := run(30000, 16, os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example, parameterized so the smoke test can shrink
+// the account base and machine.
+func run(records, procs int, w io.Writer) error {
 	raw, err := quest.Generate(quest.Config{Function: 7, Seed: 99}, records)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cut := records * 4 / 5
 	train, test := raw.Slice(0, cut), raw.Slice(cut, records)
@@ -51,14 +56,14 @@ func main() {
 	t := trees[0]
 
 	st := t.Stats()
-	fmt.Printf("trained on %d accounts, %d modeled processors, %.3fs modeled\n",
+	fmt.Fprintf(w, "trained on %d accounts, %d modeled processors, %.3fs modeled\n",
 		train.Len(), procs, world.MaxClock())
-	fmt.Printf("unpruned: %d nodes, depth %d, test accuracy %.4f\n",
+	fmt.Fprintf(w, "unpruned: %d nodes, depth %d, test accuracy %.4f\n",
 		st.Nodes, st.MaxDepth, t.Accuracy(test))
 
 	removed := tree.Prune(t, tree.DefaultPruneZ)
 	st = t.Stats()
-	fmt.Printf("pruned:   %d nodes (-%d internal), test accuracy %.4f\n",
+	fmt.Fprintf(w, "pruned:   %d nodes (-%d internal), test accuracy %.4f\n",
 		st.Nodes, removed, t.Accuracy(test))
 
 	// Confusion counts on the holdout: fraud review queues care about the
@@ -79,6 +84,7 @@ func main() {
 			tn++
 		}
 	}
-	fmt.Printf("holdout confusion: tp=%d fp=%d fn=%d tn=%d (recall %.3f, precision %.3f)\n",
+	fmt.Fprintf(w, "holdout confusion: tp=%d fp=%d fn=%d tn=%d (recall %.3f, precision %.3f)\n",
 		tp, fp, fn, tn, float64(tp)/float64(tp+fn), float64(tp)/float64(tp+fp))
+	return nil
 }

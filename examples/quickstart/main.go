@@ -6,7 +6,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"partree/internal/core"
 	"partree/internal/dataset"
@@ -17,11 +19,19 @@ import (
 )
 
 func main() {
-	// 1. Generate 20,000 records of the SLIQ function-2 dataset and apply
-	// the paper's uniform discretization.
-	raw, err := quest.Generate(quest.Config{Function: 2, Seed: 7}, 20000)
-	if err != nil {
+	if err := run(20000, 8, os.Stdout); err != nil {
 		log.Fatal(err)
+	}
+}
+
+// run is the whole example, parameterized so the smoke test can shrink
+// the training set and machine.
+func run(records, procs int, w io.Writer) error {
+	// 1. Generate records of the SLIQ function-2 dataset and apply the
+	// paper's uniform discretization.
+	raw, err := quest.Generate(quest.Config{Function: 2, Seed: 7}, records)
+	if err != nil {
+		return err
 	}
 	data := discretize.UniformPaper(raw, quest.PaperBins(), quest.Ranges())
 
@@ -29,21 +39,22 @@ func main() {
 	opts := core.Options{Tree: tree.Options{Binary: true}}
 	serial := tree.BuildBFS(data, opts.SerialOptions(data))
 	st := serial.Stats()
-	fmt.Printf("serial tree: %d nodes, %d leaves, depth %d, accuracy %.4f\n",
+	fmt.Fprintf(w, "serial tree: %d nodes, %d leaves, depth %d, accuracy %.4f\n",
 		st.Nodes, st.Leaves, st.MaxDepth, serial.Accuracy(data))
 
-	// 3. Parallel: 8 modeled processors, each holding 1/8 of the records.
+	// 3. Parallel: procs modeled processors, each holding 1/procs of the
+	// records.
 	t1 := buildHybrid(data, 1, opts, nil)
 	var parallel *tree.Tree
-	tp := buildHybrid(data, 8, opts, &parallel)
-	fmt.Printf("hybrid: modeled %.3fs serial, %.3fs on 8 processors (speedup %.2f)\n", t1, tp, t1/tp)
+	tp := buildHybrid(data, procs, opts, &parallel)
+	fmt.Fprintf(w, "hybrid: modeled %.3fs serial, %.3fs on %d processors (speedup %.2f)\n", t1, tp, procs, t1/tp)
 
 	// 4. The parallel tree is identical to the serial one.
-	if tree.Equal(serial, parallel) {
-		fmt.Println("parallel tree is identical to the serial tree: OK")
-	} else {
-		log.Fatal("TREES DIFFER: ", tree.Diff(serial, parallel))
+	if !tree.Equal(serial, parallel) {
+		return fmt.Errorf("TREES DIFFER: %s", tree.Diff(serial, parallel))
 	}
+	fmt.Fprintln(w, "parallel tree is identical to the serial tree: OK")
+	return nil
 }
 
 // buildHybrid trains on a modeled machine with p processors and returns
