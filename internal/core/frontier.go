@@ -226,7 +226,7 @@ func expandLevelSync(c *mp.Comm, rows tree.RowSource, frontier []tree.FrontierIt
 }
 
 // frontierGlobalN sums the global tuple counts of the frontier (set by
-// ExpandNode from the reduced statistics — no extra communication).
+// tree.ExpandNodeOOC from the reduced statistics — no extra communication).
 func frontierGlobalN(frontier []tree.FrontierItem) int64 {
 	var n int64
 	for _, it := range frontier {

@@ -18,7 +18,7 @@ import (
 // the level. The retried expansion is bit-identical to a fault-free run
 // because (a) split decisions are pure functions of globally *summed*
 // statistics, which adoption preserves record-for-record, (b)
-// tree.ExpandNode fully overwrites a node on re-expansion, and (c) the
+// tree.ExpandNodeOOC fully overwrites a node on re-expansion, and (c) the
 // node-id generator is rolled back alongside the frontier.
 //
 // The partitioned and hybrid approaches (and scalparc, via
@@ -209,9 +209,10 @@ func restoreCut(nc *mp.Comm, st fault.Store, id string, participants []int, own 
 // Synchronous formulation: level-boundary checkpoints, in-place recovery.
 
 // levelSnap remembers one level boundary in memory: the frontier (whose
-// Node pointers and row slices stay valid — records never move in the
-// synchronous approach, recovery only appends), the id-generator position,
-// and the checkpoint ID saved for it.
+// Node pointers stay valid, with its row ids copied at the cut — the live
+// frontier's point into the level layout, which later levels overwrite;
+// records never move in the synchronous approach, recovery only appends),
+// the id-generator position, and the checkpoint ID saved for it.
 type levelSnap struct {
 	frontier []tree.FrontierItem
 	ids      int64
@@ -223,6 +224,24 @@ type levelSnap struct {
 	// re-running a level without the families would elect (and mask)
 	// differently than the fault-free run did.
 	vote []voteFam
+}
+
+// copyFrontier returns frontier with its rows copied into one fresh
+// array, each item's Idx a cap-limited sub-slice of it.
+func copyFrontier(frontier []tree.FrontierItem) []tree.FrontierItem {
+	n := 0
+	for _, it := range frontier {
+		n += len(it.Idx)
+	}
+	all := make([]int32, 0, n)
+	out := make([]tree.FrontierItem, len(frontier))
+	for i, it := range frontier {
+		lo := len(all)
+		all = append(all, it.Idx...)
+		out[i] = it
+		out[i].Idx = all[lo:len(all):len(all)]
+	}
+	return out
 }
 
 // encodeFrontier frames each frontier item's local rows, keyed by its
@@ -280,6 +299,9 @@ func buildSyncFT(c *mp.Comm, local *dataset.Dataset, o Options) *tree.Tree {
 	var history []levelSnap
 	rounds := 0
 	ls := newLevelState(o)
+	// The level layout over d, built once the binner is set up. The
+	// frontiers it hands out point into it, so history keeps copies.
+	var rows tree.RowSource
 	if ft.Resume {
 		if rs, ok := resumeSync(c, st, local, &o); ok {
 			c, root, ids, d, frontier, level = rs.c, rs.root, rs.ids, rs.d, rs.frontier, rs.level
@@ -294,7 +316,7 @@ func buildSyncFT(c *mp.Comm, local *dataset.Dataset, o Options) *tree.Tree {
 		// a cut belonging to the current attempt.
 		if level%ft.ckptEvery() == 0 || len(history) == 0 {
 			ckptID := saveLevelCkpt(st, c, d, frontier, root, ids.Snapshot(), binnerRanges(&o), level, ls.vote)
-			history = append(history, levelSnap{frontier: frontier, ids: ids.Snapshot(), ckptID: ckptID, level: level, vote: ls.vote})
+			history = append(history, levelSnap{frontier: copyFrontier(frontier), ids: ids.Snapshot(), ckptID: ckptID, level: level, vote: ls.vote})
 		}
 		var next []tree.FrontierItem
 		ferr := protect(c, func() {
@@ -304,7 +326,10 @@ func buildSyncFT(c *mp.Comm, local *dataset.Dataset, o Options) *tree.Tree {
 				// same global ranges (adoption preserves the record multiset).
 				setupBinner(c, d, &o)
 			}
-			next, _ = expandLevelSync(c, tree.NewIndexRows(d, o.Tree), frontier, o, ids, ls)
+			if rows == nil {
+				rows = tree.NewIndexRows(d, o.Tree)
+			}
+			next, _ = expandLevelSync(c, rows, frontier, o, ids, ls)
 		})
 		if ferr == nil {
 			frontier = next
@@ -319,6 +344,7 @@ func buildSyncFT(c *mp.Comm, local *dataset.Dataset, o Options) *tree.Tree {
 		snap := history[hi]
 		ids.Restore(snap.ids)
 		c, d, frontier, level, history = nc, nd, nf, snap.level, history[:hi]
+		rows = nil // laid out over the old d, and mid-level when it failed
 		// The reuse cache must not survive a restore: it describes the
 		// failed attempt's next level (and may be partially written from
 		// the aborted expansion), while the rolled-back frontier re-runs
@@ -363,11 +389,7 @@ func recoverFrontier(c *mp.Comm, st fault.Store, d *dataset.Dataset, history []l
 
 	// Fresh frontier with copied row slices (history must stay pristine in
 	// case a later fault rolls back here again).
-	nf := make([]tree.FrontierItem, len(history[hi].frontier))
-	for i, it := range history[hi].frontier {
-		nf[i] = it
-		nf[i].Idx = append([]int32(nil), it.Idx...)
-	}
+	nf := copyFrontier(history[hi].frontier)
 	nd := d
 	restoreCut(nc, st, eff.ID, c.Ranks(), ownInMemory, func(cp *fault.Checkpoint) error {
 		if nd == d {

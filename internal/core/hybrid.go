@@ -58,8 +58,9 @@ func hybridGrow(c *mp.Comm, d *dataset.Dataset, frontier []tree.FrontierItem, o 
 	// dropped at the split and each recursive invocation starts its own —
 	// with parentless singleton vote families.
 	ls := newLevelState(o)
+	rows := tree.NewIndexRows(d, o.Tree)
 	for len(frontier) > 0 {
-		next, cost := expandLevelSync(c, tree.NewIndexRows(d, o.Tree), frontier, o, ids, ls)
+		next, cost := expandLevelSync(c, rows, frontier, o, ids, ls)
 		commAccum += cost
 		frontier = next
 		if len(frontier) < 2 {

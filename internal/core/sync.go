@@ -30,8 +30,9 @@ func BuildSync(c *mp.Comm, local *dataset.Dataset, o Options) *tree.Tree {
 	ids := tree.NewIDGen(1)
 	frontier := []tree.FrontierItem{{Node: root, Idx: local.AllIndex()}}
 	ls := newLevelState(o)
+	rows := tree.NewIndexRows(local, o.Tree)
 	for len(frontier) > 0 {
-		frontier, _ = expandLevelSync(c, tree.NewIndexRows(local, o.Tree), frontier, o, ids, ls)
+		frontier, _ = expandLevelSync(c, rows, frontier, o, ids, ls)
 	}
 	return &tree.Tree{Schema: local.Schema, Root: root}
 }

@@ -87,30 +87,6 @@ type RowSource interface {
 	Err() error
 }
 
-// indexRows is the RowSource of a resident dataset: every frontier item
-// carries its local row indices in Idx.
-type indexRows struct {
-	d    *dataset.Dataset
-	o    Options
-	spec *kernel.Spec
-}
-
-// NewIndexRows returns the RowSource of d's rows under o.
-func NewIndexRows(d *dataset.Dataset, o Options) RowSource {
-	return &indexRows{d: d, o: o, spec: NewStatsSpec(d, o)}
-}
-
-func (r *indexRows) Schema() *dataset.Schema { return r.d.Schema }
-func (r *indexRows) Begin([]FrontierItem)    {}
-func (r *indexRows) End([]FrontierItem)      {}
-func (r *indexRows) Err() error              { return nil }
-func (r *indexRows) TabulateInto(_ int, it FrontierItem, blk []int64) int64 {
-	return kernel.TabulateInto(blk, it.Idx, r.spec)
-}
-func (r *indexRows) Expand(_ int, it FrontierItem, stats *NodeStats, ids *IDGen, ops *int64) []FrontierItem {
-	return ExpandNode(it, stats, r.d, r.o, ids, ops)
-}
-
 // Unit is one step of a breadth-first level: the N frontier items at the
 // head of the remaining frontier. Der < 0 is a lone node, tabulated;
 // otherwise the items are one cached family whose member Der is derived
@@ -124,7 +100,7 @@ type Unit struct {
 // cache rc (nil with sibling subtraction off). A cache hit makes a family
 // only if its kept children are exactly rest's first items, in order — so
 // the whole family must lie in rest, which for the synchronous loop is
-// one flush chunk. ExpandNode appends a family's children consecutively,
+// one flush chunk. ExpandNodeOOC returns a family's children consecutively,
 // no level loop reorders a frontier it caches, and the synchronous loop
 // caches only families that land in one chunk, so a hit always aligns —
 // the check keeps a stale cache loudly unusable rather than silently wrong. The derived
@@ -220,31 +196,6 @@ func growLevels(rows RowSource, frontier []FrontierItem, o Options, ids *IDGen) 
 		}
 	}
 	return scanOps, wordOps
-}
-
-// ExpandNode finalizes one frontier node from its (global) statistics:
-// records the node's distribution, chooses a split, creates children and
-// partitions the local rows. It returns, as new frontier items, every
-// child that is non-empty *globally* — in the parallel formulations a
-// child can hold zero local rows on some processor yet must still take
-// part in the next reduction there, so the filter uses the global child
-// counts derived from the reduced statistics, which every processor
-// computes identically. Globally empty children remain Case 3 leaves.
-// ops accumulates modeled work. This is the single decision path shared
-// verbatim by the serial builder and every parallel formulation.
-func ExpandNode(it FrontierItem, stats *NodeStats, d *dataset.Dataset, o Options, ids *IDGen, ops *int64) []FrontierItem {
-	out, childSlot, split := ExpandNodeOOC(it, stats, d.Schema, o, ids)
-	if !split {
-		return nil
-	}
-	parts, routeOps := PartitionRows(it.Node, d, it.Idx)
-	*ops += routeOps
-	for ci, part := range parts {
-		if sl := childSlot[ci]; sl >= 0 {
-			out[sl].Idx = part
-		}
-	}
-	return out
 }
 
 // GlobalChildCounts derives, from the node's reduced statistics, how many

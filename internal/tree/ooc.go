@@ -54,11 +54,12 @@ func bind(sp *kernel.Spec, class []int32, cat [][]int32, cont [][]float64) {
 // ExpandNodeOOC finalizes one frontier node from its (global) statistics
 // without routing any rows: the node's distribution is recorded, a split
 // chosen and applied, and the globally non-empty children returned as
-// frontier items (Idx nil) exactly as ExpandNode would keep them.
-// childSlot maps each child index of the split to its position in the
-// returned items, or -1 for a globally empty child — the routing table
-// the caller's streaming pass (or ExpandNode's PartitionRows) uses to
-// advance rows. split is false when the node became a leaf.
+// frontier items (Idx nil). childSlot maps each child index of the split
+// to its position in the returned items, or -1 for a globally empty
+// child — the routing table the caller's row pass (Slots' streaming one,
+// the level layout's partition, or PartitionRows) uses to advance rows.
+// split is false when the node became a leaf. It is the one decision
+// path every level-wise builder shares.
 func ExpandNodeOOC(it FrontierItem, stats *NodeStats, s *dataset.Schema, o Options, ids *IDGen) (kids []FrontierItem, childSlot []int32, split bool) {
 	n := it.Node
 	n.SetDist(stats.Dist)
