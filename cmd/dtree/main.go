@@ -230,7 +230,9 @@ func main() {
 	fmt.Printf("tree           %d nodes, %d leaves, depth %d\n", st.Nodes, st.Leaves, st.MaxDepth)
 	eval := accuracyOn
 	if o.flat {
-		eval = flatEvaluator(t)
+		var done func()
+		eval, done = flatEvaluator(t)
+		defer done()
 	}
 	fmt.Printf("train accuracy %.4f\n", eval(t, train))
 	if test.Len() > 0 {
@@ -462,8 +464,9 @@ func accuracyOn(t *tree.Tree, d *dataset.Dataset) float64 { return t.Accuracy(re
 // flatEvaluator compiles the tree once, as the one-member fused table
 // dtserve serves it from, and returns an accuracy function that routes
 // every dataset through the batched parallel engine (the serving path),
-// printing the compiled shape and per-batch throughput.
-func flatEvaluator(t *tree.Tree) func(*tree.Tree, *dataset.Dataset) float64 {
+// printing the compiled shape and per-batch throughput. done stops the
+// engine's worker pool; the accuracy function must not be called after it.
+func flatEvaluator(t *tree.Tree) (eval func(*tree.Tree, *dataset.Dataset) float64, done func()) {
 	fz, err := forest.Compile(&forest.Forest{Schema: t.Schema, Trees: []*tree.Tree{t}})
 	if err != nil {
 		fatal(err)
@@ -494,7 +497,7 @@ func flatEvaluator(t *tree.Tree) func(*tree.Tree, *dataset.Dataset) float64 {
 			return 0
 		}
 		return float64(ok) / float64(d.Len())
-	}
+	}, pool.Close
 }
 
 // load generates the rows, or reads a CSV of raw Quest rows or of the

@@ -6,8 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"partree/internal/build"
 	"partree/internal/dataset"
@@ -193,6 +195,7 @@ func TestLoadReportsFurthestError(t *testing.T) {
 // over raw rows (the step walk). Raw test rows are recoded for the
 // discretized model as the CLI does.
 func TestFlatEvaluator(t *testing.T) {
+	start := runtime.NumGoroutine()
 	raw, err := quest.Generate(quest.Config{Function: 2, Seed: 9}, 1500)
 	if err != nil {
 		t.Fatal(err)
@@ -212,11 +215,20 @@ func TestFlatEvaluator(t *testing.T) {
 		if multiway := slices.Contains(m.Kind, tree.CatMultiway); multiway != (c.name == "multiway") {
 			t.Fatalf("%s tree has CatMultiway nodes: %v", c.name, multiway)
 		}
-		eval := flatEvaluator(c.tr)
+		eval, done := flatEvaluator(c.tr)
 		for _, d := range []*dataset.Dataset{train, test} {
 			if got, want := eval(c.tr, d), accuracyOn(c.tr, d); got != want {
 				t.Fatalf("%s: -flat accuracy %v, pointer tree %v", c.name, got, want)
 			}
 		}
+		done()
+	}
+	// done stopped every worker the evaluators started. Exiting goroutines
+	// may still be unwinding when Close returns, so wait briefly.
+	for i := 0; runtime.NumGoroutine() > start; i++ {
+		if i == 100 {
+			t.Fatalf("%d goroutines after closing the evaluators, %d before", runtime.NumGoroutine(), start)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

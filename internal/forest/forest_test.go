@@ -271,3 +271,53 @@ func TestFusedLayout(t *testing.T) {
 		}
 	}
 }
+
+// raceEnabled is set by race_enabled_test.go in -race builds, whose
+// sync.Pool drops items at random.
+var raceEnabled bool
+
+// TestFusedPredictIntoAllocs: once warmed, a 256-row PredictInto takes its
+// tile and vote block from the table's pool and allocates nothing, in
+// both vote modes, on the step walk (binary) and the per-row walk
+// (multiway); the pooled buffers leave the answers unchanged.
+func TestFusedPredictIntoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	train := testData(t, 1200)
+	test := testData(t, 600)
+	for _, binary := range []bool{true, false} {
+		for _, mode := range []VoteMode{Majority, Weighted} {
+			f, err := Train(train, Config{Trees: 6, Seed: 9, Bootstrap: true, Tree: tree.Options{Binary: binary, MaxDepth: 8}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Vote = mode
+			if mode == Weighted {
+				f.Weights = []float64{0.31, 0.57, 1.13, 0.29, 0.71, 0.43}
+			}
+			fz, err := Compile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fz.fast != binary {
+				t.Fatalf("binary=%v: fast walk %v", binary, fz.fast)
+			}
+			want := make([]int32, test.Len())
+			fz.PredictNaiveInto(test, want, 0, test.Len())
+			out := make([]int32, test.Len())
+			for i := 0; i < 3; i++ { // reused buffers answer like fresh ones
+				clear(out)
+				fz.PredictInto(test, out, 0, test.Len())
+				for r := range out {
+					if out[r] != want[r] {
+						t.Fatalf("binary=%v %v pass %d: row %d pooled=%d naive=%d", binary, mode, i, r, out[r], want[r])
+					}
+				}
+			}
+			if n := testing.AllocsPerRun(20, func() { fz.PredictInto(test, out, 100, 356) }); n != 0 {
+				t.Errorf("binary=%v %v: 256-row PredictInto allocates %v times, want 0", binary, mode, n)
+			}
+		}
+	}
+}

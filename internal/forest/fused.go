@@ -3,6 +3,7 @@ package forest
 import (
 	"fmt"
 	"math"
+	"sync"
 	"unsafe"
 
 	"partree/internal/dataset"
@@ -57,6 +58,40 @@ type Fused struct {
 	// row's chain independent of its neighbors', so the walk runs at
 	// load-throughput instead of load-latency speed.
 	steps []stepNode
+
+	// scratch pools the batch walk's per-call buffers (*walkScratch), so
+	// a warmed PredictInto allocates nothing. The pool is per table: a
+	// tile's lanes that fillTile never writes must keep their zero, which
+	// holds only among calls with one stride.
+	scratch sync.Pool
+}
+
+// walkScratch is one PredictInto call's working memory: the fast walk's
+// row tile and the tile's vote block, integer or weighted.
+type walkScratch struct {
+	tile   []uint64
+	votes  []int64
+	wvotes []float64
+}
+
+// getScratch returns a walkScratch sized for f, from the pool when one
+// is free. Votes are cleared per tile by the walk, the tile is
+// zero-initialized once and fillTile keeps its zero lanes zero.
+func (f *Fused) getScratch() *walkScratch {
+	ws, _ := f.scratch.Get().(*walkScratch)
+	if ws == nil {
+		classes := f.Schema.NumClasses()
+		ws = &walkScratch{}
+		if f.Weights == nil {
+			ws.votes = make([]int64, voteTile*classes)
+		} else {
+			ws.wvotes = make([]float64, voteTile*classes)
+		}
+		if f.fast {
+			ws.tile = make([]uint64, voteTile*2*(f.Schema.NumAttrs()+1))
+		}
+	}
+	return ws
 }
 
 // stepNode packs one fast-walk node into 16 bytes under a single
@@ -422,12 +457,10 @@ func stepWalk(walk []int32, nodes []stepNode, tile []uint64, stride2, steps int)
 func (f *Fused) predictMajority(d *dataset.Dataset, out []int32, lo, hi int) {
 	classes := f.Schema.NumClasses()
 	stride2 := 2 * (f.Schema.NumAttrs() + 1)
-	votes := make([]int64, voteTile*classes)
-	var tile []uint64
+	ws := f.getScratch()
+	defer f.scratch.Put(ws)
+	votes, tile := ws.votes, ws.tile
 	var idx [voteTile]int32
-	if f.fast {
-		tile = make([]uint64, voteTile*stride2)
-	}
 	for blo := lo; blo < hi; blo += voteTile {
 		bhi := blo + voteTile
 		if bhi > hi {
@@ -464,12 +497,10 @@ func (f *Fused) predictMajority(d *dataset.Dataset, out []int32, lo, hi int) {
 func (f *Fused) predictWeighted(d *dataset.Dataset, out []int32, lo, hi int) {
 	classes := f.Schema.NumClasses()
 	stride2 := 2 * (f.Schema.NumAttrs() + 1)
-	votes := make([]float64, voteTile*classes)
-	var tile []uint64
+	ws := f.getScratch()
+	defer f.scratch.Put(ws)
+	votes, tile := ws.wvotes, ws.tile
 	var idx [voteTile]int32
-	if f.fast {
-		tile = make([]uint64, voteTile*stride2)
-	}
 	for blo := lo; blo < hi; blo += voteTile {
 		bhi := blo + voteTile
 		if bhi > hi {
