@@ -58,8 +58,11 @@ func bind(sp *kernel.Spec, class []int32, cat [][]int32, cont [][]float64) {
 // to its position in the returned items, or -1 for a globally empty
 // child — the routing table the caller's row pass (Slots' streaming one,
 // the level layout's partition, or PartitionRows) uses to advance rows.
-// split is false when the node became a leaf. It is the one decision
-// path every level-wise builder shares.
+// split is false when the node became a leaf. The filter reads the
+// global counts because a child can hold no local row on one rank yet
+// must take part in the next reduction there; every rank derives them
+// identically, and globally empty children stay Case 3 leaves. It is
+// the one decision path every level-wise builder shares.
 func ExpandNodeOOC(it FrontierItem, stats *NodeStats, s *dataset.Schema, o Options, ids *IDGen) (kids []FrontierItem, childSlot []int32, split bool) {
 	n := it.Node
 	n.SetDist(stats.Dist)
