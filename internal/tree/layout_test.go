@@ -108,8 +108,8 @@ func TestLevelLayoutMatchesGatherSerial(t *testing.T) {
 					}
 					got, gScan, gWord := grow(NewIndexRows(dt.d, o))
 					want, wScan, wWord := grow(&gatherSource{d: dt.d, o: o, spec: NewStatsSpec(dt.d, o)})
-					if diff := Diff(want, got); diff != "" {
-						t.Fatalf("tree differs from the gather loop's: %s", diff)
+					if !Equal(want, got) {
+						t.Fatalf("tree differs from the gather loop's: %s", Diff(want, got))
 					}
 					if gScan != wScan || gWord != wWord {
 						t.Fatalf("ops scan %d word %d, gather loop %d %d", gScan, gWord, wScan, wWord)
