@@ -16,8 +16,8 @@ import (
 // Tabulating a node reads its byte ranges in sequence
 // (kernel.TabulateRange). Expanding a node routes its range on the split
 // attribute's bytes and moves the range into its kept children with a
-// stable counting partition, so each child's ids stay ascending, exactly
-// as PartitionRows leaves them: the ids go to the other half of a
+// stable counting partition, so each child keeps its parent's row order,
+// exactly as PartitionRows does: the ids go to the other half of a
 // ping-pong pair, the byte columns through one spare column back into
 // place. A child's range never starts after its parent's, so moving a
 // parent in place leaves every later parent's range unread and intact.
