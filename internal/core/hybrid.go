@@ -25,16 +25,7 @@ import (
 // order-preserving balanced all-to-all exchange with the same 4(N/P)·t_w
 // cost bound (see DESIGN.md §2).
 func BuildHybrid(c *mp.Comm, local *dataset.Dataset, o Options) *tree.Tree {
-	o = o.WithDefaults()
-	return RunRestartable(c, local, o.FT, func(c *mp.Comm, local *dataset.Dataset) *tree.Tree {
-		o := o // each attempt installs its own binner
-		setupBinner(c, local, &o)
-		root := newRoot(local.Schema)
-		ids := tree.NewIDGen(1)
-		hybridGrow(c, local, []tree.FrontierItem{{Node: root, Idx: local.AllIndex()}}, o, ids)
-		root = bcastTree(c, root)
-		return &tree.Tree{Schema: local.Schema, Root: root}
-	})
+	return buildFromRoot(c, local, o, hybridGrow)
 }
 
 // hybridGrow expands every node of the frontier to completion within the
@@ -42,11 +33,7 @@ func BuildHybrid(c *mp.Comm, local *dataset.Dataset, o Options) *tree.Tree {
 // complete subtrees of all frontier items passed in.
 func hybridGrow(c *mp.Comm, d *dataset.Dataset, frontier []tree.FrontierItem, o Options, ids *tree.IDGen) {
 	if c.Size() == 1 {
-		c.BeginPhase(PhaseSequential)
-		ops, wops := tree.GrowFrontierBFS(d, frontier, o.Tree, ids)
-		c.Compute(float64(ops))
-		chargeWordOps(c, wops)
-		c.EndPhase()
+		growSequential(c, d, frontier, o, ids)
 		return
 	}
 	recBytes := float64(d.Schema.RecordBytes())
@@ -77,66 +64,13 @@ func hybridGrow(c *mp.Comm, d *dataset.Dataset, frontier []tree.FrontierItem, o 
 		}
 		ls.drop()
 
-		// Split: divide frontier nodes into two halves with balanced
-		// training-case totals, move records, and recurse asynchronously.
-		weights := make([]int64, len(frontier))
-		rows := make([][]int32, len(frontier))
-		for ki, it := range frontier {
-			weights[ki] = it.GlobalN
-			rows[ki] = it.Idx
-		}
-		group := balanceGroups(weights, 2)
-		half := c.Size() / 2
-		ranks := make([]int, c.Size())
-		for r := range ranks {
-			ranks[r] = r
-		}
-		groupRanks := [2][]int{ranks[:half], ranks[half:]}
-		targets := make([][]int, len(frontier))
-		for ki := range frontier {
-			targets[ki] = groupRanks[group[ki]]
-		}
-		newD, perKey := redistribute(c, d, rows, targets)
-
-		myGroup := 0
-		if c.Rank() >= half {
-			myGroup = 1
-		}
-		c.BeginPhase(PhaseLoadBalance)
-		sub := c.Split(myGroup, c.Rank())
-		c.EndPhase()
-		nmine := 0
-		for _, g := range group {
-			if g == myGroup {
-				nmine++
-			}
-		}
-		mine := make([]tree.FrontierItem, 0, nmine)
-		for ki, it := range frontier {
-			if group[ki] == myGroup {
-				mine = append(mine, tree.FrontierItem{Node: it.Node, Idx: perKey[ki], GlobalN: it.GlobalN})
-			}
-		}
-		hybridGrow(sub, newD, mine, o, ids)
-
-		// Assembly: the upper half's leader (partition rank `half`) ships
-		// its completed subtrees to this partition's rank 0.
-		if c.Rank() == 0 {
-			ks, roots := recvSubtrees(c, half)
-			for i, k := range ks {
-				graft(frontier[k].Node, roots[i])
-			}
-		} else if c.Rank() == half {
-			var ks []int
-			var roots []*tree.Node
-			for ki, it := range frontier {
-				if group[ki] == 1 {
-					ks = append(ks, ki)
-					roots = append(roots, it.Node)
-				}
-			}
-			sendSubtrees(c, 0, ks, roots)
-		}
+		// Split: divide frontier nodes between the two halves with balanced
+		// training-case totals, move the records, and continue each half
+		// asynchronously.
+		group := balanceGroups(globalNs(frontier), 2)
+		partitionStep(c, d, frontier, group, []int{0, c.Size() / 2, c.Size()}, func(g int, d *dataset.Dataset, mine []tree.FrontierItem) {
+			hybridGrow(splitGroup(c, g), d, mine, o, ids)
+		})
 		return
 	}
 	// The frontier emptied while still synchronous: the whole subtree is

@@ -23,29 +23,31 @@ import (
 //
 // The complete tree is assembled on rank 0 and replicated to every rank.
 func BuildPartitioned(c *mp.Comm, local *dataset.Dataset, o Options) *tree.Tree {
+	return buildFromRoot(c, local, o, ptcExpand)
+}
+
+// buildFromRoot is the skeleton of the record-moving formulations: under
+// restart-from-root fault tolerance, grow expands the root to completion,
+// leaving the tree on rank 0, which replicates it to every rank.
+func buildFromRoot(c *mp.Comm, local *dataset.Dataset, o Options,
+	grow func(c *mp.Comm, d *dataset.Dataset, frontier []tree.FrontierItem, o Options, ids *tree.IDGen)) *tree.Tree {
 	o = o.WithDefaults()
 	return RunRestartable(c, local, o.FT, func(c *mp.Comm, local *dataset.Dataset) *tree.Tree {
 		o := o // each attempt installs its own binner
 		setupBinner(c, local, &o)
 		root := newRoot(local.Schema)
-		ids := tree.NewIDGen(1)
-		ptcExpand(c, local, tree.FrontierItem{Node: root, Idx: local.AllIndex()}, o, ids)
-		root = bcastTree(c, root)
-		return &tree.Tree{Schema: local.Schema, Root: root}
+		grow(c, local, []tree.FrontierItem{{Node: root, Idx: local.AllIndex()}}, o, tree.NewIDGen(1))
+		return &tree.Tree{Schema: local.Schema, Root: bcastTree(c, root)}
 	})
 }
 
-// ptcExpand expands the single node it within the processor group c:
-// step 1 is expandLevelSync on the one-item frontier, step 2 partitions
+// ptcExpand expands the one node of frontier within the processor group
+// c: step 1 is expandLevelSync on the one-item frontier, step 2 partitions
 // the successors and the processors (Case 1 or Case 2). Invariant: when
-// it returns, comm rank 0 holds the complete subtree rooted at it.Node.
-func ptcExpand(c *mp.Comm, d *dataset.Dataset, it tree.FrontierItem, o Options, ids *tree.IDGen) {
+// it returns, comm rank 0 holds the complete subtree rooted at the node.
+func ptcExpand(c *mp.Comm, d *dataset.Dataset, frontier []tree.FrontierItem, o Options, ids *tree.IDGen) {
 	if c.Size() == 1 {
-		c.BeginPhase(PhaseSequential)
-		ops, wops := tree.GrowFrontierBFS(d, []tree.FrontierItem{it}, o.Tree, ids)
-		c.Compute(float64(ops))
-		chargeWordOps(c, wops)
-		c.EndPhase()
+		growSequential(c, d, frontier, o, ids)
 		return
 	}
 
@@ -53,99 +55,123 @@ func ptcExpand(c *mp.Comm, d *dataset.Dataset, it tree.FrontierItem, o Options, 
 	// level state starts empty and is dropped: the children move to
 	// disjoint processor subsets, so no rank sees a whole family again and
 	// sibling subtraction has no cache to fill.
-	children, _ := expandLevelSync(c, tree.NewIndexRows(d, o.Tree), []tree.FrontierItem{it}, o, ids, &levelState{})
+	children, _ := expandLevelSync(c, tree.NewIndexRows(d, o.Tree), frontier, o, ids, &levelState{})
 	if len(children) == 0 {
 		return // leaf: nothing to partition
 	}
 
 	// Step 2: partition successors and processors.
 	p := c.Size()
-	weights := make([]int64, len(children))
-	rows := make([][]int32, len(children))
-	for ki, ch := range children {
-		weights[ki] = ch.GlobalN
-		rows[ki] = ch.Idx
-	}
-	ranks := make([]int, p)
-	for r := range ranks {
-		ranks[r] = r
-	}
-	targets := make([][]int, len(children))
-
 	if len(children) > p {
-		// Case 1: group the successor nodes, one group per processor.
-		group := balanceGroups(weights, p)
-		for ki, g := range group {
-			targets[ki] = ranks[g : g+1]
+		// Case 1: group the successor nodes, one group per processor; each
+		// processor's group is its own, so there is no comm to split.
+		bounds := make([]int, p+1)
+		for r := range bounds {
+			bounds[r] = r
 		}
-		newD, perKey := redistribute(c, d, rows, targets)
-		var mine []tree.FrontierItem
-		for ki, ch := range children {
-			if group[ki] == c.Rank() {
-				mine = append(mine, tree.FrontierItem{Node: ch.Node, Idx: perKey[ki], GlobalN: ch.GlobalN})
-			}
-		}
-		c.BeginPhase(PhaseSequential)
-		ops, wops := tree.GrowFrontierBFS(newD, mine, o.Tree, ids)
-		c.Compute(float64(ops))
-		chargeWordOps(c, wops)
-		c.EndPhase()
-
-		// Assembly: every rank ships its completed subtrees to rank 0.
-		if c.Rank() == 0 {
-			for r := 1; r < p; r++ {
-				ks, roots := recvSubtrees(c, r)
-				for i, k := range ks {
-					graft(children[k].Node, roots[i])
-				}
-			}
-		} else {
-			var ks []int
-			var roots []*tree.Node
-			for ki, ch := range children {
-				if group[ki] == c.Rank() {
-					ks = append(ks, ki)
-					roots = append(roots, ch.Node)
-				}
-			}
-			sendSubtrees(c, 0, ks, roots)
-		}
+		group := balanceGroups(globalNs(children), p)
+		partitionStep(c, d, children, group, bounds, func(_ int, d *dataset.Dataset, mine []tree.FrontierItem) {
+			growSequential(c, d, mine, o, ids)
+		})
 		return
 	}
 
-	// Case 2: processor subsets proportional to the successors' cases.
-	procs := proportionalProcs(weights, p)
-	starts := make([]int, len(children)+1)
+	// Case 2: processor subsets proportional to the successors' cases, one
+	// subset per child.
+	procs := proportionalProcs(globalNs(children), p)
+	bounds := make([]int, len(children)+1)
+	group := make([]int, len(children))
 	for ki, n := range procs {
-		starts[ki+1] = starts[ki] + n
+		bounds[ki+1] = bounds[ki] + n
+		group[ki] = ki
 	}
-	for ki := range children {
-		targets[ki] = ranks[starts[ki]:starts[ki+1]]
+	partitionStep(c, d, children, group, bounds, func(g int, d *dataset.Dataset, mine []tree.FrontierItem) {
+		ptcExpand(splitGroup(c, g), d, mine, o, ids)
+	})
+}
+
+// partitionStep is the record-moving step the partitioned formulation's
+// Cases 1 and 2 and the hybrid's split share: move, continue, assemble.
+// The ranks of c form contiguous groups — group g is ranks
+// [bounds[g], bounds[g+1]), none empty, led by its first rank — and
+// group[k] is the group that takes over items[k].
+//
+// Every item's records move to its group, balanced across the group's
+// ranks (redistribute: the moving and load-balancing phases). grow then
+// continues this rank's group g on the new dataset with the group's items,
+// in frontier order; it must leave the group's completed subtrees on the
+// group's leader. Finally every other group's leader ships its subtrees to
+// rank 0, which grafts them in ascending group order. Invariant: when it
+// returns, rank 0 holds the complete subtrees of all items.
+func partitionStep(c *mp.Comm, d *dataset.Dataset, items []tree.FrontierItem, group, bounds []int,
+	grow func(g int, d *dataset.Dataset, mine []tree.FrontierItem)) {
+	ranks := make([]int, c.Size())
+	for r := range ranks {
+		ranks[r] = r
 	}
-	myKi := 0
-	for ki := range children {
-		if c.Rank() >= starts[ki] && c.Rank() < starts[ki+1] {
-			myKi = ki
-			break
-		}
+	rows := make([][]int32, len(items))
+	targets := make([][]int, len(items))
+	for k, it := range items {
+		rows[k] = it.Idx
+		targets[k] = ranks[bounds[group[k]]:bounds[group[k]+1]]
 	}
 	newD, perKey := redistribute(c, d, rows, targets)
-	c.BeginPhase(PhaseLoadBalance)
-	sub := c.Split(myKi, c.Rank())
-	c.EndPhase()
-	child := children[myKi]
-	ptcExpand(sub, newD, tree.FrontierItem{Node: child.Node, Idx: perKey[myKi], GlobalN: child.GlobalN}, o, ids)
 
-	// Assembly: each subset leader forwards its completed child subtree to
-	// rank 0 of this group (the subset of child 0 is led by rank 0 itself).
+	me := 0
+	for c.Rank() >= bounds[me+1] {
+		me++
+	}
+	var keys []int
+	for k, g := range group {
+		if g == me {
+			keys = append(keys, k)
+		}
+	}
+	mine := make([]tree.FrontierItem, len(keys))
+	roots := make([]*tree.Node, len(keys))
+	for i, k := range keys {
+		mine[i] = tree.FrontierItem{Node: items[k].Node, Idx: perKey[k], GlobalN: items[k].GlobalN}
+		roots[i] = items[k].Node
+	}
+	grow(me, newD, mine)
+
 	if c.Rank() == 0 {
-		for ki := 1; ki < len(children); ki++ {
-			ks, roots := recvSubtrees(c, starts[ki])
+		for g := 1; g < len(bounds)-1; g++ {
+			ks, built := recvSubtrees(c, bounds[g])
 			for i, k := range ks {
-				graft(children[k].Node, roots[i])
+				graft(items[k].Node, built[i])
 			}
 		}
-	} else if c.Rank() == starts[myKi] {
-		sendSubtrees(c, 0, []int{myKi}, []*tree.Node{child.Node})
+	} else if c.Rank() == bounds[me] {
+		sendSubtrees(c, 0, keys, roots)
 	}
+}
+
+// splitGroup splits c into the contiguous groups of a partitionStep: this
+// rank joins group g, keeping its relative order.
+func splitGroup(c *mp.Comm, g int) *mp.Comm {
+	c.BeginPhase(PhaseLoadBalance)
+	defer c.EndPhase()
+	return c.Split(g, c.Rank())
+}
+
+// growSequential finishes the frontier on one processor with the
+// sequential algorithm, charging its scans and word operations to the
+// sequential tail.
+func growSequential(c *mp.Comm, d *dataset.Dataset, frontier []tree.FrontierItem, o Options, ids *tree.IDGen) {
+	c.BeginPhase(PhaseSequential)
+	defer c.EndPhase()
+	ops, wops := tree.GrowFrontierBFS(d, frontier, o.Tree, ids)
+	c.Compute(float64(ops))
+	chargeWordOps(c, wops)
+}
+
+// globalNs returns the items' global training-case counts, the weights
+// both partitionings balance.
+func globalNs(items []tree.FrontierItem) []int64 {
+	w := make([]int64, len(items))
+	for k, it := range items {
+		w[k] = it.GlobalN
+	}
+	return w
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand/v2"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -291,24 +292,60 @@ func splitFrontier(rowsPerRank, nk int) (locals []*dataset.Dataset, rows [][][]i
 // shows up as thousands of extra objects. The fewest of
 // three measurements counts: goroutine timing can queue two messages in
 // one mailbox now and then, which allocates.
+//
+// The bytes are bounded too. Every record is allocated three times over
+// the shuffle: encoded into its sender's send buffer, decoded into the
+// received dataset (rb bytes each), and given an int32 row id — 2·rb+4 =
+// 52 bytes for shuffleSchema's 24-byte records, 4 160 000 bytes for the
+// 80 000 rows. On top of that come at most one 8 KiB page of size-class
+// rounding for each of the six record-sized buffers per rank (the send
+// buffer, four columns, the row ids), and the O(keys) plan and frame
+// headers, measured at 216–271 bytes per key over 200 and 2 000 keys and
+// allowed 300. A 200-key shuffle measured 4 266 620 bytes against the
+// bound of 4 318 304; an Alltoallv that copies every send block, own
+// block included, adds another 1 920 000 and fails it.
 func TestRedistributeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
 	const rowsPerRank, slack = 40000, 2
 	w := mp.NewWorld(2, mp.SP2())
-	allocs := func(nk int) float64 {
+	shuffle := func(nk int) func() {
 		locals, rows, targets := splitFrontier(rowsPerRank, nk)
 		run := func() {
 			w.Run(func(c *mp.Comm) { redistribute(c, locals[c.Rank()], rows[c.Rank()], targets) })
 		}
 		run() // warm the world
+		return run
+	}
+	allocs := func(run func()) float64 {
 		return min(testing.AllocsPerRun(5, run), testing.AllocsPerRun(5, run), testing.AllocsPerRun(5, run))
 	}
-	few, many := allocs(200), allocs(20000)
+	few, many := allocs(shuffle(200)), allocs(shuffle(20000))
 	t.Logf("redistribute on P=2: %.0f allocations for 200 keys, %.0f for 20 000", few, many)
 	if many > few+slack {
 		t.Errorf("20 000 keys allocate %.0f objects, 200 keys %.0f: want at most %d more", many, few, slack)
+	}
+
+	// Bytes allocated per redistribute, the fewest of three 5-run means;
+	// the inputs and the warm-up are allocated before the first reading.
+	const runs, nk = 5, 200
+	run := shuffle(nk)
+	perRun := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	bytes := min(perRun(), perRun(), perRun())
+	rb := shuffleSchema().RecordBytes()
+	bound := uint64(2*rowsPerRank*(2*rb+4) + 2*6*8192 + 300*nk)
+	t.Logf("redistribute on P=2: %d bytes for %d keys (bound %d)", bytes, nk, bound)
+	if bytes > bound {
+		t.Errorf("a %d-key redistribute allocates %d bytes, want at most %d: a record buffer is copied", nk, bytes, bound)
 	}
 }
 

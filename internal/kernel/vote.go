@@ -1,10 +1,5 @@
 package kernel
 
-import (
-	"math/bits"
-	"sync"
-)
-
 // VoteOptions gates voting-based (two-round, PV-Tree style) split
 // selection in the parallel builders. Round 1 nominates each rank's
 // top-K attributes per election group from purely local statistics;
@@ -128,72 +123,4 @@ func electTally(votes, ballots []int32, elect int, out []int32) int {
 		}
 	}
 	return m
-}
-
-// int32/float64 pools for ballot and gain scratch buffers, mirroring
-// the power-of-two size-class scheme of pool.go.
-
-var int32Pools [maxPoolClass + 1]sync.Pool
-var float64Pools [maxPoolClass + 1]sync.Pool
-
-// GetInt32 returns a zeroed []int32 of length n from the pool.
-func GetInt32(n int) []int32 {
-	if n == 0 {
-		return nil
-	}
-	class := bits.Len(uint(n - 1))
-	if class > maxPoolClass {
-		return make([]int32, n)
-	}
-	if v := int32Pools[class].Get(); v != nil {
-		s := (*(v.(*[]int32)))[:n]
-		clear(s)
-		return s
-	}
-	return make([]int32, n, 1<<class)
-}
-
-// PutInt32 returns a buffer obtained from GetInt32 to the pool.
-func PutInt32(s []int32) {
-	c := cap(s)
-	if c == 0 || c&(c-1) != 0 {
-		return
-	}
-	class := bits.Len(uint(c - 1))
-	if class > maxPoolClass {
-		return
-	}
-	s = s[:0]
-	int32Pools[class].Put(&s)
-}
-
-// GetFloat64 returns a zeroed []float64 of length n from the pool.
-func GetFloat64(n int) []float64 {
-	if n == 0 {
-		return nil
-	}
-	class := bits.Len(uint(n - 1))
-	if class > maxPoolClass {
-		return make([]float64, n)
-	}
-	if v := float64Pools[class].Get(); v != nil {
-		s := (*(v.(*[]float64)))[:n]
-		clear(s)
-		return s
-	}
-	return make([]float64, n, 1<<class)
-}
-
-// PutFloat64 returns a buffer obtained from GetFloat64 to the pool.
-func PutFloat64(s []float64) {
-	c := cap(s)
-	if c == 0 || c&(c-1) != 0 {
-		return
-	}
-	class := bits.Len(uint(c - 1))
-	if class > maxPoolClass {
-		return
-	}
-	s = s[:0]
-	float64Pools[class].Put(&s)
 }

@@ -244,10 +244,10 @@ func AllgatherInt(c *Comm, tag int, v int64) []int64 {
 }
 
 // Alltoallv performs a personalized all-to-all exchange: send[r] goes to
-// rank r; the returned recv[r] is what rank r sent to the caller. The
-// caller's own block is passed through without a message. P−1 rounds of
-// pairwise exchange with rotating partners — the "moving phase" primitive
-// of the partitioned and hybrid formulations.
+// rank r uncopied (the caller hands its blocks off and must not touch them
+// again); the returned recv[r] is what rank r sent to the caller, the own
+// block passed through without a message. P−1 rounds of pairwise exchange
+// with rotating partners — the record-moving formulations' moving phase.
 func Alltoallv[T Elem](c *Comm, tag int, send [][]T) [][]T {
 	p := c.Size()
 	if len(send) != p {
@@ -256,11 +256,11 @@ func Alltoallv[T Elem](c *Comm, tag int, send [][]T) [][]T {
 	c.beginColl(CollAlltoall, tag, AlgoPairwise)
 	defer c.endColl()
 	recv := make([][]T, p)
-	recv[c.rank] = append([]T(nil), send[c.rank]...)
+	recv[c.rank] = send[c.rank]
 	for step := 1; step < p; step++ {
 		dst := (c.rank + step) % p
 		src := (c.rank - step + p) % p
-		SendSlice(c, dst, tagAlltoall^tag<<8, send[dst])
+		c.Send(dst, tagAlltoall^tag<<8, send[dst], len(send[dst])*elemBytes[T]())
 		recv[src] = RecvSlice[T](c, src, tagAlltoall^tag<<8)
 	}
 	return recv

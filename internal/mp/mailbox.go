@@ -7,11 +7,11 @@ import (
 )
 
 // Msg is a delivered message. Payload is shared by reference — senders
-// must not mutate a payload after sending. The collectives in this
-// package send copies: SendSlice a fresh allocation the receiver keeps,
-// the reduction and broadcast wires a pooled buffer that the one
-// receiver returns to its pool once consumed (payload.go); put's
-// duplicate filter is what keeps a pooled payload to one receiver.
+// must not mutate a payload after sending. SendSlice sends a fresh copy
+// the receiver keeps, Alltoallv the blocks its caller hands off, and the
+// reduction and broadcast wires a pooled buffer that the one receiver
+// returns to its pool once consumed (payload.go); put's duplicate filter
+// is what keeps a pooled payload to one receiver.
 type Msg struct {
 	Src     int     // comm rank of the sender within the delivering comm
 	Tag     int     // user tag

@@ -203,24 +203,48 @@ func TestAllgathervOrderAndReplication(t *testing.T) {
 	}
 }
 
+// TestAlltoallv: every block arrives at its rank from its sender, nil and
+// empty blocks arrive empty, and the exchange's Bytes cell is the sum of
+// the lengths of the blocks that left their rank (the own block passes
+// through without a message).
 func TestAlltoallv(t *testing.T) {
+	// block is what src sends dst: nil, empty or a label, by (src+dst) % 3.
+	block := func(src, dst int) []byte {
+		switch (src + dst) % 3 {
+		case 0:
+			return nil
+		case 1:
+			return []byte{}
+		}
+		return []byte(fmt.Sprintf("%d->%d", src, dst))
+	}
 	for _, p := range testSizes {
 		w := NewWorld(p, SP2())
 		outs := make([][][]byte, p)
 		w.Run(func(c *Comm) {
 			send := make([][]byte, p)
 			for dst := 0; dst < p; dst++ {
-				send[dst] = []byte(fmt.Sprintf("%d->%d", c.Rank(), dst))
+				send[dst] = block(c.Rank(), dst)
 			}
+			c.BeginPhase("exchange")
 			outs[c.Rank()] = Alltoallv(c, 6, send)
+			c.EndPhase()
 		})
+		var sent int64
 		for r := 0; r < p; r++ {
 			for src := 0; src < p; src++ {
-				want := fmt.Sprintf("%d->%d", src, r)
-				if string(outs[r][src]) != want {
-					t.Fatalf("p=%d: rank %d block from %d = %q, want %q", p, r, src, outs[r][src], want)
+				want := block(src, r)
+				if got := outs[r][src]; len(outs[r]) != p || string(got) != string(want) {
+					t.Fatalf("p=%d: rank %d block from %d = %q, want %q", p, r, src, got, want)
+				}
+				if src != r {
+					sent += int64(len(want))
 				}
 			}
+		}
+		cell := w.Breakdown().Cells[Cell{Phase: "exchange", Coll: CollAlltoall, Algo: AlgoPairwise}]
+		if cell.Bytes != sent {
+			t.Fatalf("p=%d: exchange Bytes cell = %d, want the %d bytes of the sent blocks", p, cell.Bytes, sent)
 		}
 	}
 }
