@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -338,9 +339,10 @@ func proportionalProcs(weights []int64, p int) []int {
 		assigned += out[i]
 	}
 	// Adjust to exactly p: remove from the smallest-remainder items first
-	// (never below 1), then add to the largest-remainder items.
+	// (never below 1), then add to the largest-remainder items. Each
+	// removal raises an item's remainder by one, past any finite sentinel.
 	for assigned > p {
-		best, bestRem := -1, 2.0
+		best, bestRem := -1, math.Inf(1)
 		for i := 0; i < n; i++ {
 			if out[i] > 1 && rem[i] < bestRem {
 				best, bestRem = i, rem[i]

@@ -123,10 +123,23 @@ func TestProportionalProcs(t *testing.T) {
 			t.Fatalf("weights %v p=%d: assigned %d procs", tc.weights, tc.p, sum)
 		}
 	}
-	// Rough proportionality: 90/10 over 8 procs → 7/1.
-	got := proportionalProcs([]int64{90, 10}, 8)
-	if got[0] != 7 || got[1] != 1 {
-		t.Fatalf("90/10 split gave %v, want [7 1]", got)
+	// Exact outputs: rough proportionality (90/10 over 8 → 7/1), and tied
+	// remainders, which gain a proc, or give one up, lowest index first.
+	exact := []struct {
+		weights []int64
+		p       int
+		want    []int
+	}{
+		{[]int64{90, 10}, 8, []int{7, 1}},
+		{[]int64{1, 1, 1}, 4, []int{2, 1, 1}},
+		{[]int64{1, 1, 1}, 5, []int{2, 2, 1}},
+		{[]int64{1, 1}, 3, []int{2, 1}},
+		{[]int64{45, 45, 1, 1, 1, 1, 1, 1, 1, 1}, 11, []int{1, 2, 1, 1, 1, 1, 1, 1, 1, 1}},
+	}
+	for _, tc := range exact {
+		if got := proportionalProcs(tc.weights, tc.p); !slices.Equal(got, tc.want) {
+			t.Fatalf("weights %v p=%d: got %v, want %v", tc.weights, tc.p, got, tc.want)
+		}
 	}
 }
 

@@ -119,10 +119,11 @@ func decodeLevelCkptAlloc(b []byte) (*levelCkpt, uint64, error) {
 	return lk, after.TotalAlloc - before.TotalAlloc, err
 }
 
-// levelCkptAllocBound is what decoding n payload bytes may allocate:
-// every count is checked against the bytes left at its element's minimum
-// encoded size, so the decoded slices stay a small multiple of n.
-func levelCkptAllocBound(n int) uint64 { return 32*uint64(n) + 1<<20 }
+// decodeAllocBound is what decoding n bytes of a level checkpoint or of
+// record frames may allocate: every count is checked against the bytes
+// left at its element's minimum encoded size, so the decoded slices stay
+// a small multiple of n.
+func decodeAllocBound(n int) uint64 { return 32*uint64(n) + 1<<20 }
 
 // TestDecodeLevelCkptTamperedCount: a count the payload cannot hold is a
 // typed error before anything is presized from it. The 40-byte case once
@@ -136,7 +137,7 @@ func TestDecodeLevelCkptTamperedCount(t *testing.T) {
 	if !errors.Is(err, errLevelCkpt) {
 		t.Fatalf("err = %v, want errLevelCkpt", err)
 	}
-	if alloc > levelCkptAllocBound(len(b)) {
+	if alloc > decodeAllocBound(len(b)) {
 		t.Fatalf("decoding 40 bytes allocated %d bytes", alloc)
 	}
 	// The same holds for every other count of the encoder's output.
@@ -145,7 +146,7 @@ func TestDecodeLevelCkptTamperedCount(t *testing.T) {
 		for off := len(levelCkptMagic) + 4; off+4 <= len(seed); off += 4 {
 			bad := append([]byte(nil), seed...)
 			binary.LittleEndian.PutUint32(bad[off:], 1<<30)
-			if _, alloc, err := decodeLevelCkptAlloc(bad); alloc > levelCkptAllocBound(len(bad)) {
+			if _, alloc, err := decodeLevelCkptAlloc(bad); alloc > decodeAllocBound(len(bad)) {
 				t.Fatalf("u32 2^30 at offset %d: %d bytes allocated (err %v)", off, alloc, err)
 			}
 		}
@@ -169,7 +170,7 @@ func FuzzDecodeLevelCkpt(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		lk, alloc, err := decodeLevelCkptAlloc(b)
-		if alloc > levelCkptAllocBound(len(b)) {
+		if alloc > decodeAllocBound(len(b)) {
 			t.Fatalf("decoding %d bytes allocated %d bytes", len(b), alloc)
 		}
 		if err != nil {
@@ -189,6 +190,59 @@ func FuzzDecodeLevelCkpt(f *testing.F) {
 		err = adoptLevelRows(dataset.New(schema, 0), make([]tree.FrontierItem, len(lk.items)), b)
 		if err != nil && !errors.Is(err, errFrame) {
 			t.Fatalf("untyped frame error %v", err)
+		}
+	})
+}
+
+// twoKeyFrames is redistribute's encoding of five rows of d: three under
+// key 0, then two under key 1.
+func twoKeyFrames(d *dataset.Dataset) []byte {
+	b := appendFrame(nil, d, 0, []int32{0, 1, 2})
+	return appendFrame(b, d, 1, []int32{3, 4})
+}
+
+// decodeFramesAlloc decodes b into a fresh dataset with nk keys and
+// returns it, its per-key rows and the bytes the decode allocated.
+func decodeFramesAlloc(s *dataset.Schema, nk int, b []byte) (*dataset.Dataset, [][]int32, uint64, error) {
+	out, perKey := dataset.New(s, 0), make([][]int32, nk)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := decodeFrames(out, perKey, s, b)
+	runtime.ReadMemStats(&after)
+	return out, perKey, after.TotalAlloc - before.TotalAlloc, err
+}
+
+// FuzzDecodeFrames feeds hostile bytes to the record-frame decoder that
+// redistribute and adoptLevelRows share: it must never panic, every
+// failure must be a typed errFrame, no input may make it allocate more
+// than a small multiple of its own size, and an accepted input files
+// every decoded row under exactly one key.
+func FuzzDecodeFrames(f *testing.F) {
+	d := genDiscrete(f, 300, 2, 5)
+	good := twoKeyFrames(d)
+	if _, perKey, _, err := decodeFramesAlloc(d.Schema, 2, good); err != nil || len(perKey[0]) != 3 || len(perKey[1]) != 2 {
+		f.Fatalf("two-key seed: err = %v, rows per key %d/%d, want 3/2", err, len(perKey[0]), len(perKey[1]))
+	}
+	f.Add(overflowFrame(d.Schema))
+	f.Add(good)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		out, perKey, alloc, err := decodeFramesAlloc(d.Schema, 2, b)
+		if alloc > decodeAllocBound(len(b)) {
+			t.Fatalf("decoding %d bytes allocated %d bytes", len(b), alloc)
+		}
+		if err != nil {
+			if !errors.Is(err, errFrame) {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		filed := 0
+		for _, rows := range perKey {
+			filed += len(rows)
+		}
+		if filed != out.Len() {
+			t.Fatalf("decoded %d rows, filed %d under keys", out.Len(), filed)
 		}
 	})
 }

@@ -13,6 +13,7 @@ import (
 	"partree/internal/fault"
 	"partree/internal/mp"
 	"partree/internal/tree"
+	"partree/internal/wire"
 )
 
 // This file implements process-restart resume: rebuilding a build's state
@@ -139,61 +140,56 @@ const voteAttrsNil = ^uint32(0)
 // typed errors (the payload is CRC-verified by the durable store, so a
 // failure here means an encoder bug or a hand-tampered store).
 func decodeLevelCkpt(data []byte) (*levelCkpt, error) {
-	cur := ckptCursor{b: data}
-	if string(cur.bytes(4)) != levelCkptMagic {
+	r := wire.NewReader(data, errLevelCkpt)
+	if string(r.Bytes(4)) != levelCkptMagic {
 		return nil, fmt.Errorf("%w: bad magic", errLevelCkpt)
 	}
-	version := cur.u32()
-	if cur.err == nil && version != 1 && version != 2 {
+	version := r.U32()
+	if r.Err() == nil && version != 1 && version != 2 {
 		return nil, fmt.Errorf("%w: version %d", errLevelCkpt, version)
 	}
 	lk := &levelCkpt{}
-	lk.level = int(cur.u32())
-	lk.idsNext = int64(cur.u64())
-	nr := cur.count(16, "ranges")
-	for i := 0; i < nr && cur.err == nil; i++ {
+	lk.level = int(r.U32())
+	lk.idsNext = int64(r.U64())
+	nr := r.Count(16, "ranges")
+	for i := 0; i < nr; i++ {
 		lk.ranges = append(lk.ranges, [2]float64{
-			math.Float64frombits(cur.u64()), math.Float64frombits(cur.u64())})
+			math.Float64frombits(r.U64()), math.Float64frombits(r.U64())})
 	}
-	lk.treeJS = cur.bytes(int(cur.u32()))
-	ni := cur.count(20, "frontier items")
-	for i := 0; i < ni && cur.err == nil; i++ {
-		it := levelItem{id: int64(cur.u64()), globalN: int64(cur.u64())}
-		np := cur.count(4, "path steps")
-		if cur.err == nil && np > tree.MaxModelDepth {
+	lk.treeJS = r.Bytes(int(r.U32()))
+	ni := r.Count(20, "frontier items")
+	for i := 0; i < ni; i++ {
+		it := levelItem{id: int64(r.U64()), globalN: int64(r.U64())}
+		np := r.Count(4, "path steps")
+		if np > tree.MaxModelDepth {
 			return nil, fmt.Errorf("%w: path of %d steps", errLevelCkpt, np)
 		}
-		for j := 0; j < np && cur.err == nil; j++ {
-			it.path = append(it.path, int32(cur.u32()))
+		for j := 0; j < np; j++ {
+			it.path = append(it.path, int32(r.U32()))
 		}
 		lk.items = append(lk.items, it)
 	}
-	lk.rows = cur.bytes(int(cur.u32()))
+	lk.rows = r.Bytes(int(r.U32()))
 	if version >= 2 {
-		nf := cur.count(16, "vote families")
-		if cur.err == nil && nf > 0 {
+		nf := r.Count(16, "vote families")
+		if nf > 0 {
 			lk.vote = make([]voteFam, 0, nf)
 		}
-		for i := 0; i < nf && cur.err == nil; i++ {
-			f := voteFam{lo: int(cur.u32()), n: int(cur.u32())}
-			f.root = cur.u32()&1 != 0
-			if na := cur.u32(); na != voteAttrsNil {
-				n := cur.fits(na, 4, "vote attrs")
+		for i := 0; i < nf; i++ {
+			f := voteFam{lo: int(r.U32()), n: int(r.U32())}
+			f.root = r.U32()&1 != 0
+			if na := r.U32(); na != voteAttrsNil {
+				n := r.Fits(uint64(na), 4, "vote attrs")
 				f.pAttrs = make([]int32, 0, n)
-				for j := 0; j < n && cur.err == nil; j++ {
-					f.pAttrs = append(f.pAttrs, int32(cur.u32()))
+				for j := 0; j < n; j++ {
+					f.pAttrs = append(f.pAttrs, int32(r.U32()))
 				}
 			}
-			if cur.err == nil {
-				lk.vote = append(lk.vote, f)
-			}
+			lk.vote = append(lk.vote, f)
 		}
 	}
-	if cur.err != nil {
-		return nil, cur.err
-	}
-	if cur.off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", errLevelCkpt, len(data)-cur.off)
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return lk, nil
 }
@@ -213,73 +209,6 @@ func adoptLevelRows(d *dataset.Dataset, frontier []tree.FrontierItem, data []byt
 		frontier[j].Idx = append(frontier[j].Idx, perKey[j]...)
 	}
 	return nil
-}
-
-// ckptCursor is a bounds-checked little-endian reader over a level
-// checkpoint; the first violation latches err.
-type ckptCursor struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (c *ckptCursor) u32() uint32 {
-	if c.err != nil {
-		return 0
-	}
-	if c.off+4 > len(c.b) {
-		c.err = fmt.Errorf("%w: truncated at offset %d", errLevelCkpt, c.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(c.b[c.off:])
-	c.off += 4
-	return v
-}
-
-func (c *ckptCursor) u64() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	if c.off+8 > len(c.b) {
-		c.err = fmt.Errorf("%w: truncated at offset %d", errLevelCkpt, c.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(c.b[c.off:])
-	c.off += 8
-	return v
-}
-
-// count reads an element count and checks it with fits.
-func (c *ckptCursor) count(size int, what string) int {
-	return c.fits(c.u32(), size, what)
-}
-
-// fits returns n if n elements of at least size encoded bytes each fit
-// in the unread payload, and latches a typed error and returns 0
-// otherwise — so no count read from the payload can presize a slice or
-// run a loop past what the payload holds.
-func (c *ckptCursor) fits(n uint32, size int, what string) int {
-	if c.err != nil {
-		return 0
-	}
-	if uint64(n)*uint64(size) > uint64(len(c.b)-c.off) {
-		c.err = fmt.Errorf("%w: %d %s at offset %d overrun the payload", errLevelCkpt, n, what, c.off)
-		return 0
-	}
-	return int(n)
-}
-
-func (c *ckptCursor) bytes(n int) []byte {
-	if c.err != nil {
-		return nil
-	}
-	if n < 0 || c.off+n > len(c.b) {
-		c.err = fmt.Errorf("%w: %d-byte field at offset %d overruns payload", errLevelCkpt, n, c.off)
-		return nil
-	}
-	v := c.b[c.off : c.off+n]
-	c.off += n
-	return v
 }
 
 // frontierPaths returns, for each frontier item, the child-index path

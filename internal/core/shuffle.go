@@ -7,6 +7,7 @@ import (
 
 	"partree/internal/dataset"
 	"partree/internal/mp"
+	"partree/internal/wire"
 )
 
 // redistribute is the record-shuffling primitive behind the partitioned
@@ -137,29 +138,23 @@ var errFrame = errors.New("core: malformed record frame")
 // a record count the bytes left cannot hold, is an errFrame.
 func decodeFrames(out *dataset.Dataset, perKey [][]int32, s *dataset.Schema, buf []byte) error {
 	rb := s.RecordBytes()
-	for len(buf) > 0 {
-		if len(buf) < 16 {
-			return fmt.Errorf("%w: truncated header (%d bytes)", errFrame, len(buf))
+	r := wire.NewReader(buf, errFrame)
+	for r.Len() > 0 {
+		key := r.U64()
+		n := r.Fits(r.U64(), rb, "records")
+		if err := r.Err(); err != nil {
+			return err
 		}
-		key := int64(binary.LittleEndian.Uint64(buf))
-		count := int64(binary.LittleEndian.Uint64(buf[8:]))
-		buf = buf[16:]
-		if key < 0 || key >= int64(len(perKey)) {
-			return fmt.Errorf("%w: key %d outside %d keys", errFrame, key, len(perKey))
+		if key >= uint64(len(perKey)) {
+			return fmt.Errorf("%w: key %d outside %d keys", errFrame, int64(key), len(perKey))
 		}
-		// Checked before multiplying: count·rb can wrap to a small need.
-		if count < 0 || count > int64(len(buf)/rb) {
-			return fmt.Errorf("%w: key %d claims %d records of %d bytes, have %d bytes", errFrame, key, count, rb, len(buf))
-		}
-		need := int(count) * rb
 		start := out.Len()
-		if err := dataset.Decode(out, s, buf[:need]); err != nil {
+		if err := dataset.Decode(out, s, r.Bytes(n*rb)); err != nil {
 			return fmt.Errorf("%w: %w", errFrame, err)
 		}
 		for i := start; i < out.Len(); i++ {
 			perKey[key] = append(perKey[key], int32(i))
 		}
-		buf = buf[need:]
 	}
 	return nil
 }

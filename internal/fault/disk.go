@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"partree/internal/wire"
 )
 
 // On-disk layout of a DiskStore directory:
@@ -38,7 +40,7 @@ const (
 	frameMagic     = "PTCK"
 	frameHdrLen    = 12      // magic + len + crc
 	maxFramePay    = 1 << 30 // sanity bound on a single payload
-	maxFrameParts  = 1 << 20 // sanity bound on participant count
+	maxFrameParts  = 1 << 20 // plausibility cap on participant count; a full payload holds 2^28
 	manifestName   = "MANIFEST.json"
 	manifestFormat = "partree-checkpoint-manifest"
 )
@@ -430,25 +432,22 @@ func decodeFrame(b []byte) (*Checkpoint, int, error) {
 // return ErrBadFrame (the CRC passed, so this only fires on encoder bugs
 // or adversarial input with a matching checksum).
 func decodePayload(pay []byte) (*Checkpoint, error) {
-	cur := payloadCursor{b: pay}
-	seq := cur.u64()
-	id := cur.bytes(int(cur.u32()))
-	rank := cur.u32()
-	nPart := cur.u32()
-	if cur.err == nil && nPart > maxFrameParts {
+	r := wire.NewReader(pay, ErrBadFrame)
+	seq := r.U64()
+	id := r.Bytes(int(r.U32()))
+	rank := r.U32()
+	nPart := r.Count(4, "participants")
+	if nPart > maxFrameParts {
 		return nil, fmt.Errorf("%w: %d participants", ErrBadFrame, nPart)
 	}
 	var parts []int
-	for i := uint32(0); cur.err == nil && i < nPart; i++ {
-		parts = append(parts, int(cur.u32()))
+	for i := 0; i < nPart; i++ {
+		parts = append(parts, int(r.U32()))
 	}
-	meta := cur.bytes(int(cur.u32()))
-	data := cur.bytes(int(cur.u32()))
-	if cur.err != nil {
-		return nil, cur.err
-	}
-	if len(cur.b) != cur.off {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(cur.b)-cur.off)
+	meta := r.Bytes(int(r.U32()))
+	data := r.Bytes(int(r.U32()))
+	if err := r.Done(); err != nil {
+		return nil, err
 	}
 	return &Checkpoint{
 		ID:           string(id),
@@ -458,53 +457,6 @@ func decodePayload(pay []byte) (*Checkpoint, error) {
 		Data:         append([]byte(nil), data...),
 		seq:          int64(seq),
 	}, nil
-}
-
-// payloadCursor is a bounds-checked little-endian reader; the first
-// violation latches err and subsequent reads return zero values.
-type payloadCursor struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (c *payloadCursor) u32() uint32 {
-	if c.err != nil {
-		return 0
-	}
-	if c.off+4 > len(c.b) {
-		c.err = fmt.Errorf("%w: truncated field at offset %d", ErrBadFrame, c.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(c.b[c.off:])
-	c.off += 4
-	return v
-}
-
-func (c *payloadCursor) u64() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	if c.off+8 > len(c.b) {
-		c.err = fmt.Errorf("%w: truncated field at offset %d", ErrBadFrame, c.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(c.b[c.off:])
-	c.off += 8
-	return v
-}
-
-func (c *payloadCursor) bytes(n int) []byte {
-	if c.err != nil {
-		return nil
-	}
-	if n < 0 || c.off+n > len(c.b) {
-		c.err = fmt.Errorf("%w: %d-byte field at offset %d overruns payload", ErrBadFrame, n, c.off)
-		return nil
-	}
-	v := c.b[c.off : c.off+n]
-	c.off += n
-	return v
 }
 
 // decodeChain decodes consecutive frames from b, returning the decoded

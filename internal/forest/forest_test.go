@@ -210,6 +210,43 @@ func TestFusedMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestTiedVoteBreaksToLowestClass: two one-leaf members vote for classes
+// 1 and 0, so every row's vote ties. Both vote modes, fused and naive,
+// must answer tree.MajorityClass's rule (the smallest class index
+// holding the maximum), checked against that rule directly, since the
+// fused and naive paths share their argmax.
+func TestTiedVoteBreaksToLowestClass(t *testing.T) {
+	d := testData(t, 300)
+	leaf := func(class int32) *tree.Tree {
+		dist := make([]int64, d.Schema.NumClasses())
+		dist[class] = 1
+		return &tree.Tree{Schema: d.Schema, Root: &tree.Node{Kind: tree.Leaf, Class: class, N: 1, Dist: dist}}
+	}
+	want := tree.MajorityClass([]int64{1, 1})
+	if want != 0 {
+		t.Fatalf("MajorityClass breaks a 1-1 tie to %d, want 0", want)
+	}
+	for _, weights := range [][]float64{nil, {0.5, 0.5}} {
+		f := &Forest{Schema: d.Schema, Trees: []*tree.Tree{leaf(1), leaf(0)}, Weights: weights}
+		if weights != nil {
+			f.Vote = Weighted
+		}
+		fz, err := Compile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fused := make([]int32, d.Len())
+		naive := make([]int32, d.Len())
+		fz.PredictInto(d, fused, 0, d.Len())
+		fz.PredictNaiveInto(d, naive, 0, d.Len())
+		for r := range fused {
+			if fused[r] != want || naive[r] != want {
+				t.Fatalf("%v: row %d fused=%d naive=%d, want %d", f.Vote, r, fused[r], naive[r], want)
+			}
+		}
+	}
+}
+
 // TestSingleMemberFusedMatchesFlat: a 1-tree forest predicts exactly its
 // member flat model (the root identity test extends this to all nine
 // builders).

@@ -3,6 +3,7 @@ package scalparc
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"partree/internal/criteria"
@@ -199,5 +200,31 @@ func TestPairCodecRoundtrip(t *testing.T) {
 		if in[i] != out[i] {
 			t.Fatalf("pair %d: %+v vs %+v", i, in[i], out[i])
 		}
+	}
+}
+
+// TestCodecRaggedTailPanics: the pair and entry messages never leave the
+// process, so a buffer that is not a whole number of records is an
+// encoder bug and panics with the decoder's name and the byte count.
+func TestCodecRaggedTailPanics(t *testing.T) {
+	cases := []struct {
+		name   string
+		size   int
+		decode func([]byte)
+	}{
+		{"decodePairs", 12, func(b []byte) { decodePairs(b) }},
+		{"decodeEntries", 20, func(b []byte) { decodeEntries(b) }},
+	}
+	for _, tc := range cases {
+		n := 1000*tc.size + 5
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, tc.name) || !strings.Contains(msg, fmt.Sprintf("%d-byte", n)) {
+					t.Fatalf("%s of %d bytes: panic %q, want one naming the decoder and the byte count", tc.name, n, msg)
+				}
+			}()
+			tc.decode(make([]byte, n))
+		}()
 	}
 }

@@ -2,6 +2,7 @@ package scalparc
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 
 	"partree/internal/mp"
@@ -277,7 +278,12 @@ func encodePairs(pairs []ridChild) []byte {
 	return buf
 }
 
+// decodePairs decodes an in-process pair message; a ragged tail is an
+// encoder bug.
 func decodePairs(buf []byte) []ridChild {
+	if len(buf)%12 != 0 {
+		panic(fmt.Sprintf("scalparc: decodePairs: %d-byte buffer has a %d-byte ragged tail", len(buf), len(buf)%12))
+	}
 	out := make([]ridChild, 0, len(buf)/12)
 	for off := 0; off+12 <= len(buf); off += 12 {
 		out = append(out, ridChild{
@@ -297,7 +303,12 @@ func appendEntry(buf []byte, e sprint.Entry) []byte {
 	return binary.LittleEndian.AppendUint32(buf, uint32(e.Class))
 }
 
+// decodeEntries decodes an in-process entry message; a ragged tail is
+// an encoder bug.
 func decodeEntries(buf []byte) []sprint.Entry {
+	if len(buf)%20 != 0 {
+		panic(fmt.Sprintf("scalparc: decodeEntries: %d-byte buffer has a %d-byte ragged tail", len(buf), len(buf)%20))
+	}
 	out := make([]sprint.Entry, 0, len(buf)/20)
 	for off := 0; off+20 <= len(buf); off += 20 {
 		out = append(out, sprint.Entry{
